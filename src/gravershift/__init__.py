@@ -28,13 +28,11 @@ from .core import (
     OutsideScopeError,
     SemigroupInstance,
     ShiftedFamily,
-    Strip,
     Trade,
     TradeSet,
     canonical_rep,
     from_generators,
     in_orthant,
-    in_strip,
     length,
     orthant_memberships,
 )
@@ -47,9 +45,6 @@ from .oracle import (
 )
 from .shift import (
     SegmentEndpoints,
-    advance_npp,
-    advance_pnp,
-    advance_ppn,
     assemble_graver,
     base_decomposition,
     effective_base_bound,
@@ -61,6 +56,7 @@ from .shift import (
     period_map_inverse,
     period_multiplier,
     positive_segment,
+    transport,
 )
 
 __version__ = "0.1.0"
@@ -80,12 +76,8 @@ __all__ = [
     "SegmentEndpoints",
     "SemigroupInstance",
     "ShiftedFamily",
-    "Strip",
     "Trade",
     "TradeSet",
-    "advance_npp",
-    "advance_pnp",
-    "advance_ppn",
     "assemble_graver",
     "augment",
     "base_decomposition",
@@ -104,7 +96,6 @@ __all__ = [
     "hilbert_oracle",
     "hilbert_shift",
     "in_orthant",
-    "in_strip",
     "is_conformal",
     "length",
     "negative_segment",
@@ -113,5 +104,6 @@ __all__ = [
     "period_map_inverse",
     "period_multiplier",
     "positive_segment",
+    "transport",
     "verify_period_law",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import Sequence
 
 from .core import (
     InvalidInputError,
@@ -25,7 +25,7 @@ from .core import (
     negate,
 )
 from .oracle import enumerate_trades, factorizations, graver_oracle, hilbert_oracle
-from .shift import effective_base_bound, graver_shift, hilbert_shift
+from .shift import assemble_graver, effective_base_bound, graver_shift, hilbert_shift
 
 CSV_HEADER = "t,graver,h_pnp,h_ppn,h_npp,method"
 
@@ -57,11 +57,6 @@ class CountTable:
     family: ShiftedFamily
     rows: tuple[CountRow, ...]
 
-    def write_csv(self, fh: TextIO) -> None:
-        fh.write(CSV_HEADER + "\n")
-        for row in self.rows:
-            fh.write(row.csv() + "\n")
-
     def row_for(self, t: int) -> CountRow:
         for row in self.rows:
             if row.t == t:
@@ -82,7 +77,7 @@ def count_row(inst: SemigroupInstance, method: str = "auto") -> CountRow:
         hp = hilbert_shift(inst, OrthantLabel.PNP)
         hq = hilbert_shift(inst, OrthantLabel.PPN)
         hr = hilbert_shift(inst, OrthantLabel.NPP)
-        graver = 2 * len(graver_shift(inst))
+        graver = 2 * len(assemble_graver(hp, hq, hr))
     else:
         raise InvalidInputError(f"unknown count method {method!r}")
     return CountRow(inst.t, graver, len(hp), len(hq), len(hr), method)
@@ -189,6 +184,8 @@ class BoundsReport:
 
 def empirical_bounds(fam: ShiftedFamily, t_max: int) -> BoundsReport:
     a, b, d = fam.a, fam.b, fam.d
+    if t_max <= d * a:
+        raise InvalidInputError(f"t_max={t_max} covers no shift: it must exceed d*a={d * a}")
     consts = fam.constants()
     h = fam.homogeneous_trade
     last_red = last_no_ppn = last_no_npp = None
@@ -242,17 +239,17 @@ class DifferentialReport:
         return not self.mismatches
 
 
-def differential_test(
-    families: Sequence[ShiftedFamily], periods: int, transport: str = "closed"
-) -> DifferentialReport:
+def differential_test(families: Sequence[ShiftedFamily], periods: int) -> DifferentialReport:
     """Compare the transported Graver basis against the oracle, set-exactly,
     for every covered shift in (bound, bound + periods*rho] of each family."""
+    if periods < 1:
+        raise InvalidInputError(f"periods must be >= 1, got {periods}")
     rows = []
     for fam in families:
         bound = effective_base_bound(fam)
         for t in valid_shifts(fam, bound + 1, bound + periods * fam.rho):
             inst = fam.instance(t)
-            fast = graver_shift(inst, transport)
+            fast = graver_shift(inst)
             oracle = graver_oracle(inst)
             rows.append(
                 DifferentialRow(fam, t, len(fast), len(oracle), fast.trades == oracle.trades)

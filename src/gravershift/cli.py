@@ -40,26 +40,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _parse_gens(text: str) -> SemigroupInstance:
+def _parse_triple(text: str, flag: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise CliError(f"--gens expects three comma-separated integers, got {text!r}")
+        raise CliError(f"{flag} expects three comma-separated integers, got {text!r}")
     try:
-        n1, n2, n3 = (int(p) for p in parts)
+        x, y, z = (int(p) for p in parts)
     except ValueError:
-        raise CliError(f"--gens expects integers, got {text!r}") from None
-    return from_generators(n1, n2, n3)
-
-
-def _parse_family(text: str) -> ShiftedFamily:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise CliError(f"--family expects a,b,d, got {text!r}")
-    try:
-        a, b, d = (int(p) for p in parts)
-    except ValueError:
-        raise CliError(f"--family expects integers, got {text!r}") from None
-    return ShiftedFamily(a, b, d)
+        raise CliError(f"{flag} expects integers, got {text!r}") from None
+    return (x, y, z)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -70,17 +59,6 @@ def _parse_range(text: str) -> tuple[int, int]:
         return int(lo), int(hi)
     except ValueError:
         raise CliError(f"--t-range expects integers, got {text!r}") from None
-
-
-def _parse_vector(text: str, flag: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise CliError(f"{flag} expects three comma-separated integers, got {text!r}")
-    try:
-        x, y, z = (int(p) for p in parts)
-    except ValueError:
-        raise CliError(f"{flag} expects integers, got {text!r}") from None
-    return (x, y, z)
 
 
 def _parse_weights(text: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -109,7 +87,7 @@ def _resolve_method(inst: SemigroupInstance, method: str) -> str:
 
 
 def cmd_params(args: argparse.Namespace) -> int:
-    inst = _parse_gens(args.gens)
+    inst = from_generators(*_parse_triple(args.gens, "--gens"))
     consts = inst.family.constants()
     base, k = base_decomposition(inst)
     h = consts.homogeneous
@@ -136,7 +114,7 @@ def cmd_params(args: argparse.Namespace) -> int:
 
 
 def cmd_graver(args: argparse.Namespace) -> int:
-    inst = _parse_gens(args.gens)
+    inst = from_generators(*_parse_triple(args.gens, "--gens"))
     method = _resolve_method(inst, args.method)
     trades = graver_shift(inst) if method == "shift" else graver_oracle(inst)
     if args.both_signs:
@@ -151,7 +129,7 @@ def cmd_graver(args: argparse.Namespace) -> int:
 
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
-    inst = _parse_gens(args.gens)
+    inst = from_generators(*_parse_triple(args.gens, "--gens"))
     orthant = OrthantLabel(args.orthant)
     method = _resolve_method(inst, args.method)
     basis = (
@@ -168,7 +146,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    fam = _parse_family(args.family)
+    fam = ShiftedFamily(*_parse_triple(args.family, "--family"))
     t_lo, t_hi = _parse_range(args.t_range)
     table = analysis.count_scan(fam, t_lo, t_hi, args.method)
     if args.format == "json":
@@ -193,7 +171,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    fam = _parse_family(args.family)
+    fam = ShiftedFamily(*_parse_triple(args.family, "--family"))
     t_lo, t_hi = _parse_range(args.t_range)
     report = analysis.verify_period_law(fam, t_lo, t_hi, method=args.method)
     lines = ["t,graver_increment,pnp_increment,ppn_increment,npp_increment,ok"]
@@ -211,7 +189,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan_bounds(args: argparse.Namespace) -> int:
-    fam = _parse_family(args.family)
+    fam = ShiftedFamily(*_parse_triple(args.family, "--family"))
     report = analysis.empirical_bounds(fam, args.t_max)
     doc = {
         "family": {"a": fam.a, "b": fam.b, "d": fam.d},
@@ -233,12 +211,12 @@ def cmd_scan_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
-    inst = _parse_gens(args.gens)
+    inst = from_generators(*_parse_triple(args.gens, "--gens"))
     weights = _parse_weights(args.objective)
     if (args.element is None) == (args.start is None):
         raise CliError("provide exactly one of --element or --start")
     if args.start is not None:
-        start = _parse_vector(args.start, "--start")
+        start = _parse_triple(args.start, "--start")
         if any(z < 0 for z in start):
             raise CliError(f"--start must be non-negative, got {start}")
         element = inst.evaluate(start)
@@ -266,7 +244,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 
 def cmd_difftest(args: argparse.Namespace) -> int:
-    families = [_parse_family(text) for text in args.family]
+    families = [ShiftedFamily(*_parse_triple(text, "--family")) for text in args.family]
     report = analysis.differential_test(families, args.periods)
     lines = ["a,b,d,t,fast,oracle,equal"]
     lines.extend(

@@ -6,10 +6,9 @@ member at shift t is the numerical semigroup generated by
     (t - d*a,  t,  t + d*b).
 
 Trades are integer 3-vectors in the kernel of the generator pairing.  They
-are classified by sign orthant (exactly two coordinates share a sign) and,
-within an orthant, by nearness to a coordinate plane (strips).  Everything
-in this module is an immutable value and every operation is a pure
-function, so instances can be shared freely between workers.
+are classified by sign orthant (exactly two coordinates share a sign).
+Everything in this module is an immutable value and every operation is a
+pure function, so instances can be shared freely between workers.
 """
 
 from __future__ import annotations
@@ -251,44 +250,6 @@ def orthant_memberships(v: Trade) -> frozenset[tuple[OrthantLabel, int]]:
     return frozenset(out)
 
 
-class Strip(enum.Enum):
-    """Neighborhoods of the coordinate planes within each orthant.
-
-    Named by the orthant and the coordinate the strip bounds.  The bounded
-    coordinate is exactly the one the strip's transport map leaves fixed:
-    PNP strips are closed (<=), the others open (<).
-    """
-
-    PNP_V0 = "pnp_v0"  # v0 <= b
-    PNP_V2 = "pnp_v2"  # v2 <= a
-    PPN_V0 = "ppn_v0"  # v0 < b
-    PPN_V1 = "ppn_v1"  # v1 < a + b
-    NPP_V1 = "npp_v1"  # v1 < a + b
-    NPP_V2 = "npp_v2"  # v2 < a
-
-    @property
-    def orthant(self) -> OrthantLabel:
-        return OrthantLabel[self.name.split("_")[0]]
-
-
-def in_strip(inst: SemigroupInstance, v: Trade, strip: Strip) -> bool:
-    """Strip membership for a vector already in the strip's orthant."""
-    if not in_orthant(v, strip.orthant):
-        raise InvalidInputError(f"{v} is not in the {strip.orthant.value} orthant")
-    a, b = inst.family.a, inst.family.b
-    if strip is Strip.PNP_V0:
-        return v[0] <= b
-    if strip is Strip.PNP_V2:
-        return v[2] <= a
-    if strip is Strip.PPN_V0:
-        return v[0] < b
-    if strip is Strip.PPN_V1:
-        return v[1] < a + b
-    if strip is Strip.NPP_V1:
-        return v[1] < a + b
-    return v[2] < a  # NPP_V2
-
-
 class TradeSetMode(enum.Enum):
     FULL = "full"
     CANONICAL = "canonical"
@@ -320,9 +281,6 @@ class TradeSet:
         both = set(self.trades)
         both.update(negate(v) for v in self.trades)
         return TradeSet.full(both)
-
-    def canonicalized(self) -> TradeSet:
-        return TradeSet.canonical(self.trades)
 
     def as_set(self) -> frozenset[Trade]:
         return frozenset(self.trades)

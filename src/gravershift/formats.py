@@ -30,16 +30,23 @@ def parse_4ti2(text: str) -> list[Trade]:
     header = lines[0].split()
     if len(header) != 2 or header[1] != "3":
         raise InvalidInputError(f"expected header 'N 3', got {lines[0]!r}")
-    n = int(header[0])
+    (n,) = _integers(header[:1], lines[0])
     rows = []
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 3:
             raise InvalidInputError(f"expected 3 integers per row, got {line!r}")
-        rows.append((int(parts[0]), int(parts[1]), int(parts[2])))
+        rows.append(_integers(parts, line))
     if len(rows) != n:
         raise InvalidInputError(f"header says {n} rows, found {len(rows)}")
     return rows
+
+
+def _integers(parts: list[str], line: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:
+        raise InvalidInputError(f"expected integers, got {line!r}") from None
 
 
 def format_trades_csv(trades: TradeSet) -> str:

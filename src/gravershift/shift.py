@@ -6,9 +6,11 @@ Hilbert basis is carried along by the map that fixes its strip's bounded
 coordinate; the trades of extremal coordinate sum (+d in the PPN orthant,
 -d in the NPP orthant) instead form a line segment, stepped by the
 homogeneous trade, that is re-solved directly at the target shift and grows
-by d*a (resp. d*b) elements per period.  Iterating from an oracle-computed
-base case below the transport threshold yields the Graver basis at any
-shift without ever enumerating a large lattice.
+by d*a (resp. d*b) elements per period.  The three orthants differ only in
+data (strips, maps, extremal sum, growth, segment equation, threshold),
+which one table holds and one transport reads.  Transporting from an
+oracle-computed base case below the transport threshold yields the Graver
+basis at any shift without ever enumerating a large lattice.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import (
     Trade,
     TradeSet,
     add,
+    in_orthant,
     length,
     scale,
     sub,
@@ -124,27 +127,7 @@ def positive_segment(inst: SemigroupInstance) -> SegmentEndpoints:
     non-negative solution, which is guaranteed not to happen above the
     b_plus threshold and guaranteed to happen at it.
     """
-    a, b, d = inst.family.a, inst.family.b, inst.family.d
-    target = inst.t + d * b
-    v0 = (target * pow(a % b, -1, b)) % b if b > 1 else 0
-    v1, rem = divmod(target - (a + b) * v0, b)
-    if rem:
-        raise InternalConsistencyError("modular solution failed to divide")
-    if v1 < 0:
-        raise NoLengthTradeError(
-            f"no trade of coordinate sum {d} in the ppn orthant at t={inst.t}"
-        )
-    start = (v0, v1, -(v0 + v1 - d))
-    w1 = (target * pow(b % (a + b), -1, a + b)) % (a + b)
-    w0, rem = divmod(target - b * w1, a + b)
-    if rem:
-        raise InternalConsistencyError("modular solution failed to divide")
-    if w0 < 0:
-        raise NoLengthTradeError(
-            f"no trade of coordinate sum {d} in the ppn orthant at t={inst.t}"
-        )
-    end = (w0, w1, -(w0 + w1 - d))
-    return _checked_segment(inst, start, end, expected_sum=d)
+    return _solve_segment(inst, OrthantLabel.PPN)
 
 
 def negative_segment(inst: SemigroupInstance) -> SegmentEndpoints:
@@ -154,36 +137,38 @@ def negative_segment(inst: SemigroupInstance) -> SegmentEndpoints:
     minimizing v2 (so v2 < a), the end minimizing v1 (so v1 < a+b); the
     trade is (-(v1+v2+d), v1, v2).
     """
-    a, b, d = inst.family.a, inst.family.b, inst.family.d
-    target = inst.t - d * a
-    v2 = (target * pow(b % a, -1, a)) % a if a > 1 else 0
-    v1, rem = divmod(target - (a + b) * v2, a)
-    if rem:
-        raise InternalConsistencyError("modular solution failed to divide")
-    if v1 < 0:
-        raise NoLengthTradeError(
-            f"no trade of coordinate sum {-d} in the npp orthant at t={inst.t}"
-        )
-    start = (-(v1 + v2 + d), v1, v2)
-    w1 = (target * pow(a % (a + b), -1, a + b)) % (a + b)
-    w2, rem = divmod(target - a * w1, a + b)
-    if rem:
-        raise InternalConsistencyError("modular solution failed to divide")
-    if w2 < 0:
-        raise NoLengthTradeError(
-            f"no trade of coordinate sum {-d} in the npp orthant at t={inst.t}"
-        )
-    end = (-(w1 + w2 + d), w1, w2)
-    return _checked_segment(inst, start, end, expected_sum=-d)
+    return _solve_segment(inst, OrthantLabel.NPP)
 
 
-def _checked_segment(
-    inst: SemigroupInstance, start: Trade, end: Trade, expected_sum: int
-) -> SegmentEndpoints:
+def _solve_segment(inst: SemigroupInstance, orthant: OrthantLabel) -> SegmentEndpoints:
+    """Solve the orthant's segment equation cx*v[x] + cy*v[y] = t + rhs.
+
+    x and y are the bounded coordinates of the orthant's two strips; the
+    start is the solution with least v[x] (so v[x] < cy, in the first
+    strip), the end the one with least v[y] (so v[y] < cx, in the second).
+    The remaining coordinate makes the coordinate sum extremal.
+    """
+    row = _orthant_table(inst.family)[orthant]
+    cx, cy, rhs = row.segment
+    (x, _, _), (y, _, _) = row.strips
+    target = inst.t + rhs
+    endpoints = []
+    for (u, cu), (w, cw) in (((x, cx), (y, cy)), ((y, cy), (x, cx))):
+        v = [0, 0, 0]
+        v[u] = target * pow(cu, -1, cw) % cw
+        v[w] = (target - cu * v[u]) // cw
+        if v[w] < 0:
+            raise NoLengthTradeError(
+                f"no trade of coordinate sum {row.extremal_sum} in the "
+                f"{orthant.value} orthant at t={inst.t}"
+            )
+        v[3 - u - w] = row.extremal_sum - v[u] - v[w]
+        endpoint = (v[0], v[1], v[2])
+        if inst.evaluate(endpoint) != 0:
+            raise InternalConsistencyError(f"segment endpoint {endpoint} invalid at t={inst.t}")
+        endpoints.append(endpoint)
+    start, end = endpoints
     h = inst.family.homogeneous_trade
-    for v in (start, end):
-        if inst.evaluate(v) != 0 or length(v) != expected_sum:
-            raise InternalConsistencyError(f"segment endpoint {v} invalid at t={inst.t}")
     q = _h_multiple(sub(end, start), h)
     if q < 0:
         raise InternalConsistencyError(
@@ -192,109 +177,123 @@ def _checked_segment(
     return SegmentEndpoints(start=start, end=end, step=h, count=q + 1)
 
 
-def _pnp_image(inst: SemigroupInstance, v: Trade, periods: int) -> Trade:
-    fam = inst.family
-    if v[0] <= fam.b:
-        return period_map(fam, 1, 2, v, periods)
-    if v[2] <= fam.a:
-        return period_map(fam, 0, 1, v, periods)
-    raise InternalConsistencyError(
-        f"pnp element {v} lies outside both strips at t={inst.t}"
-    )
+@dataclass(frozen=True)
+class _Orthant:
+    """One orthant's row of the transport table.
 
-
-def advance_pnp(inst: SemigroupInstance, basis: TradeSet) -> TradeSet:
-    """Hilbert basis of the PNP orthant one period later; cardinality is preserved."""
-    _require_above(inst, inst.family.constants().b_plus_minus, "pnp")
-    out = TradeSet.full(_pnp_image(inst, v, 1) for v in basis)
-    if len(out) != len(basis):
-        raise InternalConsistencyError(
-            f"pnp transport changed cardinality at t={inst.t}: {len(basis)} -> {len(out)}"
-        )
-    return out
-
-
-def advance_ppn(inst: SemigroupInstance, basis: TradeSet) -> TradeSet:
-    """Hilbert basis of the PPN orthant one period later; grows by d*a elements.
-
-    Strip members ride their period maps; the coordinate-sum-d segment is
-    rebuilt between the images of the current endpoints.  A trade in both
-    strips (only possible when the segment is a single point) is carried by
-    both maps, landing on the two ends of the new segment.
+    Each strip is a triple (coord, limit, maps): the orthant members v with
+    v[coord] < limit, carried by period_map with indices `maps`, which fixes
+    v[coord] and so maps the strip at shift t onto the strip at t + rho.
+    A Hilbert basis member outside both strips has coordinate sum
+    extremal_sum; those members form the segment, whose equation
+    cx*v[x] + cy*v[y] = t + rhs is `segment` = (cx, cy, rhs) with x, y the
+    strips' bounded coordinates.  PNP has no segment: its only basis
+    member of sum 0 is the homogeneous trade, which lies in both strips.
+    One period adds `growth` members.  Transport from shift t needs
+    t > threshold.
     """
-    fam = inst.family
-    _require_above(inst, fam.constants().b_plus, "ppn")
+
+    strips: tuple[tuple[int, int, tuple[int, int]], ...]
+    extremal_sum: int
+    growth: int
+    threshold: int
+    segment: tuple[int, int, int] | None
+
+
+def _orthant_table(fam: ShiftedFamily) -> dict[OrthantLabel, _Orthant]:
     a, b, d = fam.a, fam.b, fam.d
-    seg = positive_segment(inst)
-    out = set()
-    for v in basis:
-        carried = False
-        if v[0] < b:
-            out.add(period_map(fam, 1, 2, v, 1))
-            carried = True
-        if v[1] < a + b:
-            out.add(period_map(fam, 0, 2, v, 1))
-            carried = True
-        if not carried and length(v) != d:
-            raise InternalConsistencyError(
-                f"ppn element {v} outside both strips has coordinate sum != {d}"
-            )
-    new_seg = _checked_segment(
-        inst.shifted(),
-        period_map(fam, 1, 2, seg.start, 1),
-        period_map(fam, 0, 2, seg.end, 1),
-        expected_sum=d,
-    )
-    out.update(new_seg.trades())
-    result = TradeSet.full(out)
-    if len(result) != len(basis) + d * a:
-        raise InternalConsistencyError(
-            f"ppn transport at t={inst.t}: expected growth {d * a}, "
-            f"got {len(basis)} -> {len(result)}"
-        )
-    return result
+    consts = fam.constants()
+    return {
+        OrthantLabel.PNP: _Orthant(
+            strips=((0, b + 1, (1, 2)), (2, a + 1, (0, 1))),
+            extremal_sum=0,
+            growth=0,
+            threshold=consts.b_plus_minus,
+            segment=None,
+        ),
+        OrthantLabel.PPN: _Orthant(
+            strips=((0, b, (1, 2)), (1, a + b, (0, 2))),
+            extremal_sum=d,
+            growth=d * a,
+            threshold=consts.b_plus,
+            segment=(a + b, b, d * b),
+        ),
+        OrthantLabel.NPP: _Orthant(
+            strips=((2, a, (0, 1)), (1, a + b, (0, 2))),
+            extremal_sum=-d,
+            growth=d * b,
+            threshold=npp_existence_bound(fam),
+            segment=(a + b, a, -d * a),
+        ),
+    }
 
 
-def advance_npp(inst: SemigroupInstance, basis: TradeSet) -> TradeSet:
-    """Hilbert basis of the NPP orthant one period later; grows by d*b elements."""
-    fam = inst.family
-    _require_above(inst, fam.constants().b_minus, "npp")
-    a, b, d = fam.a, fam.b, fam.d
-    seg = negative_segment(inst)
-    out = set()
-    for v in basis:
-        carried = False
-        if v[2] < a:
-            out.add(period_map(fam, 0, 1, v, 1))
-            carried = True
-        if v[1] < a + b:
-            out.add(period_map(fam, 0, 2, v, 1))
-            carried = True
-        if not carried and length(v) != -d:
-            raise InternalConsistencyError(
-                f"npp element {v} outside both strips has coordinate sum != {-d}"
-            )
-    new_seg = _checked_segment(
-        inst.shifted(),
-        period_map(fam, 0, 1, seg.start, 1),
-        period_map(fam, 0, 2, seg.end, 1),
-        expected_sum=-d,
-    )
-    out.update(new_seg.trades())
-    result = TradeSet.full(out)
-    if len(result) != len(basis) + d * b:
-        raise InternalConsistencyError(
-            f"npp transport at t={inst.t}: expected growth {d * b}, "
-            f"got {len(basis)} -> {len(result)}"
-        )
-    return result
+def transport(
+    base: SemigroupInstance, orthant: OrthantLabel, basis: TradeSet, periods: int
+) -> TradeSet:
+    """Carry the orthant's Hilbert basis at base.t to base.t + periods*rho.
 
+    Every member rides the period map of each strip it lies in (the maps
+    fix the strip's bounded coordinate, so `periods` steps are one map with
+    a `periods`-fold correction); the members outside both strips have the
+    extremal coordinate sum and form the segment, which is re-solved at the
+    target shift.  The result must have periods*growth more members than
+    `basis`, and the target segment's endpoints must be the period-map
+    images of the base segment's.
 
-def _require_above(inst: SemigroupInstance, bound: int, name: str) -> None:
-    if inst.t <= bound:
+    A PNP member may lie in both strips and then rides both maps.  That is
+    safe: for t > d*a*b such a trade v has t*length(v) = d*(a*v0 - b*v2)
+    with 0 <= v0 <= b and 0 <= v2 <= a, so |t*length(v)| <= d*a*b < t, its
+    length is 0 and both maps fix it.  A PPN or NPP member in both strips
+    is a single-point segment; its two images are the two ends of the new
+    segment.
+    """
+    fam = base.family
+    row = _orthant_table(fam)[orthant]
+    if periods < 1:
+        raise InvalidInputError(f"transport needs periods >= 1, got {periods}")
+    if base.t <= row.threshold:
         raise InvalidInputError(
-            f"{name} transport needs t > {bound}, got t={inst.t}"
+            f"{orthant.value} transport needs t > {row.threshold}, got t={base.t}"
         )
+    out: set[Trade] = set()
+    for v in basis:
+        if not in_orthant(v, orthant):
+            raise InvalidInputError(f"{v} is not in the {orthant.value} orthant")
+        images = [
+            period_map(fam, *maps, v, periods)
+            for coord, limit, maps in row.strips
+            if v[coord] < limit
+        ]
+        if not images and length(v) != row.extremal_sum:
+            raise InternalConsistencyError(
+                f"{orthant.value} element {v} outside both strips has coordinate sum "
+                f"!= {row.extremal_sum} at t={base.t}"
+            )
+        out.update(images)
+    if row.segment is not None:
+        # looked up by module-global name, so a traced run can rebind them
+        solve = positive_segment if row.extremal_sum > 0 else negative_segment
+        target = base.shifted(periods)
+        before, after = solve(base), solve(target)
+        (_, _, first), (_, _, second) = row.strips
+        expected = (
+            period_map(fam, *first, before.start, periods),
+            period_map(fam, *second, before.end, periods),
+        )
+        if (after.start, after.end) != expected:
+            raise InternalConsistencyError(
+                f"{orthant.value} segment at t={target.t} "
+                f"is {after.start}..{after.end}, expected {expected[0]}..{expected[1]}"
+            )
+        out.update(after.trades())
+    result = TradeSet.full(out)
+    if len(result) != len(basis) + periods * row.growth:
+        raise InternalConsistencyError(
+            f"{orthant.value} transport at t={base.t} over {periods} periods: expected "
+            f"{len(basis) + periods * row.growth} elements, got {len(result)}"
+        )
+    return result
 
 
 def npp_existence_bound(fam: ShiftedFamily) -> int:
@@ -304,7 +303,7 @@ def npp_existence_bound(fam: ShiftedFamily) -> int:
     representable, which holds for every t > (a-1)(a+b) + a(d-1).  Note the
     b_minus formula in DerivedConstants flips the sign of the a(d-1) term;
     the two agree for d = 1 but b_minus undershoots for d >= 2, so the base
-    case selection uses this bound instead.
+    case selection and the NPP transport threshold use this bound instead.
     """
     a, b, d = fam.a, fam.b, fam.d
     return (a - 1) * (a + b) + a * (d - 1)
@@ -326,88 +325,24 @@ def base_decomposition(inst: SemigroupInstance) -> tuple[SemigroupInstance, int]
     return base, k
 
 
-_ADVANCE = {
-    OrthantLabel.PNP: advance_pnp,
-    OrthantLabel.PPN: advance_ppn,
-    OrthantLabel.NPP: advance_npp,
-}
-
-
-def _transport_closed(
-    base: SemigroupInstance, orthant: OrthantLabel, basis: TradeSet, k: int
-) -> TradeSet:
-    """Jump k periods in one step.
-
-    Strip members transport linearly (the per-period correction just picks
-    up a factor of k because the maps fix the strip's bounded coordinate),
-    and the extremal segment is re-solved directly at the target shift.
-    """
-    fam = base.family
-    a, b, d = fam.a, fam.b, fam.d
-    target = base.shifted(k)
-    if orthant is OrthantLabel.PNP:
-        out = TradeSet.full(_pnp_image(base, v, k) for v in basis)
-        if len(out) != len(basis):
-            raise InternalConsistencyError("pnp closed transport changed cardinality")
-        return out
-    if orthant is OrthantLabel.PPN:
-        expected_sum, growth = d, k * d * a
-        seg = positive_segment(target)
-        carries = [(0, b, (1, 2)), (1, a + b, (0, 2))]
-    else:
-        expected_sum, growth = -d, k * d * b
-        seg = negative_segment(target)
-        carries = [(2, a, (0, 1)), (1, a + b, (0, 2))]
-    out = set(seg.trades())
-    for v in basis:
-        carried = False
-        for coord, bound, (i, j) in carries:
-            if v[coord] < bound:
-                out.add(period_map(fam, i, j, v, k))
-                carried = True
-        if not carried and length(v) != expected_sum:
-            raise InternalConsistencyError(
-                f"{orthant.value} element {v} outside both strips has unexpected sum"
-            )
-    result = TradeSet.full(out)
-    if len(result) != len(basis) + growth:
-        raise InternalConsistencyError(
-            f"{orthant.value} closed transport: expected {len(basis) + growth} "
-            f"elements, got {len(result)}"
-        )
-    return result
-
-
-def hilbert_shift(
-    inst: SemigroupInstance, orthant: OrthantLabel, transport: str = "closed"
-) -> TradeSet:
-    """Hilbert basis of one orthant via transport from an oracle base case.
-
-    transport="closed" jumps all periods at once; "iterative" applies the
-    single-period step repeatedly (slower, used as a cross-check).
-    """
+def hilbert_shift(inst: SemigroupInstance, orthant: OrthantLabel) -> TradeSet:
+    """Hilbert basis of one orthant via transport from an oracle base case."""
     base, k = base_decomposition(inst)
     basis = hilbert_oracle(base, orthant)
-    if k == 0:
-        return basis
-    if transport == "closed":
-        return _transport_closed(base, orthant, basis, k)
-    if transport == "iterative":
-        step = _ADVANCE[orthant]
-        current = base
-        for _ in range(k):
-            basis = step(current, basis)
-            current = current.shifted()
-        return basis
-    raise InvalidInputError(f"unknown transport {transport!r}")
+    return transport(base, orthant, basis, k) if k else basis
 
 
 def assemble_graver(h_pnp: TradeSet, h_ppn: TradeSet, h_npp: TradeSet) -> TradeSet:
     """Union of the three Hilbert bases and their negations, canonicalized.
 
-    The bases overlap only in the three primitive two-coordinate trades
-    (one per coordinate plane, each shared by two orthants); a different
-    overlap count is logged as a warning but not fatal.
+    The bases share exactly three trades, one per coordinate plane.  A
+    trade with no zero coordinate has exactly two coordinates of one sign,
+    so it lies in exactly one orthant up to sign and cannot be shared.  A
+    trade with a zero coordinate lies on the ray where its orthant meets
+    that coordinate plane, and the only Hilbert basis member on a ray is
+    the primitive trade of that plane, which both orthants bounded by the
+    plane contain.  Any other overlap means a basis is wrong, so it raises
+    InternalConsistencyError.
     """
     parts = (h_pnp, h_ppn, h_npp)
     if any(len(p) == 0 for p in parts):
@@ -415,12 +350,14 @@ def assemble_graver(h_pnp: TradeSet, h_ppn: TradeSet, h_npp: TradeSet) -> TradeS
     merged = TradeSet.canonical(v for part in parts for v in part)
     overlap = sum(len(p) for p in parts) - len(merged)
     if overlap != 3:
-        logger.warning("expected 3 shared boundary trades, measured %d", overlap)
+        raise InternalConsistencyError(
+            f"expected 3 shared boundary trades, measured {overlap}"
+        )
     logger.info("assembled %d canonical trades (overlap %d)", len(merged), overlap)
     return merged
 
 
-def graver_shift(inst: SemigroupInstance, transport: str = "closed") -> TradeSet:
+def graver_shift(inst: SemigroupInstance) -> TradeSet:
     """Graver basis of inst, canonical mode, via the transport recursion.
 
     Above the transport threshold this always goes through the three
@@ -431,7 +368,7 @@ def graver_shift(inst: SemigroupInstance, transport: str = "closed") -> TradeSet
     if inst.t <= effective_base_bound(inst.family):
         return graver_oracle(inst)
     return assemble_graver(
-        hilbert_shift(inst, OrthantLabel.PNP, transport),
-        hilbert_shift(inst, OrthantLabel.PPN, transport),
-        hilbert_shift(inst, OrthantLabel.NPP, transport),
+        hilbert_shift(inst, OrthantLabel.PNP),
+        hilbert_shift(inst, OrthantLabel.PPN),
+        hilbert_shift(inst, OrthantLabel.NPP),
     )

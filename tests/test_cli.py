@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gravershift import ShiftedFamily, analysis
 from gravershift.analysis import DifferentialReport, DifferentialRow
 from gravershift.cli import main
@@ -173,6 +175,13 @@ class TestScanBounds:
         }
         assert doc["homogeneous_reducible_at_dab"] is True
 
+    @pytest.mark.parametrize("t_max", ["6", "-5"])
+    def test_no_covered_shift_exit_1(self, capsys, t_max):
+        # d*a = 6 for (3,4,2): no shift t <= 6 is in the family
+        code, out, err = run(capsys, "scan-bounds", "--family", "3,4,2", "--t-max", t_max)
+        assert (code, out) == (1, "")
+        assert "t_max" in err
+
 
 class TestAugment:
     def test_with_element(self, capsys):
@@ -212,6 +221,12 @@ class TestDifftest:
         assert lines[0] == "a,b,d,t,fast,oracle,equal"
         assert len(lines) == 9
         assert all(line.endswith(",true") for line in lines[1:])
+
+    @pytest.mark.parametrize("periods", ["0", "-1"])
+    def test_nonpositive_periods_exit_1(self, capsys, periods):
+        code, out, err = run(capsys, "difftest", "--family", "1,1,1", "--periods", periods)
+        assert (code, out) == (1, "")
+        assert "periods" in err
 
     def test_mismatch_exit_3(self, capsys, monkeypatch):
         fam = ShiftedFamily(1, 1, 1)

@@ -9,17 +9,16 @@ from gravershift import (
     OrthantLabel,
     OutsideScopeError,
     ShiftedFamily,
-    Strip,
     TradeSet,
     canonical_rep,
     from_generators,
     in_orthant,
-    in_strip,
     length,
     orthant_memberships,
 )
 from gravershift.core import MAX_SHIFT, TradeSetMode, negate, sort_key
 from gravershift.oracle import enumerate_trades
+from gravershift.shift import _orthant_table, transport
 
 
 class TestShiftedFamily:
@@ -197,33 +196,53 @@ class TestOrthants:
 
 
 class TestStrips:
+    """Strip membership as the transport table defines it, for (2,3,1)."""
+
+    @staticmethod
+    def strips(inst, orthant):
+        return _orthant_table(inst.family)[orthant].strips
+
+    @staticmethod
+    def inside(v, strip):
+        coord, limit, _ = strip
+        return v[coord] < limit
+
     def test_pnp_strip(self, inst19):
-        assert in_strip(inst19, (0, -22, 19), Strip.PNP_V0)
-        assert not in_strip(inst19, (0, -22, 19), Strip.PNP_V2)
+        v0, v2 = self.strips(inst19, OrthantLabel.PNP)
+        assert self.inside((0, -22, 19), v0)
+        assert not self.inside((0, -22, 19), v2)
 
     def test_ppn_strips(self, inst19):
-        assert in_strip(inst19, (2, 4, -5), Strip.PPN_V0)  # 2 < b = 3
-        assert not in_strip(inst19, (22, 0, -17), Strip.PPN_V0)
-        assert in_strip(inst19, (22, 0, -17), Strip.PPN_V1)
+        v0, v1 = self.strips(inst19, OrthantLabel.PPN)
+        assert self.inside((2, 4, -5), v0)  # 2 < b = 3
+        assert not self.inside((22, 0, -17), v0)
+        assert self.inside((22, 0, -17), v1)
 
     def test_npp_strips(self, inst19):
-        assert in_strip(inst19, (-8, 6, 1), Strip.NPP_V2)  # 1 < a = 2
-        assert not in_strip(inst19, (-8, 6, 1), Strip.NPP_V1)
-        assert in_strip(inst19, (-5, 1, 3), Strip.NPP_V1)
+        v2, v1 = self.strips(inst19, OrthantLabel.NPP)
+        assert self.inside((-8, 6, 1), v2)  # 1 < a = 2
+        assert not self.inside((-8, 6, 1), v1)
+        assert self.inside((-5, 1, 3), v1)
 
     def test_boundary_closed_vs_open(self, inst19):
         # PNP strips include the boundary, PPN/NPP strips exclude it
-        assert in_strip(inst19, (3, -5, 2), Strip.PNP_V0)
-        assert in_strip(inst19, (3, -5, 2), Strip.PNP_V2)
-        assert not in_strip(inst19, (3, 4, -6), Strip.PPN_V0)
+        pnp_v0, pnp_v2 = self.strips(inst19, OrthantLabel.PNP)
+        assert self.inside((3, -5, 2), pnp_v0)
+        assert self.inside((3, -5, 2), pnp_v2)
+        assert not self.inside((3, 4, -6), self.strips(inst19, OrthantLabel.PPN)[0])
 
     def test_wrong_orthant_rejected(self, inst19):
         with pytest.raises(InvalidInputError):
-            in_strip(inst19, (2, 4, -5), Strip.PNP_V0)
+            transport(inst19, OrthantLabel.PNP, TradeSet.full([(2, 4, -5)]), 1)
 
-    def test_strip_orthants(self):
-        assert Strip.PPN_V0.orthant is OrthantLabel.PPN
-        assert Strip.NPP_V2.orthant is OrthantLabel.NPP
+    def test_strip_orthants(self, inst19):
+        # each strip bounds a coordinate that is non-negative in its orthant,
+        # and its period map fixes that coordinate
+        for orthant in OrthantLabel:
+            strips = self.strips(inst19, orthant)
+            assert {coord for coord, _, _ in strips} == set(orthant.nonneg_coords)
+            for coord, _, maps in strips:
+                assert set(maps) == {0, 1, 2} - {coord}
 
 
 class TestTradeSet:

@@ -52,6 +52,11 @@ class TestMatrixFormat:
         with pytest.raises(InvalidInputError):
             parse_4ti2("1 3\n1 2\n")
 
+    @pytest.mark.parametrize("text,line", [("x 3\n1 2 3\n", "x 3"), ("1 3\n1 2.5 3\n", "1 2.5 3")])
+    def test_parse_rejects_non_integer(self, text, line):
+        with pytest.raises(InvalidInputError, match=repr(line)):
+            parse_4ti2(text)
+
 
 class TestCsv:
     def test_trades_csv(self):

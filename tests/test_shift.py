@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     DIFF_FAMILIES,
@@ -18,11 +20,9 @@ from gravershift import (
     InvalidInputError,
     NoLengthTradeError,
     OrthantLabel,
+    SegmentEndpoints,
     ShiftedFamily,
     TradeSet,
-    advance_npp,
-    advance_pnp,
-    advance_ppn,
     assemble_graver,
     base_decomposition,
     effective_base_bound,
@@ -40,8 +40,11 @@ from gravershift import (
     period_map_inverse,
     period_multiplier,
     positive_segment,
+    transport,
 )
-from gravershift.shift import npp_existence_bound
+from gravershift import shift
+from gravershift.core import add
+from gravershift.shift import _orthant_table, npp_existence_bound
 
 
 class TestPeriodMultiplier:
@@ -179,42 +182,91 @@ class TestNegativeSegment:
 
 
 class TestAdvance:
+    """One-period steps of transport, checked against known bases."""
+
     def test_pnp_two_steps_reach_t79(self, fam231, inst19):
         basis = TradeSet.full(H19_PNP)
-        step1 = advance_pnp(inst19, basis)
-        step2 = advance_pnp(fam231.instance(49), step1)
+        step1 = transport(inst19, OrthantLabel.PNP, basis, 1)
+        step2 = transport(fam231.instance(49), OrthantLabel.PNP, step1, 1)
         assert step2.as_set() == H79_PNP
         assert len(step1) == len(step2) == 5
 
     def test_ppn_growth(self, fam231, inst19):
         basis = TradeSet.full(H19_PPN)
-        step1 = advance_ppn(inst19, basis)
-        step2 = advance_ppn(fam231.instance(49), step1)
+        step1 = transport(inst19, OrthantLabel.PPN, basis, 1)
+        step2 = transport(fam231.instance(49), OrthantLabel.PPN, step1, 1)
         assert (len(basis), len(step1), len(step2)) == (7, 9, 11)
         assert step2.as_set() == hilbert_oracle(fam231.instance(79), OrthantLabel.PPN).as_set()
 
     def test_single_point_segment_triples(self, fam231, inst19):
         # alpha = beta at t=19 seeds a 3-trade segment one period later
-        step1 = advance_ppn(inst19, TradeSet.full(H19_PPN))
+        step1 = transport(inst19, OrthantLabel.PPN, TradeSet.full(H19_PPN), 1)
         assert {(2, 14, -15), (5, 9, -13), (8, 4, -11)} <= step1.as_set()
 
     def test_npp_growth(self, fam231, inst19):
         basis = TradeSet.full(H19_NPP)
-        step1 = advance_npp(inst19, basis)
-        step2 = advance_npp(fam231.instance(49), step1)
+        step1 = transport(inst19, OrthantLabel.NPP, basis, 1)
+        step2 = transport(fam231.instance(49), OrthantLabel.NPP, step1, 1)
         assert (len(basis), len(step1), len(step2)) == (4, 7, 10)
         assert step2.as_set() == hilbert_oracle(fam231.instance(79), OrthantLabel.NPP).as_set()
 
     def test_below_threshold_rejected(self, fam231):
         inst6 = fam231.instance(6)
         with pytest.raises(InvalidInputError):
-            advance_pnp(inst6, TradeSet.full(H19_PNP))
+            transport(inst6, OrthantLabel.PNP, TradeSet.full(H19_PNP), 1)
+
+    def test_nonpositive_periods_rejected(self, inst19):
+        with pytest.raises(InvalidInputError):
+            transport(inst19, OrthantLabel.PNP, TradeSet.full(H19_PNP), 0)
 
     def test_foreign_basis_detected(self, inst19):
         # outside both strips with coordinate sum != d: the accounting must fail
         wrong = TradeSet.full([(9, 9, -15)])
         with pytest.raises(InternalConsistencyError):
-            advance_ppn(inst19, wrong)
+            transport(inst19, OrthantLabel.PPN, wrong, 1)
+
+    def test_segment_endpoint_mismatch_detected(self, inst19, monkeypatch):
+        real = shift.positive_segment
+
+        def shortened_later(inst):
+            seg = real(inst)
+            if inst == inst19:
+                return seg
+            return SegmentEndpoints(add(seg.start, seg.step), seg.end, seg.step, seg.count - 1)
+
+        monkeypatch.setattr(shift, "positive_segment", shortened_later)
+        with pytest.raises(InternalConsistencyError):
+            transport(inst19, OrthantLabel.PPN, TradeSet.full(H19_PPN), 1)
+
+    @pytest.mark.parametrize("t", [13, 15, 17])
+    def test_npp_threshold_is_existence_bound(self, t):
+        # b_minus = 11 for (3,4,2), but t = 17 still has no NPP trade of sum -d
+        fam = ShiftedFamily(3, 4, 2)
+        inst = fam.instance(t)
+        basis = hilbert_oracle(inst, OrthantLabel.NPP)
+        with pytest.raises(InvalidInputError):
+            transport(inst, OrthantLabel.NPP, basis, 1)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        a=st.integers(1, 6),
+        b=st.integers(1, 6),
+        d=st.integers(1, 3),
+        orthant=st.sampled_from(list(OrthantLabel)),
+        data=st.data(),
+    )
+    def test_matches_oracle(self, a, b, d, orthant, data):
+        # any base above the orthant's own threshold, one period up to a
+        # target at most bound + 2*rho
+        assume(math.gcd(a, b) == 1)
+        fam = ShiftedFamily(a, b, d)
+        lo = max(_orthant_table(fam)[orthant].threshold, d * a) + 1
+        hi = effective_base_bound(fam) + fam.rho
+        t = data.draw(st.integers(lo, hi), label="t")
+        assume(math.gcd(t, d) == 1)
+        base = fam.instance(t)
+        got = transport(base, orthant, hilbert_oracle(base, orthant), 1)
+        assert got.trades == hilbert_oracle(base.shifted(), orthant).trades
 
 
 class TestSegmentGrowthIdentity:
@@ -275,20 +327,19 @@ class TestHilbertShift:
 
     @pytest.mark.parametrize("a,b,d", DIFF_FAMILIES)
     def test_closed_equals_iterative(self, a, b, d):
+        # one jump of k periods equals k single-period steps
         fam = ShiftedFamily(a, b, d)
         bound = effective_base_bound(fam)
-        for t in range(bound + 1, bound + 2 * fam.rho + 1):
+        for t in range(bound + 1, bound + fam.rho + 1):
             if t <= fam.d * fam.a or math.gcd(t, fam.d) != 1:
                 continue
-            inst = fam.instance(t)
+            base = fam.instance(t)
             for orthant in OrthantLabel:
-                closed = hilbert_shift(inst, orthant, "closed")
-                iterative = hilbert_shift(inst, orthant, "iterative")
-                assert closed.trades == iterative.trades, (a, b, d, t, orthant)
-
-    def test_unknown_transport(self, inst79):
-        with pytest.raises(InvalidInputError):
-            hilbert_shift(inst79, OrthantLabel.PNP, "telepathy")
+                basis = hilbert_oracle(base, orthant)
+                closed = transport(base, orthant, basis, 3)
+                for k in range(3):
+                    basis = transport(base.shifted(k), orthant, basis, 1)
+                assert closed.trades == basis.trades, (a, b, d, t, orthant)
 
 
 class TestAssemble:
@@ -303,6 +354,11 @@ class TestAssemble:
         parts = [hilbert_oracle(inst79, orthant) for orthant in OrthantLabel]
         merged = assemble_graver(*parts)
         assert sum(len(p) for p in parts) - len(merged) == 3
+
+    def test_missing_plane_trade_raises(self):
+        npp = TradeSet.full(H19_NPP - {(-19, 17, 0)})
+        with pytest.raises(InternalConsistencyError):
+            assemble_graver(TradeSet.full(H19_PNP), TradeSet.full(H19_PPN), npp)
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):
