@@ -20,9 +20,9 @@ from typing import Iterable, Iterator
 
 Trade = tuple[int, int, int]
 
-# Shifts above this are rejected up front: it keeps every product formed by
-# the bounded enumeration (coordinates times generators) inside 64-bit
-# range, which the oracle's vectorized inner loops rely on.
+# Shifts above this are rejected up front as outside the supported range.
+# All arithmetic is exact Python integers, so this is a scope limit, not an
+# overflow guard; the shift engine's answer still grows linearly in t.
 MAX_SHIFT = 10**9
 
 
@@ -117,7 +117,10 @@ class ShiftedFamily:
         a, b, d = self.a, self.b, self.d
         b_plus = (b - 1) * (a + b) - b * (d + 1)
         b_plus_minus = d * a * b
-        b_minus = (a - 1) * (a + b) - a * (d - 1)
+        # NPP segment endpoints exist iff t - d*a is representable by
+        # <a, a+b>, which holds for every t above the Frobenius number
+        # a(a+b) - a - (a+b) plus d*a
+        b_minus = (a - 1) * (a + b) + a * (d - 1)
         return DerivedConstants(
             rho=self.rho,
             b_plus=b_plus,

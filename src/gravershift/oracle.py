@@ -1,17 +1,16 @@
 """Brute-force ground truth for Graver and orthant Hilbert bases.
 
-Everything here works by bounded kernel enumeration followed by
-conformal-minimality filtering, with a doubling fixpoint certificate on the
-enumeration radius.  It is deliberately free of the period-transport
-machinery so the two routes stay independent.
+Everything here works by enumerating the trade lattice inside the box of
+radius n3 (the largest generator) and keeping its conformally minimal
+elements; `_stable_minima` proves that this radius is exact.  It is
+deliberately free of the period-transport machinery so the two routes stay
+independent.
 """
 
 from __future__ import annotations
 
-import logging
+import math
 from functools import lru_cache
-
-import numpy as np
 
 from .core import (
     InternalConsistencyError,
@@ -25,20 +24,17 @@ from .core import (
     sort_key,
 )
 
-logger = logging.getLogger(__name__)
-
-# Hard cap on enumeration grid cells ((2C+1)^2); beyond this the oracle is
-# out of its intended desk scale and int64 products could stop being safe.
+# Hard cap on the box's (v0, v2) square, (2C+1)^2 cells; beyond it the
+# oracle is out of its intended desk scale, and refusing up front keeps
+# the work of every accepted box bounded.
 _MAX_GRID_CELLS = 2**31
-_CHUNK_CELLS = 2**21
-_MAX_DOUBLINGS = 4
 
 
 def enumerate_trades(inst: SemigroupInstance, box: int) -> TradeSet:
     """All nonzero trades with every coordinate in [-box, box], both signs.
 
-    Scans (v0, v2) over the square grid; v1 is forced by the kernel
-    condition and kept only when integral and inside the box.
+    For each v2 the kernel condition is a congruence in v0; its solutions
+    are stepped through the box and v1 is kept when it lands inside.
     """
     if box < 1:
         raise InvalidInputError(f"enumeration box must be >= 1, got {box}")
@@ -54,25 +50,21 @@ def _enumerate_cached(inst: SemigroupInstance, box: int) -> tuple[Trade, ...]:
             f"enumeration box {box} needs {side * side} grid cells; beyond oracle scale"
         )
     n1, t, n3 = inst.generators
-    v2_row = np.arange(-box, box + 1, dtype=np.int64)
-    chunk_rows = max(1, _CHUNK_CELLS // side)
+    # n1*v0 + t*v1 + n3*v2 = 0 needs n1*v0 = -n3*v2 (mod t): solvable iff g
+    # divides n3*v2, and then v0 is fixed modulo t/g
+    g = math.gcd(n1, t)
+    step = t // g
+    inverse = pow(n1 // g, -1, step)
     found: list[Trade] = []
-    for lo in range(-box, box + 1, chunk_rows):
-        v0_col = np.arange(lo, min(lo + chunk_rows, box + 1), dtype=np.int64)
-        s = n1 * v0_col[:, None] + n3 * v2_row[None, :]
-        q, r = np.divmod(s, t)
-        mask = (r == 0) & (np.abs(q) <= box)
-        mask &= ~((v0_col[:, None] == 0) & (v2_row[None, :] == 0))
-        ii, jj = np.nonzero(mask)
-        if ii.size:
-            picked_v0 = v0_col[ii]
-            picked_v2 = v2_row[jj]
-            picked_v1 = -q[ii, jj]
-            found.extend(
-                (int(x), int(y), int(z))
-                for x, y, z in zip(picked_v0, picked_v1, picked_v2)
-            )
-    found.sort(key=sort_key)
+    for v2 in range(-box, box + 1):
+        if (n3 * v2) % g:
+            continue
+        residue = (-(n3 * v2) // g) * inverse % step
+        # v1 falls as v0 rises, so descending v0 emits in sort_key order
+        for v0 in range(box - (box - residue) % step, -box - 1, -step):
+            v1 = -(n1 * v0 + n3 * v2) // t
+            if -box <= v1 <= box and (v0, v2) != (0, 0):
+                found.append((v0, v1, v2))
     return tuple(found)
 
 
@@ -86,65 +78,52 @@ def _conformal_minima(candidates: list[Trade]) -> frozenset[Trade]:
 
     Candidates are scanned in ascending 1-norm order; any conformal reducer
     of v has strictly smaller 1-norm and is itself dominated by an already
-    kept minimum, so checking against kept minima alone is exact.
+    kept minimum, so checking against kept minima alone is exact.  u is
+    conformally below v iff each u_i lies between 0 and v_i.
     """
-    if not candidates:
-        return frozenset()
     ordered = sorted(candidates, key=lambda v: (abs(v[0]) + abs(v[1]) + abs(v[2]),) + sort_key(v))
-    arr = np.array(ordered, dtype=np.int64)
-    kept = np.empty_like(arr)
-    n_kept = 0
-    for row in arr:
-        if n_kept:
-            k = kept[:n_kept]
-            dominated = bool(
-                np.any(np.all((k * row >= 0) & (np.abs(k) <= np.abs(row)), axis=1))
-            )
-            if dominated:
-                continue
-        kept[n_kept] = row
-        n_kept += 1
-    return frozenset((int(x), int(y), int(z)) for x, y, z in kept[:n_kept])
+    kept: list[Trade] = []
+    for v in ordered:
+        (l0, h0), (l1, h1), (l2, h2) = ((x, 0) if x < 0 else (0, x) for x in v)
+        if not any(
+            l0 <= u0 <= h0 and l1 <= u1 <= h1 and l2 <= u2 <= h2 for u0, u1, u2 in kept
+        ):
+            kept.append(v)
+    return frozenset(kept)
 
 
 @lru_cache(maxsize=512)
 def _stable_minima(inst: SemigroupInstance, orthant: OrthantLabel | None) -> frozenset[Trade]:
-    """Run the doubling protocol until the minimal set is radius-stable.
+    """Conformal minima of the trades in the box of radius n3 (of one orthant, if given).
 
-    Certificate: two consecutive radii yield the same set and every minimal
-    element fits in half the final radius (all its potential reducers are
-    then inside the box, so minimality is exact).
+    The radius n3 is exact, in two steps.
+
+    (i) Every Graver element v fits in the box.  Up to sign, v lies in a
+    closed orthant O: two coordinates >= 0, the third then <= 0 because
+    the generators are positive.  A split v = u + w with u, w nonzero
+    trades in O would be conformal, which a Graver element has not, so v
+    is in the Hilbert basis of the monoid of trades in O.  Those trades
+    are the lattice points of a pointed 2-D cone whose primitive rays
+    r1, r2 are plane circuits such as (n2, -n1, 0)/gcd(n1, n2), with
+    entries <= n3.  The cone's Hilbert basis lies on the bounded boundary
+    of the convex hull of its nonzero lattice points, hence in
+    conv(0, r1, r2) (Oda 1988, ch. 1), so |v_i| <= max(|r1_i|, |r2_i|)
+    <= n3.  The same holds for each orthant's Hilbert basis.
+
+    (ii) Filtering inside the box is exact: every conformal reducer u of a
+    vector v in the box has |u_i| <= |v_i|, so it is in the box too.
+    Within one orthant the conformal order is the monoid's divisibility
+    order, so the restricted filter gives its Hilbert basis.
     """
     box = inst.generators[2]
-    prev: frozenset[Trade] | None = None
-    for _ in range(_MAX_DOUBLINGS + 1):
-        trades = _enumerate_cached(inst, box)
-        if orthant is not None:
-            candidates = [v for v in trades if in_orthant(v, orthant)]
-        else:
-            candidates = list(trades)
-        current = _conformal_minima(candidates)
-        if not current:
-            raise InternalConsistencyError(
-                f"no minimal trades found in box {box} for {inst.generators}"
-            )
-        if prev is not None:
-            if current == prev:
-                max_norm = max(max(abs(x) for x in v) for v in current)
-                if 2 * max_norm <= box:
-                    return current
-            else:
-                logger.warning(
-                    "minimal set changed when doubling to box %d for %s (%s)",
-                    box,
-                    inst.generators,
-                    "full lattice" if orthant is None else orthant.value,
-                )
-        prev = current
-        box *= 2
-    raise InternalConsistencyError(
-        f"no enumeration fixpoint within {_MAX_DOUBLINGS} doublings for {inst.generators}"
+    minima = _conformal_minima(
+        [v for v in _enumerate_cached(inst, box) if orthant is None or in_orthant(v, orthant)]
     )
+    if not minima:
+        raise InternalConsistencyError(
+            f"no minimal trades found in box {box} for {inst.generators}"
+        )
+    return minima
 
 
 def graver_oracle(inst: SemigroupInstance) -> TradeSet:

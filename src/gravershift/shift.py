@@ -222,7 +222,7 @@ def _orthant_table(fam: ShiftedFamily) -> dict[OrthantLabel, _Orthant]:
             strips=((2, a, (0, 1)), (1, a + b, (0, 2))),
             extremal_sum=-d,
             growth=d * b,
-            threshold=npp_existence_bound(fam),
+            threshold=consts.b_minus,
             segment=(a + b, a, -d * a),
         ),
     }
@@ -296,22 +296,9 @@ def transport(
     return result
 
 
-def npp_existence_bound(fam: ShiftedFamily) -> int:
-    """Shift above which the NPP segment endpoints always exist.
-
-    Derived from the Frobenius number of <a, a+b>: t - d*a must be
-    representable, which holds for every t > (a-1)(a+b) + a(d-1).  Note the
-    b_minus formula in DerivedConstants flips the sign of the a(d-1) term;
-    the two agree for d = 1 but b_minus undershoots for d >= 2, so the base
-    case selection and the NPP transport threshold use this bound instead.
-    """
-    a, b, d = fam.a, fam.b, fam.d
-    return (a - 1) * (a + b) + a * (d - 1)
-
-
 def effective_base_bound(fam: ShiftedFamily) -> int:
     """Largest shift that must be handled by the oracle rather than transport."""
-    return max(fam.constants().b_max, npp_existence_bound(fam))
+    return fam.constants().b_max
 
 
 def base_decomposition(inst: SemigroupInstance) -> tuple[SemigroupInstance, int]:

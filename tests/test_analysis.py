@@ -108,10 +108,9 @@ class TestEmpiricalBounds:
         assert tuple(x + y for x, y in zip(u, w)) == fam231.homogeneous_trade
 
     def test_d2_family_reports_minus_mismatch(self):
-        # for d >= 2 the b_minus formula undershoots the observed threshold
+        # b_minus carries +a(d-1), so it matches the observed threshold for d >= 2
         report = empirical_bounds(ShiftedFamily(3, 4, 2), 40)
-        assert report.formula_minus == 11
-        assert report.last_without_npp_trade == 17
+        assert report.formula_minus == 17 == report.last_without_npp_trade
         # t = d*a*b is even here, hence never scanned
         assert report.homogeneous_reducible_at_dab is None
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import GOLDEN_M19, GOLDEN_M79, H19_NPP, H19_PNP, H19_PPN
@@ -13,7 +15,38 @@ from gravershift import (
     is_conformal,
     length,
 )
-from gravershift.core import TradeSetMode, negate, sub
+from gravershift.core import TradeSetMode, negate, sort_key, sub
+
+
+def _minima_by_scan(pool):
+    """Conformal minima of `pool`: each vector checked against the kept
+    minima of smaller 1-norm."""
+    kept = []
+    for v in sorted(pool, key=lambda v: sum(map(abs, v))):
+        if not any(is_conformal(u, v) for u in kept):
+            kept.append(v)
+    return set(kept)
+
+
+def _threshold_shifts(a, b, d):
+    """The largest shift at or below the transport threshold and the
+    smallest above it (gcd(t, d) = 1 and t > d*a for both)."""
+    fam = ShiftedFamily(a, b, d)
+    bound = fam.constants().b_max
+    valid = [t for t in range(d * a + 1, bound + d + 2) if math.gcd(t, d) == 1]
+    below = [t for t in valid if t <= bound]
+    above = [t for t in valid if t > bound]
+    return ([below[-1]] if below else []) + above[:1]
+
+
+CERTIFICATE_CASES = [
+    (a, b, d, t)
+    for a in range(1, 7)
+    for b in range(1, 7)
+    if math.gcd(a, b) == 1
+    for d in range(1, 4)
+    for t in _threshold_shifts(a, b, d)
+]
 
 
 class TestEnumerate:
@@ -29,17 +62,21 @@ class TestEnumerate:
         for box in (1, 3, 10):
             assert (0, 0, 0) not in enumerate_trades(inst19, box)
 
-    def test_matches_naive_triple_scan(self):
-        inst = ShiftedFamily(1, 2, 1).instance(5)
-        box = 8
-        naive = {
+    # gcd(n1, t) = 1, 2, 3, 2, 3; a box above t steps several v0 per v2
+    @pytest.mark.parametrize(
+        "a,b,d,t,box",
+        [(1, 2, 1, 5, 8), (2, 3, 1, 20, 9), (3, 4, 2, 27, 12), (2, 3, 1, 20, 25), (3, 4, 2, 27, 30)],
+    )
+    def test_matches_naive_triple_scan(self, a, b, d, t, box):
+        inst = ShiftedFamily(a, b, d).instance(t)
+        naive = [
             (x, y, z)
             for x in range(-box, box + 1)
             for y in range(-box, box + 1)
             for z in range(-box, box + 1)
             if (x, y, z) != (0, 0, 0) and inst.evaluate((x, y, z)) == 0
-        }
-        assert enumerate_trades(inst, box).as_set() == naive
+        ]
+        assert enumerate_trades(inst, box).trades == tuple(sorted(naive, key=sort_key))
 
     def test_bad_box(self, inst19):
         with pytest.raises(InvalidInputError):
@@ -95,6 +132,22 @@ class TestGraverOracle:
             assert inst19.evaluate(v) == 0
             reducers = [u for u in pool if u not in ((0, 0, 0), v) and is_conformal(u, v)]
             assert not reducers, f"{v} reducible via {reducers[:3]}"
+
+
+class TestRadius:
+    @pytest.mark.parametrize("a,b,d,t", CERTIFICATE_CASES)
+    def test_twice_the_radius_changes_nothing(self, a, b, d, t):
+        # the doubling certificate: minima in the box of radius 2*n3 equal
+        # the oracle's, and all of them fit in half that box
+        inst = ShiftedFamily(a, b, d).instance(t)
+        n3 = inst.generators[2]
+        pool = enumerate_trades(inst, 2 * n3).trades
+        graver = graver_oracle(inst).with_negations().as_set()
+        assert _minima_by_scan(pool) == graver
+        for orthant in OrthantLabel:
+            inside = [v for v in pool if in_orthant(v, orthant)]
+            assert _minima_by_scan(inside) == hilbert_oracle(inst, orthant).as_set()
+        assert max(abs(x) for v in graver for x in v) <= n3
 
 
 class TestHilbertOracle:

@@ -44,7 +44,7 @@ from gravershift import (
 )
 from gravershift import shift
 from gravershift.core import add
-from gravershift.shift import _orthant_table, npp_existence_bound
+from gravershift.shift import _orthant_table
 
 
 class TestPeriodMultiplier:
@@ -240,7 +240,7 @@ class TestAdvance:
 
     @pytest.mark.parametrize("t", [13, 15, 17])
     def test_npp_threshold_is_existence_bound(self, t):
-        # b_minus = 11 for (3,4,2), but t = 17 still has no NPP trade of sum -d
+        # b_minus = 17 for (3,4,2), and t = 17 has no NPP trade of sum -d
         fam = ShiftedFamily(3, 4, 2)
         inst = fam.instance(t)
         basis = hilbert_oracle(inst, OrthantLabel.NPP)
@@ -305,8 +305,8 @@ class TestBaseDecomposition:
     def test_bounds(self):
         fam = ShiftedFamily(2, 3, 1)
         assert effective_base_bound(fam) == 6
-        # the npp existence bound only matters for d >= 2
-        assert npp_existence_bound(ShiftedFamily(5, 1, 2)) == 29
+        # the a(d-1) term of b_minus only matters for d >= 2
+        assert ShiftedFamily(5, 1, 2).constants().b_minus == 29
         assert effective_base_bound(ShiftedFamily(5, 1, 2)) == 29
 
     def test_base_always_valid(self):
