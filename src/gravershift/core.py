@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 Trade = tuple[int, int, int]
@@ -77,9 +79,9 @@ def canonical_rep(v: Trade) -> Trade:
     raise InvalidInputError("the zero vector has no canonical representative")
 
 
-def sort_key(v: Trade) -> tuple[int, int, int]:
-    """Total order used for all serialized listings: lexicographic (v2, v1, v0)."""
-    return (v[2], v[1], v[0])
+# Total order used for all serialized listings: lexicographic (v2, v1, v0).
+# An itemgetter computes the key in C, which matters for sorting whole bases.
+sort_key = operator.itemgetter(2, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -281,9 +283,11 @@ class TradeSet:
         return TradeSet(tuple(sorted(reps, key=sort_key)), TradeSetMode.CANONICAL)
 
     def with_negations(self) -> TradeSet:
-        both = set(self.trades)
-        both.update(negate(v) for v in self.trades)
-        return TradeSet.full(both)
+        # the trades are sorted, so their negations reversed are sorted too,
+        # and sorting two runs is a merge
+        negations = map(negate, reversed(self.trades))
+        both = sorted(chain(negations, self.trades), key=sort_key)
+        return TradeSet(tuple(dict.fromkeys(both)), TradeSetMode.FULL)
 
     def as_set(self) -> frozenset[Trade]:
         return frozenset(self.trades)

@@ -18,7 +18,7 @@ def format_4ti2(trades: TradeSet) -> str:
     Rows keep the TradeSet order (ascending lexicographic on (v2, v1, v0)).
     """
     lines = [f"{len(trades)} 3"]
-    lines.extend(f"{v[0]} {v[1]} {v[2]}" for v in trades)
+    lines.extend(f"{x} {y} {z}" for x, y, z in trades)
     return "\n".join(lines) + "\n"
 
 
@@ -51,7 +51,7 @@ def _integers(parts: list[str], line: str) -> tuple[int, ...]:
 
 def format_trades_csv(trades: TradeSet) -> str:
     lines = ["v0,v1,v2"]
-    lines.extend(f"{v[0]},{v[1]},{v[2]}" for v in trades)
+    lines.extend(f"{x},{y},{z}" for x, y, z in trades)
     return "\n".join(lines) + "\n"
 
 

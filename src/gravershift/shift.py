@@ -15,9 +15,10 @@ basis at any shift without ever enumerating a large lattice.
 
 from __future__ import annotations
 
-import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (
     InternalConsistencyError,
@@ -28,15 +29,15 @@ from .core import (
     ShiftedFamily,
     Trade,
     TradeSet,
-    add,
+    TradeSetMode,
     in_orthant,
     length,
+    negate,
     scale,
+    sort_key,
     sub,
 )
 from .oracle import graver_oracle, hilbert_oracle
-
-logger = logging.getLogger(__name__)
 
 
 def period_multiplier(fam: ShiftedFamily, i: int, j: int) -> int:
@@ -106,7 +107,12 @@ class SegmentEndpoints:
             )
 
     def trades(self) -> list[Trade]:
-        return [add(self.start, scale(k, self.step)) for k in range(self.count)]
+        # every entry of the homogeneous step is nonzero, so each coordinate
+        # is a well-defined range; the members ascend in sort_key order
+        # because the step raises v2
+        return list(zip(*(
+            range(s, s + self.count * h, h) for s, h in zip(self.start, self.step)
+        )))
 
 
 def _h_multiple(delta: Trade, h: Trade) -> int:
@@ -237,9 +243,11 @@ def transport(
     fix the strip's bounded coordinate, so `periods` steps are one map with
     a `periods`-fold correction); the members outside both strips have the
     extremal coordinate sum and form the segment, which is re-solved at the
-    target shift.  The result must have periods*growth more members than
+    target shift.  Every member of `basis` must be a trade at base.t in the
+    orthant.  The result must have periods*growth more members than
     `basis`, and the target segment's endpoints must be the period-map
-    images of the base segment's.
+    images of the base segment's.  The segment comes out in sort_key order,
+    so the result is the segment merged with the few other images.
 
     A PNP member may lie in both strips and then rides both maps.  That is
     safe: for t > d*a*b such a trade v has t*length(v) = d*(a*v0 - b*v2)
@@ -256,22 +264,26 @@ def transport(
         raise InvalidInputError(
             f"{orthant.value} transport needs t > {row.threshold}, got t={base.t}"
         )
-    out: set[Trade] = set()
+    images: set[Trade] = set()
     for v in basis:
         if not in_orthant(v, orthant):
             raise InvalidInputError(f"{v} is not in the {orthant.value} orthant")
-        images = [
+        if not base.is_trade(v):
+            raise InvalidInputError(f"{v} is not a trade at t={base.t}")
+        mapped = [
             period_map(fam, *maps, v, periods)
             for coord, limit, maps in row.strips
             if v[coord] < limit
         ]
-        if not images and length(v) != row.extremal_sum:
+        if not mapped and length(v) != row.extremal_sum:
             raise InternalConsistencyError(
                 f"{orthant.value} element {v} outside both strips has coordinate sum "
                 f"!= {row.extremal_sum} at t={base.t}"
             )
-        out.update(images)
-    if row.segment is not None:
+        images.update(mapped)
+    if row.segment is None:
+        result = TradeSet.full(images)
+    else:
         # looked up by module-global name, so a traced run can rebind them
         solve = positive_segment if row.extremal_sum > 0 else negative_segment
         target = base.shifted(periods)
@@ -286,8 +298,21 @@ def transport(
                 f"{orthant.value} segment at t={target.t} "
                 f"is {after.start}..{after.end}, expected {expected[0]}..{expected[1]}"
             )
-        out.update(after.trades())
-    result = TradeSet.full(out)
+        # the segment supplies its own ends; any other image of extremal sum
+        # would be a trade the segment does not contain
+        rest = images - set(expected)
+        for w in rest:
+            if length(w) == row.extremal_sum:
+                raise InternalConsistencyError(
+                    f"{orthant.value} image {w} has coordinate sum {row.extremal_sum} "
+                    f"but is not an end of the segment at t={target.t}"
+                )
+        # the segment is one ascending run and the other images are few and
+        # off it, so this sort is a merge
+        trades = after.trades()
+        trades.extend(rest)
+        trades.sort(key=sort_key)
+        result = TradeSet(tuple(trades), TradeSetMode.FULL)
     if len(result) != len(basis) + periods * row.growth:
         raise InternalConsistencyError(
             f"{orthant.value} transport at t={base.t} over {periods} periods: expected "
@@ -322,6 +347,11 @@ def hilbert_shift(inst: SemigroupInstance, orthant: OrthantLabel) -> TradeSet:
 def assemble_graver(h_pnp: TradeSet, h_ppn: TradeSet, h_npp: TradeSet) -> TradeSet:
     """Union of the three Hilbert bases and their negations, canonicalized.
 
+    Each basis is sorted by sort_key, and a member's canonical
+    representative is its negation exactly when sort_key(v) < (0, 0, 0),
+    so those members are a prefix; negated and reversed, the prefix
+    ascends too.  The union is therefore a merge of six sorted runs.
+
     The bases share exactly three trades, one per coordinate plane.  A
     trade with no zero coordinate has exactly two coordinates of one sign,
     so it lies in exactly one orthant up to sign and cannot be shared.  A
@@ -334,14 +364,21 @@ def assemble_graver(h_pnp: TradeSet, h_ppn: TradeSet, h_npp: TradeSet) -> TradeS
     parts = (h_pnp, h_ppn, h_npp)
     if any(len(p) == 0 for p in parts):
         raise InvalidInputError("orthant Hilbert bases are never empty for a valid instance")
-    merged = TradeSet.canonical(v for part in parts for v in part)
+    runs = []
+    for part in parts:
+        trades = part.trades
+        cut = bisect_left(trades, (0, 0, 0), key=sort_key)
+        if cut < len(trades) and trades[cut] == (0, 0, 0):
+            raise InvalidInputError("the zero vector has no canonical representative")
+        runs.append(map(negate, reversed(trades[:cut])))
+        runs.append(trades[cut:])
+    merged = tuple(dict.fromkeys(sorted(chain.from_iterable(runs), key=sort_key)))
     overlap = sum(len(p) for p in parts) - len(merged)
     if overlap != 3:
         raise InternalConsistencyError(
             f"expected 3 shared boundary trades, measured {overlap}"
         )
-    logger.info("assembled %d canonical trades (overlap %d)", len(merged), overlap)
-    return merged
+    return TradeSet(merged, TradeSetMode.CANONICAL)
 
 
 def graver_shift(inst: SemigroupInstance) -> TradeSet:

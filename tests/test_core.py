@@ -260,6 +260,11 @@ class TestTradeSet:
     def test_with_negations(self):
         ts = TradeSet.canonical([(3, -5, 2)]).with_negations()
         assert ts.as_set() == {(3, -5, 2), (-3, 5, -2)}
+        # a negation-closed set is a fixed point: the duplicates are dropped
+        assert ts.with_negations() == ts
+        # mixed signs: the negations interleave with the trades
+        mixed = TradeSet.full([(0, 22, -19), (3, -5, 2)]).with_negations()
+        assert mixed == TradeSet.full([(0, 22, -19), (-3, 5, -2), (3, -5, 2), (0, -22, 19)])
 
     def test_membership_and_iteration(self):
         ts = TradeSet.full([(1, 0, 0)])

@@ -1,4 +1,5 @@
 import math
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings
@@ -43,8 +44,21 @@ from gravershift import (
     transport,
 )
 from gravershift import shift
-from gravershift.core import add
+from gravershift.core import TradeSetMode, add, canonical_rep, sort_key
 from gravershift.shift import _orthant_table
+
+
+def _valid_shift_above(fam, t):
+    """The least shift above t (and above d*a) coprime to d."""
+    t = max(t, fam.d * fam.a) + 1
+    while math.gcd(t, fam.d) != 1:
+        t += 1
+    return fam.instance(t)
+
+
+def _strictly_increasing(trades):
+    keys = [sort_key(v) for v in trades]
+    return all(u < w for u, w in zip(keys, keys[1:]))
 
 
 class TestPeriodMultiplier:
@@ -220,10 +234,19 @@ class TestAdvance:
             transport(inst19, OrthantLabel.PNP, TradeSet.full(H19_PNP), 0)
 
     def test_foreign_basis_detected(self, inst19):
-        # outside both strips with coordinate sum != d: the accounting must fail
-        wrong = TradeSet.full([(9, 9, -15)])
+        # a genuine trade, (2,4,-5) + (7,3,-8), outside both strips with
+        # coordinate sum != d: the accounting must fail
+        wrong = TradeSet.full([(9, 7, -13)])
         with pytest.raises(InternalConsistencyError):
             transport(inst19, OrthantLabel.PPN, wrong, 1)
+
+    def test_non_trade_member_rejected(self, fam231):
+        # (0, 5, -4) has coordinate sum d and lies in the first strip, so the
+        # cardinality check alone would balance
+        base = fam231.instance(7)
+        basis = hilbert_oracle(base, OrthantLabel.PPN).as_set() | {(0, 5, -4)}
+        with pytest.raises(InvalidInputError, match="not a trade"):
+            transport(base, OrthantLabel.PPN, TradeSet.full(basis), 1)
 
     def test_segment_endpoint_mismatch_detected(self, inst19, monkeypatch):
         real = shift.positive_segment
@@ -237,6 +260,22 @@ class TestAdvance:
         monkeypatch.setattr(shift, "positive_segment", shortened_later)
         with pytest.raises(InternalConsistencyError):
             transport(inst19, OrthantLabel.PPN, TradeSet.full(H19_PPN), 1)
+
+    def test_extremal_image_off_segment_detected(self, fam231, monkeypatch):
+        # a solver that drops the first member at every shift still passes
+        # the endpoint check (the map commutes with adding h), but the
+        # image of the dropped base member is then off the target segment
+        real = shift.positive_segment
+
+        def without_first(inst):
+            seg = real(inst)
+            return SegmentEndpoints(add(seg.start, seg.step), seg.end, seg.step, seg.count - 1)
+
+        base = fam231.instance(49)
+        basis = hilbert_oracle(base, OrthantLabel.PPN)
+        monkeypatch.setattr(shift, "positive_segment", without_first)
+        with pytest.raises(InternalConsistencyError, match="not an end of the segment"):
+            transport(base, OrthantLabel.PPN, basis, 1)
 
     @pytest.mark.parametrize("t", [13, 15, 17])
     def test_npp_threshold_is_existence_bound(self, t):
@@ -267,6 +306,29 @@ class TestAdvance:
         base = fam.instance(t)
         got = transport(base, orthant, hilbert_oracle(base, orthant), 1)
         assert got.trades == hilbert_oracle(base.shifted(), orthant).trades
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        a=st.integers(1, 6),
+        b=st.integers(1, 6),
+        d=st.integers(1, 3),
+        periods=st.integers(1, 3),
+        offset=st.integers(0, 200),
+    )
+    def test_sorted_by_construction(self, a, b, d, periods, offset):
+        # transport and assembly build their order without a set-then-sort;
+        # the result must be what the set-then-sort would have given
+        assume(math.gcd(a, b) == 1)
+        fam = ShiftedFamily(a, b, d)
+        offset %= fam.rho
+        for orthant in OrthantLabel:
+            base = _valid_shift_above(fam, _orthant_table(fam)[orthant].threshold + offset)
+            got = transport(base, orthant, hilbert_oracle(base, orthant), periods)
+            assert got == TradeSet.full(set(got.trades))
+            assert _strictly_increasing(got)
+        base = _valid_shift_above(fam, effective_base_bound(fam) + offset)
+        parts = [transport(base, o, hilbert_oracle(base, o), periods) for o in OrthantLabel]
+        assert assemble_graver(*parts) == TradeSet.canonical(chain.from_iterable(parts))
 
 
 class TestSegmentGrowthIdentity:
@@ -360,6 +422,11 @@ class TestAssemble:
         with pytest.raises(InternalConsistencyError):
             assemble_graver(TradeSet.full(H19_PNP), TradeSet.full(H19_PPN), npp)
 
+    def test_zero_vector_rejected(self):
+        pnp = TradeSet.full(H19_PNP | {(0, 0, 0)})
+        with pytest.raises(InvalidInputError, match="zero vector"):
+            assemble_graver(pnp, TradeSet.full(H19_PPN), TradeSet.full(H19_NPP))
+
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):
             assemble_graver(TradeSet.full([]), TradeSet.full(H19_PPN), TradeSet.full(H19_NPP))
@@ -385,6 +452,17 @@ class TestGraverShift:
             now = len(graver_shift(fam231.instance(t)))
             later = len(graver_shift(fam231.instance(t + 30)))
             assert 2 * (later - now) == 2 * fam231.d * (fam231.a + fam231.b)
+
+    def test_large_shift_sorted_canonical_counted(self, fam231):
+        # about 10^5 trades: ascending, canonical, and the period law from
+        # the oracle's count at the base shift
+        inst = fam231.instance(600_001)
+        base, k = base_decomposition(inst)
+        got = graver_shift(inst)
+        assert got.mode is TradeSetMode.CANONICAL
+        assert _strictly_increasing(got)
+        assert all(canonical_rep(v) == v for v in got)
+        assert len(got) == len(graver_oracle(base)) + k * fam231.d * (fam231.a + fam231.b)
 
     @pytest.mark.parametrize("a,b,d", [(1, 1, 1), (1, 2, 1), (2, 3, 1), (1, 3, 2)])
     def test_matches_oracle_three_periods(self, a, b, d):
