@@ -2,8 +2,9 @@
 differential testing, and Graver-augmented optimization over factorizations.
 
 All scans skip shifts the family does not cover (t <= d*a or gcd(t, d) != 1)
-rather than erroring, since ranges are swept wholesale.  Everything is exact
-integer or rational arithmetic.
+rather than erroring, since ranges are swept wholesale; a range left with no
+shift to count or check is rejected.  Everything is exact integer or
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -84,10 +85,10 @@ def count_row(inst: SemigroupInstance, method: str = "auto") -> CountRow:
 
 
 def count_scan(fam: ShiftedFamily, t_lo: int, t_hi: int, method: str = "auto") -> CountTable:
-    if t_lo > t_hi:
-        raise InvalidInputError(f"empty range {t_lo}..{t_hi}")
-    rows = tuple(count_row(fam.instance(t), method) for t in valid_shifts(fam, t_lo, t_hi))
-    return CountTable(fam, rows)
+    shifts = valid_shifts(fam, t_lo, t_hi)
+    if not shifts:
+        raise InvalidInputError(f"empty range {t_lo}..{t_hi}: the family covers no shift in it")
+    return CountTable(fam, tuple(count_row(fam.instance(t), method) for t in shifts))
 
 
 @dataclass(frozen=True)
@@ -130,12 +131,18 @@ class PeriodLawReport:
 
 
 def verify_period_law(fam: ShiftedFamily, t_lo: int, t_hi: int, method: str = "oracle") -> PeriodLawReport:
-    """Check the one-period count increments for every covered shift in range.
+    """Check the one-period count increments for every covered shift in range
+    above the transport threshold; a range with none of them is rejected.
 
     Counts at t + rho are computed even when they fall beyond t_hi.
     """
     a, b, d = fam.a, fam.b, fam.d
     bound = effective_base_bound(fam)
+    shifts = valid_shifts(fam, max(t_lo, bound + 1), t_hi)
+    if not shifts:
+        raise InvalidInputError(
+            f"range {t_lo}..{t_hi} has no covered shift above the transport threshold {bound}"
+        )
     expected = 2 * d * (a + b)
     cache: dict[int, CountRow] = {}
 
@@ -145,9 +152,7 @@ def verify_period_law(fam: ShiftedFamily, t_lo: int, t_hi: int, method: str = "o
         return cache[t]
 
     rows = []
-    for t in valid_shifts(fam, t_lo, t_hi):
-        if t <= bound:
-            continue
+    for t in shifts:
         now, later = row_at(t), row_at(t + fam.rho)
         increments = (
             later.graver - now.graver,

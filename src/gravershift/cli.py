@@ -10,6 +10,7 @@ invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from .core import (
     OrthantLabel,
     SemigroupInstance,
     ShiftedFamily,
+    TradeSet,
     from_generators,
 )
 from .oracle import factorizations, graver_oracle, hilbert_oracle
@@ -113,18 +115,25 @@ def cmd_params(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _emit_trades(
+    args: argparse.Namespace, inst: SemigroupInstance, method: str, trades: TradeSet, **extra
+) -> None:
+    if args.format == "4ti2":
+        text = formats.format_4ti2(trades)
+    elif args.format == "csv":
+        text = formats.format_trades_csv(trades)
+    else:
+        text = formats.dump_json(formats.trades_document(inst, method, trades, **extra))
+    _emit(text, args.output)
+
+
 def cmd_graver(args: argparse.Namespace) -> int:
     inst = from_generators(*_parse_triple(args.gens, "--gens"))
     method = _resolve_method(inst, args.method)
     trades = graver_shift(inst) if method == "shift" else graver_oracle(inst)
     if args.both_signs:
         trades = trades.with_negations()
-    if args.format == "4ti2":
-        _emit(formats.format_4ti2(trades), args.output)
-    elif args.format == "csv":
-        _emit(formats.format_trades_csv(trades), args.output)
-    else:
-        _emit(formats.dump_json(formats.trades_document(inst, method, trades)), args.output)
+    _emit_trades(args, inst, method, trades)
     return EXIT_OK
 
 
@@ -135,13 +144,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     basis = (
         hilbert_shift(inst, orthant) if method == "shift" else hilbert_oracle(inst, orthant)
     )
-    if args.format == "4ti2":
-        _emit(formats.format_4ti2(basis), args.output)
-    elif args.format == "csv":
-        _emit(formats.format_trades_csv(basis), args.output)
-    else:
-        doc = formats.trades_document(inst, method, basis, orthant=orthant.value)
-        _emit(formats.dump_json(doc), args.output)
+    _emit_trades(args, inst, method, basis, orthant=orthant.value)
     return EXIT_OK
 
 
@@ -152,17 +155,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.format == "json":
         doc = {
             "family": {"a": fam.a, "b": fam.b, "d": fam.d},
-            "rows": [
-                {
-                    "t": r.t,
-                    "graver": r.graver,
-                    "h_pnp": r.h_pnp,
-                    "h_ppn": r.h_ppn,
-                    "h_npp": r.h_npp,
-                    "method": r.method,
-                }
-                for r in table.rows
-            ],
+            "rows": [dataclasses.asdict(r) for r in table.rows],
         }
         _emit(formats.dump_json(doc), args.output)
     else:

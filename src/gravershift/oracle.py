@@ -1,16 +1,19 @@
 """Brute-force ground truth for Graver and orthant Hilbert bases.
 
 Everything here works by enumerating the trade lattice inside the box of
-radius n3 (the largest generator) and keeping its conformally minimal
-elements; `_stable_minima` proves that this radius is exact.  It is
-deliberately free of the period-transport machinery so the two routes stay
-independent.
+radius n3 (the largest generator).  Each orthant's Hilbert basis is the
+staircase of Pareto minima of its trades, and the Graver basis is the
+union of the three; `_orthant_minima` proves the radius and the filter
+exact.  It is deliberately free of the period-transport machinery so the
+two routes stay independent.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 from .core import (
     InternalConsistencyError,
@@ -20,8 +23,6 @@ from .core import (
     Trade,
     TradeSet,
     TradeSetMode,
-    in_orthant,
-    sort_key,
 )
 
 # Hard cap on the box's (v0, v2) square, (2C+1)^2 cells; beyond it the
@@ -73,28 +74,13 @@ def is_conformal(u: Trade, v: Trade) -> bool:
     return all(ui * vi >= 0 and abs(ui) <= abs(vi) for ui, vi in zip(u, v))
 
 
-def _conformal_minima(candidates: list[Trade]) -> frozenset[Trade]:
-    """Elements of `candidates` with no other candidate conformally below them.
-
-    Candidates are scanned in ascending 1-norm order; any conformal reducer
-    of v has strictly smaller 1-norm and is itself dominated by an already
-    kept minimum, so checking against kept minima alone is exact.  u is
-    conformally below v iff each u_i lies between 0 and v_i.
-    """
-    ordered = sorted(candidates, key=lambda v: (abs(v[0]) + abs(v[1]) + abs(v[2]),) + sort_key(v))
-    kept: list[Trade] = []
-    for v in ordered:
-        (l0, h0), (l1, h1), (l2, h2) = ((x, 0) if x < 0 else (0, x) for x in v)
-        if not any(
-            l0 <= u0 <= h0 and l1 <= u1 <= h1 and l2 <= u2 <= h2 for u0, u1, u2 in kept
-        ):
-            kept.append(v)
-    return frozenset(kept)
-
-
 @lru_cache(maxsize=512)
-def _stable_minima(inst: SemigroupInstance, orthant: OrthantLabel | None) -> frozenset[Trade]:
-    """Conformal minima of the trades in the box of radius n3 (of one orthant, if given).
+def _orthant_minima(inst: SemigroupInstance, orthant: OrthantLabel) -> frozenset[Trade]:
+    """Hilbert basis of one orthant: the Pareto minima of its box-n3 trades.
+
+    With (i, j) the orthant's non-negative coordinates, the trades in the
+    box are swept in ascending (v_i, v_j) order and v is kept when v_j is
+    below every earlier v_j.
 
     The radius n3 is exact, in two steps.
 
@@ -112,32 +98,51 @@ def _stable_minima(inst: SemigroupInstance, orthant: OrthantLabel | None) -> fro
 
     (ii) Filtering inside the box is exact: every conformal reducer u of a
     vector v in the box has |u_i| <= |v_i|, so it is in the box too.
-    Within one orthant the conformal order is the monoid's divisibility
-    order, so the restricted filter gives its Hilbert basis.
+
+    The sweep is the conformal filter, in three steps.
+
+    (a) In O, with k the third coordinate, n_k*v_k = -(n_i*v_i + n_j*v_j),
+    so (v_i, v_j) fixes the trade, and u in O is conformally below v
+    exactly when u_i <= v_i and u_j <= v_j (then |u_k| <= |v_k| follows).
+
+    (b) If so and u != v, then v - u is a nonzero trade in O, so v is
+    reducible in the monoid.  The Pareto minima of (v_i, v_j) are
+    therefore exactly the monoid's irreducibles, its Hilbert basis.
+
+    (c) Step (i) shows that every Graver element is, up to sign, such an
+    irreducible.  Conversely, any conformal reducer of a member of O lies
+    in O, so an irreducible of O is a Graver element; the Graver basis is
+    the union of the three orthants' minima, up to sign.
     """
     box = inst.generators[2]
-    minima = _conformal_minima(
-        [v for v in _enumerate_cached(inst, box) if orthant is None or in_orthant(v, orthant)]
+    i, j = orthant.nonneg_coords
+    candidates = sorted(
+        (v for v in _enumerate_cached(inst, box) if v[i] >= 0 and v[j] >= 0),
+        key=itemgetter(i, j),
     )
+    minima = []
+    least_j = box + 1
+    for v in candidates:
+        if v[j] < least_j:
+            least_j = v[j]
+            minima.append(v)
     if not minima:
         raise InternalConsistencyError(
             f"no minimal trades found in box {box} for {inst.generators}"
         )
-    return minima
+    return frozenset(minima)
 
 
 def graver_oracle(inst: SemigroupInstance) -> TradeSet:
-    """Graver basis by exhaustive conformal filtering, one canonical rep per pair."""
-    return TradeSet.canonical(_stable_minima(inst, None))
+    """Graver basis as the union of the three orthant Hilbert bases, one rep per pair."""
+    return TradeSet.canonical(
+        chain.from_iterable(_orthant_minima(inst, orthant) for orthant in OrthantLabel)
+    )
 
 
 def hilbert_oracle(inst: SemigroupInstance, orthant: OrthantLabel) -> TradeSet:
-    """Hilbert basis of one orthant, as full vectors in its positive orientation.
-
-    Within a single orthant the conformal order is plain componentwise
-    magnitude order, so the same filter applies to the restricted candidates.
-    """
-    return TradeSet.full(_stable_minima(inst, orthant))
+    """Hilbert basis of one orthant, as full vectors in its positive orientation."""
+    return TradeSet.full(_orthant_minima(inst, orthant))
 
 
 def factorizations(inst: SemigroupInstance, n: int) -> list[tuple[int, int, int]]:

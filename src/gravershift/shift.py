@@ -115,15 +115,6 @@ class SegmentEndpoints:
         )))
 
 
-def _h_multiple(delta: Trade, h: Trade) -> int:
-    """The integer q with delta == q*h, or raise if there is none."""
-    pivot = next(i for i in range(3) if h[i] != 0)
-    q, rem = divmod(delta[pivot], h[pivot])
-    if rem or scale(q, h) != delta:
-        raise InternalConsistencyError(f"{delta} is not an integer multiple of {h}")
-    return q
-
-
 def positive_segment(inst: SemigroupInstance) -> SegmentEndpoints:
     """Endpoints of the line of coordinate-sum-d trades in the PPN orthant.
 
@@ -175,11 +166,8 @@ def _solve_segment(inst: SemigroupInstance, orthant: OrthantLabel) -> SegmentEnd
         endpoints.append(endpoint)
     start, end = endpoints
     h = inst.family.homogeneous_trade
-    q = _h_multiple(sub(end, start), h)
-    if q < 0:
-        raise InternalConsistencyError(
-            f"segment endpoints {start}..{end} reversed at t={inst.t}"
-        )
+    # h[2] = a >= 1; SegmentEndpoints rejects a reversed or off-step pair
+    q = (end[2] - start[2]) // h[2]
     return SegmentEndpoints(start=start, end=end, step=h, count=q + 1)
 
 

@@ -161,6 +161,13 @@ class TestCount:
         code, _, _ = run(capsys, "count", "--family", "2,3,1", "--t-range", "19")
         assert code == 1
 
+    @pytest.mark.parametrize("family,t_range", [("2,3,1", "1..2"), ("3,4,2", "4..4")])
+    def test_no_covered_shift_exit_1(self, capsys, family, t_range):
+        # d*a = 2 for (2,3,1) and 6 for (3,4,2): no shift in range is in the family
+        code, out, err = run(capsys, "count", "--family", family, "--t-range", t_range)
+        assert (code, out) == (1, "")
+        assert "empty range" in err
+
 
 class TestVerify:
     def test_clean_window_exit_0(self, capsys):
@@ -178,6 +185,16 @@ class TestVerify:
         monkeypatch.setattr(analysis, "verify_period_law", lambda *a, **k: fake)
         code, _, _ = run(capsys, "verify", "--family", "2,3,1", "--t-range", "7..7")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "family,t_range", [("2,3,1", "10..5"), ("2,3,1", "1..6"), ("3,4,2", "20..20")]
+    )
+    def test_no_shift_above_threshold_exit_1(self, capsys, family, t_range):
+        # the threshold is 6 for (2,3,1) and 24 for (3,4,2), and 20 is even
+        # with d = 2: no row would be checked, so no PASS may be printed
+        code, out, err = run(capsys, "verify", "--family", family, "--t-range", t_range)
+        assert (code, out) == (1, "")
+        assert "threshold" in err
 
 
 class TestScanBounds:

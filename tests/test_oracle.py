@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLDEN_M19, GOLDEN_M79, H19_NPP, H19_PNP, H19_PPN
 from gravershift import (
@@ -148,6 +150,24 @@ class TestRadius:
             inside = [v for v in pool if in_orthant(v, orthant)]
             assert _minima_by_scan(inside) == hilbert_oracle(inst, orthant).as_set()
         assert max(abs(x) for v in graver for x in v) <= n3
+
+
+class TestStaircase:
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.integers(1, 8), b=st.integers(1, 8), d=st.integers(1, 3), data=st.data())
+    def test_matches_conformal_definition(self, a, b, d, data):
+        # any covered shift t <= 200, drawn evenly rather than biased to small
+        # ones: each orthant's staircase and their union are the conformal
+        # minima of the box trades
+        assume(math.gcd(a, b) == 1)
+        t = data.draw(st.sampled_from(range(d * a + 1, 201)), label="t")
+        assume(math.gcd(t, d) == 1)
+        inst = ShiftedFamily(a, b, d).instance(t)
+        pool = enumerate_trades(inst, inst.generators[2]).trades
+        assert graver_oracle(inst).with_negations().as_set() == _minima_by_scan(pool)
+        for orthant in OrthantLabel:
+            inside = [v for v in pool if in_orthant(v, orthant)]
+            assert hilbert_oracle(inst, orthant).as_set() == _minima_by_scan(inside)
 
 
 class TestHilbertOracle:

@@ -165,6 +165,26 @@ class TestPositiveSegment:
         assert set(seg.trades()) == set(candidates)
 
 
+class TestSegmentEndpoints:
+    # h = (3, -5, 2) for (2,3,1); _solve_segment relies on these two checks
+
+    @pytest.mark.parametrize(
+        "start,end,count",
+        [((2, 4, -5), (2, 4, -5), 0), ((8, -6, -1), (2, 4, -5), -1)],  # empty; reversed
+    )
+    def test_count_below_one_rejected(self, start, end, count):
+        with pytest.raises(InternalConsistencyError, match="count"):
+            SegmentEndpoints(start, end, (3, -5, 2), count)
+
+    @pytest.mark.parametrize(
+        "end,count",
+        [((5, -1, -3), 3), ((5, 0, -5), 2)],  # one step, not two; no multiple of h
+    )
+    def test_ends_not_whole_steps_apart_rejected(self, end, count):
+        with pytest.raises(InternalConsistencyError, match="steps"):
+            SegmentEndpoints((2, 4, -5), end, (3, -5, 2), count)
+
+
 class TestNegativeSegment:
     def test_t19(self, inst19):
         seg = negative_segment(inst19)
@@ -288,9 +308,9 @@ class TestAdvance:
 
     @settings(max_examples=50, deadline=None)
     @given(
-        a=st.integers(1, 6),
-        b=st.integers(1, 6),
-        d=st.integers(1, 3),
+        a=st.integers(1, 12),
+        b=st.integers(1, 12),
+        d=st.integers(1, 4),
         orthant=st.sampled_from(list(OrthantLabel)),
         data=st.data(),
     )
