@@ -1,9 +1,9 @@
 """Graver bases of shifted 3-generated numerical semigroups.
 
 Two independent routes to the same answer: a brute-force oracle (bounded
-kernel enumeration plus conformal-minimality filtering) and a period
-transport that carries orthant Hilbert bases from a small base shift to an
-arbitrarily large one.
+kernel enumeration, keeping each orthant's staircase of Pareto minima) and
+a period transport that carries orthant Hilbert bases from a small base
+shift to an arbitrarily large one.
 """
 
 from .analysis import (
@@ -20,7 +20,6 @@ from .analysis import (
     verify_period_law,
 )
 from .core import (
-    DerivedConstants,
     InternalConsistencyError,
     InvalidInputError,
     NoLengthTradeError,
@@ -34,7 +33,6 @@ from .core import (
     from_generators,
     in_orthant,
     length,
-    orthant_memberships,
 )
 from .oracle import (
     enumerate_trades,
@@ -48,7 +46,6 @@ from .shift import (
     assemble_graver,
     base_decomposition,
     effective_base_bound,
-    frobenius_two_gen,
     graver_shift,
     hilbert_shift,
     negative_segment,
@@ -65,7 +62,6 @@ __all__ = [
     "BoundsReport",
     "CountRow",
     "CountTable",
-    "DerivedConstants",
     "DifferentialReport",
     "InternalConsistencyError",
     "InvalidInputError",
@@ -89,7 +85,6 @@ __all__ = [
     "enumerate_trades",
     "exhaustive_optimum",
     "factorizations",
-    "frobenius_two_gen",
     "from_generators",
     "graver_oracle",
     "graver_shift",
@@ -99,7 +94,6 @@ __all__ = [
     "is_conformal",
     "length",
     "negative_segment",
-    "orthant_memberships",
     "period_map",
     "period_map_inverse",
     "period_multiplier",

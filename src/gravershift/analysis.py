@@ -21,14 +21,11 @@ from .core import (
     ShiftedFamily,
     Trade,
     add,
-    in_orthant,
     length,
     negate,
 )
-from .oracle import enumerate_trades, factorizations, graver_oracle, hilbert_oracle
+from .oracle import factorizations, graver_oracle, hilbert_oracle
 from .shift import assemble_graver, effective_base_bound, graver_shift, hilbert_shift
-
-CSV_HEADER = "t,graver,h_pnp,h_ppn,h_npp,method"
 
 
 def valid_shifts(fam: ShiftedFamily, t_lo: int, t_hi: int) -> list[int]:
@@ -49,20 +46,11 @@ class CountRow:
     h_npp: int
     method: str
 
-    def csv(self) -> str:
-        return f"{self.t},{self.graver},{self.h_pnp},{self.h_ppn},{self.h_npp},{self.method}"
-
 
 @dataclass(frozen=True)
 class CountTable:
     family: ShiftedFamily
     rows: tuple[CountRow, ...]
-
-    def row_for(self, t: int) -> CountRow:
-        for row in self.rows:
-            if row.t == t:
-                return row
-        raise KeyError(t)
 
 
 def count_row(inst: SemigroupInstance, method: str = "auto") -> CountRow:
@@ -117,12 +105,8 @@ class PeriodLawReport:
     rows: tuple[PeriodLawRow, ...]
 
     @property
-    def violations(self) -> tuple[PeriodLawRow, ...]:
-        return tuple(row for row in self.rows if not row.ok)
-
-    @property
     def ok(self) -> bool:
-        return not self.violations
+        return all(row.ok for row in self.rows)
 
     @property
     def leading_coefficient(self) -> Fraction:
@@ -188,32 +172,39 @@ class BoundsReport:
 
 
 def empirical_bounds(fam: ShiftedFamily, t_max: int) -> BoundsReport:
+    """Scan every covered shift up to t_max for the three threshold properties.
+
+    A PPN trade of coordinate sum d exists exactly when the PPN Hilbert
+    basis has one.  In PPN, t*length(v) = d*(a*v0 - b*v2) >= 0 and
+    gcd(t, d) = 1, so every nonzero trade there has a coordinate sum that
+    is a positive multiple of d (a sum of 0 would force v0 = v2 = 0, hence
+    v = 0).  A trade of sum d therefore cannot split into two nonzero PPN
+    trades, so it is in the Hilbert basis.  NPP is the mirror case, with
+    -d.
+    """
     a, b, d = fam.a, fam.b, fam.d
     if t_max <= d * a:
         raise InvalidInputError(f"t_max={t_max} covers no shift: it must exceed d*a={d * a}")
-    consts = fam.constants()
     h = fam.homogeneous_trade
     last_red = last_no_ppn = last_no_npp = None
     reducible_at_dab = None
     for t in valid_shifts(fam, fam.d * fam.a + 1, t_max):
         inst = fam.instance(t)
-        hilbert_pnp = hilbert_oracle(inst, OrthantLabel.PNP)
-        h_irreducible = h in hilbert_pnp
+        h_irreducible = h in hilbert_oracle(inst, OrthantLabel.PNP)
         if not h_irreducible:
             last_red = t
         if t == d * a * b:
             reducible_at_dab = not h_irreducible
-        trades = enumerate_trades(inst, inst.generators[2])
-        if not any(in_orthant(v, OrthantLabel.PPN) and length(v) == d for v in trades):
+        if not any(length(v) == d for v in hilbert_oracle(inst, OrthantLabel.PPN)):
             last_no_ppn = t
-        if not any(in_orthant(v, OrthantLabel.NPP) and length(v) == -d for v in trades):
+        if not any(length(v) == -d for v in hilbert_oracle(inst, OrthantLabel.NPP)):
             last_no_npp = t
     return BoundsReport(
         family=fam,
         t_max=t_max,
-        formula_plus=consts.b_plus,
-        formula_plus_minus=consts.b_plus_minus,
-        formula_minus=consts.b_minus,
+        formula_plus=fam.b_plus,
+        formula_plus_minus=fam.b_plus_minus,
+        formula_minus=fam.b_minus,
         last_without_ppn_trade=last_no_ppn,
         last_reducible_homogeneous=last_red,
         last_without_npp_trade=last_no_npp,

@@ -77,9 +77,12 @@ def _parse_weights(text: str) -> tuple[Fraction, Fraction, Fraction]:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write --output {output!r}: {exc.strerror or exc}") from None
 
 
 def _resolve_method(inst: SemigroupInstance, method: str) -> str:
@@ -90,21 +93,21 @@ def _resolve_method(inst: SemigroupInstance, method: str) -> str:
 
 def cmd_params(args: argparse.Namespace) -> int:
     inst = from_generators(*_parse_triple(args.gens, "--gens"))
-    consts = inst.family.constants()
+    fam = inst.family
     base, k = base_decomposition(inst)
-    h = consts.homogeneous
+    h = fam.homogeneous_trade
     lines = [
         f"generators={inst.generators[0]},{inst.generators[1]},{inst.generators[2]}",
         f"t={inst.t}",
-        f"a={inst.family.a}",
-        f"b={inst.family.b}",
-        f"d={inst.family.d}",
-        f"rho={consts.rho}",
-        f"b_plus={consts.b_plus}",
-        f"b_plus_minus={consts.b_plus_minus}",
-        f"b_minus={consts.b_minus}",
-        f"b_max={consts.b_max}",
-        f"effective_base_bound={effective_base_bound(inst.family)}",
+        f"a={fam.a}",
+        f"b={fam.b}",
+        f"d={fam.d}",
+        f"rho={fam.rho}",
+        f"b_plus={fam.b_plus}",
+        f"b_plus_minus={fam.b_plus_minus}",
+        f"b_minus={fam.b_minus}",
+        f"b_max={fam.b_max}",
+        f"effective_base_bound={effective_base_bound(fam)}",
         f"h={h[0]},{h[1]},{h[2]}",
         f"t0={base.t}",
         f"k={k}",

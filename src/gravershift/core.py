@@ -115,41 +115,33 @@ class ShiftedFamily:
         """Primitive trade of length 0, shared by every member of the family."""
         return (self.b, -(self.a + self.b), self.a)
 
-    def constants(self) -> DerivedConstants:
+    @property
+    def b_plus(self) -> int:
+        """PPN transport threshold: above it the orthant has a trade of coordinate sum d."""
         a, b, d = self.a, self.b, self.d
-        b_plus = (b - 1) * (a + b) - b * (d + 1)
-        b_plus_minus = d * a * b
+        return (b - 1) * (a + b) - b * (d + 1)
+
+    @property
+    def b_plus_minus(self) -> int:
+        """PNP transport threshold: d*a*b."""
+        return self.d * self.a * self.b
+
+    @property
+    def b_minus(self) -> int:
+        """NPP transport threshold: above it the orthant has a trade of coordinate sum -d."""
+        a, b, d = self.a, self.b, self.d
         # NPP segment endpoints exist iff t - d*a is representable by
         # <a, a+b>, which holds for every t above the Frobenius number
         # a(a+b) - a - (a+b) plus d*a
-        b_minus = (a - 1) * (a + b) + a * (d - 1)
-        return DerivedConstants(
-            rho=self.rho,
-            b_plus=b_plus,
-            b_plus_minus=b_plus_minus,
-            b_minus=b_minus,
-            b_max=max(b_plus, b_plus_minus, b_minus),
-            homogeneous=self.homogeneous_trade,
-        )
+        return (a - 1) * (a + b) + a * (d - 1)
+
+    @property
+    def b_max(self) -> int:
+        """Largest of the three orthant thresholds; shifts up to it are base cases."""
+        return max(self.b_plus, self.b_plus_minus, self.b_minus)
 
     def instance(self, t: int) -> SemigroupInstance:
         return SemigroupInstance(self, t)
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Per-family thresholds and the homogeneous trade.
-
-    b_plus / b_plus_minus / b_minus bound, orthant by orthant, where the
-    period-transport structure is guaranteed; b_max is their maximum.
-    """
-
-    rho: int
-    b_plus: int
-    b_plus_minus: int
-    b_minus: int
-    b_max: int
-    homogeneous: Trade
 
 
 @dataclass(frozen=True)
@@ -235,24 +227,6 @@ _NONNEG = {
 def in_orthant(v: Trade, label: OrthantLabel) -> bool:
     i, j = label.nonneg_coords
     return v[i] >= 0 and v[j] >= 0
-
-
-def orthant_memberships(v: Trade) -> frozenset[tuple[OrthantLabel, int]]:
-    """All (label, orientation) pairs v satisfies; orientation +1 for v, -1 for -v.
-
-    A vector with a zero coordinate belongs to two orthants (in opposite
-    orientations); a vector with full sign pattern belongs to exactly one.
-    """
-    if v == (0, 0, 0):
-        raise InvalidInputError("the zero vector belongs to every orthant; refusing to classify")
-    w = negate(v)
-    out = set()
-    for label in OrthantLabel:
-        if in_orthant(v, label):
-            out.add((label, +1))
-        if in_orthant(w, label):
-            out.add((label, -1))
-    return frozenset(out)
 
 
 class TradeSetMode(enum.Enum):

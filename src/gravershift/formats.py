@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .analysis import CountTable, CSV_HEADER
+from .analysis import CountTable
 from .core import InvalidInputError, SemigroupInstance, Trade, TradeSet
 
 
@@ -57,19 +57,19 @@ def format_trades_csv(trades: TradeSet) -> str:
 
 def instance_document(inst: SemigroupInstance, method: str) -> dict:
     """Common JSON envelope: parameters, period, thresholds, method used."""
-    consts = inst.family.constants()
+    fam = inst.family
     return {
         "generators": list(inst.generators),
         "t": inst.t,
-        "a": inst.family.a,
-        "b": inst.family.b,
-        "d": inst.family.d,
-        "rho": consts.rho,
+        "a": fam.a,
+        "b": fam.b,
+        "d": fam.d,
+        "rho": fam.rho,
         "bounds": {
-            "plus": consts.b_plus,
-            "plusMinus": consts.b_plus_minus,
-            "minus": consts.b_minus,
-            "max": consts.b_max,
+            "plus": fam.b_plus,
+            "plusMinus": fam.b_plus_minus,
+            "minus": fam.b_minus,
+            "max": fam.b_max,
         },
         "method": method,
     }
@@ -88,6 +88,8 @@ def dump_json(doc: dict) -> str:
 
 
 def format_count_csv(table: CountTable) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(row.csv() for row in table.rows)
+    lines = ["t,graver,h_pnp,h_ppn,h_npp,method"]
+    lines.extend(
+        f"{r.t},{r.graver},{r.h_pnp},{r.h_ppn},{r.h_npp},{r.method}" for r in table.rows
+    )
     return "\n".join(lines) + "\n"

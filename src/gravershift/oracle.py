@@ -3,7 +3,7 @@
 Everything here works by enumerating the trade lattice inside the box of
 radius n3 (the largest generator).  Each orthant's Hilbert basis is the
 staircase of Pareto minima of its trades, and the Graver basis is the
-union of the three; `_orthant_minima` proves the radius and the filter
+union of the three; `_staircases` proves the radius and the filter
 exact.  It is deliberately free of the period-transport machinery so the
 two routes stay independent.
 """
@@ -14,6 +14,7 @@ import math
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
+from types import MappingProxyType
 
 from .core import (
     InternalConsistencyError,
@@ -23,6 +24,7 @@ from .core import (
     Trade,
     TradeSet,
     TradeSetMode,
+    sort_key,
 )
 
 # Hard cap on the box's (v0, v2) square, (2C+1)^2 cells; beyond it the
@@ -39,12 +41,6 @@ def enumerate_trades(inst: SemigroupInstance, box: int) -> TradeSet:
     """
     if box < 1:
         raise InvalidInputError(f"enumeration box must be >= 1, got {box}")
-    # the cached tuple is already deduplicated and sorted
-    return TradeSet(_enumerate_cached(inst, box), TradeSetMode.FULL)
-
-
-@lru_cache(maxsize=128)
-def _enumerate_cached(inst: SemigroupInstance, box: int) -> tuple[Trade, ...]:
     side = 2 * box + 1
     if side * side > _MAX_GRID_CELLS:
         raise InvalidInputError(
@@ -66,7 +62,8 @@ def _enumerate_cached(inst: SemigroupInstance, box: int) -> tuple[Trade, ...]:
             v1 = -(n1 * v0 + n3 * v2) // t
             if -box <= v1 <= box and (v0, v2) != (0, 0):
                 found.append((v0, v1, v2))
-    return tuple(found)
+    # each trade is emitted once, in sort_key order
+    return TradeSet(tuple(found), TradeSetMode.FULL)
 
 
 def is_conformal(u: Trade, v: Trade) -> bool:
@@ -75,12 +72,13 @@ def is_conformal(u: Trade, v: Trade) -> bool:
 
 
 @lru_cache(maxsize=512)
-def _orthant_minima(inst: SemigroupInstance, orthant: OrthantLabel) -> frozenset[Trade]:
-    """Hilbert basis of one orthant: the Pareto minima of its box-n3 trades.
+def _staircases(inst: SemigroupInstance) -> MappingProxyType[OrthantLabel, tuple[Trade, ...]]:
+    """Hilbert basis of each orthant: the Pareto minima of its box-n3 trades.
 
-    With (i, j) the orthant's non-negative coordinates, the trades in the
-    box are swept in ascending (v_i, v_j) order and v is kept when v_j is
-    below every earlier v_j.
+    One walk of the box serves all three orthants, and only the staircases
+    are kept, each in sort_key order.  With (i, j) an orthant's
+    non-negative coordinates, its trades in the box are swept in ascending
+    (v_i, v_j) order and v is kept when v_j is below every earlier v_j.
 
     The radius n3 is exact, in two steps.
 
@@ -115,34 +113,35 @@ def _orthant_minima(inst: SemigroupInstance, orthant: OrthantLabel) -> frozenset
     the union of the three orthants' minima, up to sign.
     """
     box = inst.generators[2]
-    i, j = orthant.nonneg_coords
-    candidates = sorted(
-        (v for v in _enumerate_cached(inst, box) if v[i] >= 0 and v[j] >= 0),
-        key=itemgetter(i, j),
-    )
-    minima = []
-    least_j = box + 1
-    for v in candidates:
-        if v[j] < least_j:
-            least_j = v[j]
-            minima.append(v)
-    if not minima:
-        raise InternalConsistencyError(
-            f"no minimal trades found in box {box} for {inst.generators}"
+    trades = enumerate_trades(inst, box).trades
+    staircases = {}
+    for orthant in OrthantLabel:
+        i, j = orthant.nonneg_coords
+        candidates = sorted(
+            (v for v in trades if v[i] >= 0 and v[j] >= 0), key=itemgetter(i, j)
         )
-    return frozenset(minima)
+        minima = []
+        least_j = box + 1
+        for v in candidates:
+            if v[j] < least_j:
+                least_j = v[j]
+                minima.append(v)
+        if not minima:
+            raise InternalConsistencyError(
+                f"no minimal {orthant.value} trades found in box {box} for {inst.generators}"
+            )
+        staircases[orthant] = tuple(sorted(minima, key=sort_key))
+    return MappingProxyType(staircases)
 
 
 def graver_oracle(inst: SemigroupInstance) -> TradeSet:
     """Graver basis as the union of the three orthant Hilbert bases, one rep per pair."""
-    return TradeSet.canonical(
-        chain.from_iterable(_orthant_minima(inst, orthant) for orthant in OrthantLabel)
-    )
+    return TradeSet.canonical(chain.from_iterable(_staircases(inst).values()))
 
 
 def hilbert_oracle(inst: SemigroupInstance, orthant: OrthantLabel) -> TradeSet:
     """Hilbert basis of one orthant, as full vectors in its positive orientation."""
-    return TradeSet.full(_orthant_minima(inst, orthant))
+    return TradeSet(_staircases(inst)[orthant], TradeSetMode.FULL)
 
 
 def factorizations(inst: SemigroupInstance, n: int) -> list[tuple[int, int, int]]:

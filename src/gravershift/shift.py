@@ -15,7 +15,6 @@ basis at any shift without ever enumerating a large lattice.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
@@ -72,17 +71,6 @@ def period_map(fam: ShiftedFamily, i: int, j: int, v: Trade, periods: int = 1) -
 def period_map_inverse(fam: ShiftedFamily, i: int, j: int, v: Trade, periods: int = 1) -> Trade:
     """Exact inverse of period_map (transport back by periods*rho)."""
     return period_map(fam, i, j, v, -periods)
-
-
-def frobenius_two_gen(m: int, n: int) -> int:
-    """Frobenius number of <m, n> for coprime m, n: m*n - m - n (or -1 if either is 1)."""
-    if m < 1 or n < 1:
-        raise InvalidInputError(f"generators must be positive, got ({m}, {n})")
-    if m == 1 or n == 1:
-        return -1
-    if math.gcd(m, n) != 1:
-        raise InvalidInputError(f"generators must be coprime, got ({m}, {n})")
-    return m * n - m - n
 
 
 @dataclass(frozen=True)
@@ -196,27 +184,26 @@ class _Orthant:
 
 def _orthant_table(fam: ShiftedFamily) -> dict[OrthantLabel, _Orthant]:
     a, b, d = fam.a, fam.b, fam.d
-    consts = fam.constants()
     return {
         OrthantLabel.PNP: _Orthant(
             strips=((0, b + 1, (1, 2)), (2, a + 1, (0, 1))),
             extremal_sum=0,
             growth=0,
-            threshold=consts.b_plus_minus,
+            threshold=fam.b_plus_minus,
             segment=None,
         ),
         OrthantLabel.PPN: _Orthant(
             strips=((0, b, (1, 2)), (1, a + b, (0, 2))),
             extremal_sum=d,
             growth=d * a,
-            threshold=consts.b_plus,
+            threshold=fam.b_plus,
             segment=(a + b, b, d * b),
         ),
         OrthantLabel.NPP: _Orthant(
             strips=((2, a, (0, 1)), (1, a + b, (0, 2))),
             extremal_sum=-d,
             growth=d * b,
-            threshold=consts.b_minus,
+            threshold=fam.b_minus,
             segment=(a + b, a, -d * a),
         ),
     }
@@ -311,7 +298,7 @@ def transport(
 
 def effective_base_bound(fam: ShiftedFamily) -> int:
     """Largest shift that must be handled by the oracle rather than transport."""
-    return fam.constants().b_max
+    return fam.b_max
 
 
 def base_decomposition(inst: SemigroupInstance) -> tuple[SemigroupInstance, int]:

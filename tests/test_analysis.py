@@ -1,16 +1,24 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gravershift import (
     InvalidInputError,
+    OrthantLabel,
     ShiftedFamily,
     augment,
     count_scan,
     differential_test,
     empirical_bounds,
+    enumerate_trades,
     exhaustive_optimum,
     factorizations,
+    hilbert_oracle,
+    in_orthant,
+    length,
     verify_period_law,
 )
 from gravershift.analysis import count_row, objective_value, valid_shifts
@@ -28,14 +36,13 @@ class TestValidShifts:
 
 class TestCountScan:
     def test_oracle_row_t19(self, fam231):
-        table = count_scan(fam231, 19, 19, "oracle")
-        row = table.row_for(19)
-        assert (row.graver, row.h_pnp, row.h_ppn, row.h_npp) == (26, 5, 7, 4)
+        (row,) = count_scan(fam231, 19, 19, "oracle").rows
+        assert (row.t, row.graver, row.h_pnp, row.h_ppn, row.h_npp) == (19, 26, 5, 7, 4)
         assert row.method == "oracle"
 
     def test_fast_row_t79(self, fam231):
-        row = count_scan(fam231, 79, 79, "fast").row_for(79)
-        assert (row.graver, row.h_pnp, row.h_ppn, row.h_npp) == (46, 5, 11, 10)
+        (row,) = count_scan(fam231, 79, 79, "fast").rows
+        assert (row.t, row.graver, row.h_pnp, row.h_ppn, row.h_npp) == (79, 46, 5, 11, 10)
 
     def test_one_period_after_base(self, fam231):
         # 26 trades at t=19 plus one period increment of 2*d*(a+b) = 10
@@ -99,6 +106,21 @@ class TestEmpiricalBounds:
         assert report.last_reducible_homogeneous == 6
         assert report.last_without_npp_trade == 5
         assert report.homogeneous_reducible_at_dab is True
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.integers(1, 6), b=st.integers(1, 6), d=st.integers(1, 3), data=st.data())
+    def test_extremal_trade_found_in_hilbert_basis(self, a, b, d, data):
+        # empirical_bounds asks the Hilbert basis whether a PPN trade of sum d
+        # (an NPP trade of sum -d) exists; a scan of the whole box must agree
+        assume(math.gcd(a, b) == 1)
+        t = data.draw(st.sampled_from(range(d * a + 1, 201)), label="t")
+        assume(math.gcd(t, d) == 1)
+        inst = ShiftedFamily(a, b, d).instance(t)
+        box = enumerate_trades(inst, inst.generators[2])
+        for orthant, target in ((OrthantLabel.PPN, d), (OrthantLabel.NPP, -d)):
+            in_box = any(in_orthant(v, orthant) and length(v) == target for v in box)
+            in_basis = any(length(v) == target for v in hilbert_oracle(inst, orthant))
+            assert in_basis == in_box
 
     def test_witness_decomposition(self, fam231):
         # the splitting of the homogeneous trade at t = d*a*b

@@ -96,6 +96,14 @@ class TestGraver:
         rows = parse_4ti2(path.read_text())
         assert len(rows) == 23
 
+    @pytest.mark.parametrize("target", ["missing/dir/basis.mat", "."])
+    def test_unwritable_output_exit_1(self, capsys, tmp_path, target):
+        # a path under a missing directory, and a path that is a directory
+        path = tmp_path / target
+        code, out, err = run(capsys, "graver", "--gens", "17,19,22", "--output", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(path) in err
+
     def test_wrong_arity_exit_1(self, capsys):
         code, _, err = run(capsys, "graver", "--gens", "2,3")
         assert code == 1

@@ -14,7 +14,6 @@ from gravershift import (
     from_generators,
     in_orthant,
     length,
-    orthant_memberships,
 )
 from gravershift.core import MAX_SHIFT, TradeSetMode, negate, sort_key
 from gravershift.oracle import enumerate_trades
@@ -39,14 +38,14 @@ class TestShiftedFamily:
             ShiftedFamily(a, b, d)
 
     def test_constants_231(self, fam231):
-        c = fam231.constants()
-        assert (c.rho, c.b_plus, c.b_plus_minus, c.b_minus, c.b_max) == (30, 4, 6, 5, 6)
-        assert c.homogeneous == (3, -5, 2)
+        fam = fam231
+        assert (fam.rho, fam.b_plus, fam.b_plus_minus, fam.b_minus, fam.b_max) == (30, 4, 6, 5, 6)
+        assert fam.homogeneous_trade == (3, -5, 2)
 
     def test_constants_111(self):
-        c = ShiftedFamily(1, 1, 1).constants()
-        assert c.rho == 2
-        assert c.homogeneous == (1, -2, 1)
+        fam = ShiftedFamily(1, 1, 1)
+        assert (fam.rho, fam.b_plus, fam.b_plus_minus, fam.b_minus, fam.b_max) == (2, -2, 1, 0, 1)
+        assert fam.homogeneous_trade == (1, -2, 1)
 
     def test_homogeneous_has_length_zero(self):
         for a, b, d in [(1, 1, 1), (2, 3, 1), (3, 4, 2), (2, 5, 3)]:
@@ -166,33 +165,11 @@ class TestCanonicalRep:
 
 
 class TestOrthants:
-    def test_full_sign_pattern(self):
-        assert orthant_memberships((3, -5, 2)) == {(OrthantLabel.PNP, +1)}
-
-    def test_zero_coordinate_double_membership(self):
-        assert orthant_memberships((0, -22, 19)) == {
-            (OrthantLabel.PNP, +1),
-            (OrthantLabel.PPN, -1),
-        }
-
-    def test_alpha_single_membership(self):
-        # (2,4,-5) has full sign pattern (+,+,-): exactly one orthant, positively
-        assert orthant_memberships((2, 4, -5)) == {(OrthantLabel.PPN, +1)}
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(InvalidInputError):
-            orthant_memberships((0, 0, 0))
-
-    @given(st.tuples(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30)))
-    def test_mirror_property(self, v):
-        if v == (0, 0, 0):
-            return
-        flipped = {(label, -sign) for label, sign in orthant_memberships(v)}
-        assert orthant_memberships(negate(v)) == flipped
-
     def test_every_lattice_element_labelled(self, inst19):
+        # assemble_graver's overlap proof: up to sign, every trade lies in
+        # some orthant
         for v in enumerate_trades(inst19, 22):
-            assert orthant_memberships(v)
+            assert any(in_orthant(w, label) for w in (v, negate(v)) for label in OrthantLabel)
 
 
 class TestStrips:

@@ -34,7 +34,7 @@ def _threshold_shifts(a, b, d):
     """The largest shift at or below the transport threshold and the
     smallest above it (gcd(t, d) = 1 and t > d*a for both)."""
     fam = ShiftedFamily(a, b, d)
-    bound = fam.constants().b_max
+    bound = fam.b_max
     valid = [t for t in range(d * a + 1, bound + d + 2) if math.gcd(t, d) == 1]
     below = [t for t in valid if t <= bound]
     above = [t for t in valid if t > bound]

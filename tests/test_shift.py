@@ -28,7 +28,6 @@ from gravershift import (
     base_decomposition,
     effective_base_bound,
     enumerate_trades,
-    frobenius_two_gen,
     from_generators,
     graver_oracle,
     graver_shift,
@@ -103,21 +102,12 @@ class TestPeriodMap:
 
 
 class TestFrobenius:
-    def test_examples(self):
-        assert frobenius_two_gen(3, 5) == 7
-        assert frobenius_two_gen(2, 3) == 1
-        assert frobenius_two_gen(1, 9) == -1
-        assert frobenius_two_gen(9, 1) == -1
-
-    def test_non_coprime(self):
-        with pytest.raises(InvalidInputError):
-            frobenius_two_gen(4, 6)
-
     def test_threshold_identity(self):
-        # the ppn existence bound is the two-generator Frobenius number shifted by d*b
+        # the ppn existence bound is the Frobenius number m*n - m - n of
+        # <b, a+b> shifted by d*b
         for a, b, d in DIFF_FAMILIES:
-            fam = ShiftedFamily(a, b, d)
-            assert fam.constants().b_plus == frobenius_two_gen(b, a + b) - d * b
+            m, n = b, a + b
+            assert ShiftedFamily(a, b, d).b_plus == m * n - m - n - d * b
 
 
 class TestPositiveSegment:
@@ -321,7 +311,7 @@ class TestAdvance:
         fam = ShiftedFamily(a, b, d)
         lo = max(_orthant_table(fam)[orthant].threshold, d * a) + 1
         hi = effective_base_bound(fam) + fam.rho
-        t = data.draw(st.integers(lo, hi), label="t")
+        t = data.draw(st.sampled_from(range(lo, hi + 1)), label="t")
         assume(math.gcd(t, d) == 1)
         base = fam.instance(t)
         got = transport(base, orthant, hilbert_oracle(base, orthant), 1)
@@ -388,7 +378,7 @@ class TestBaseDecomposition:
         fam = ShiftedFamily(2, 3, 1)
         assert effective_base_bound(fam) == 6
         # the a(d-1) term of b_minus only matters for d >= 2
-        assert ShiftedFamily(5, 1, 2).constants().b_minus == 29
+        assert ShiftedFamily(5, 1, 2).b_minus == 29
         assert effective_base_bound(ShiftedFamily(5, 1, 2)) == 29
 
     def test_base_always_valid(self):
