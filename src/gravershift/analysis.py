@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
+    MAX_SHIFT,
     InvalidInputError,
     OrthantLabel,
     SemigroupInstance,
@@ -25,7 +26,13 @@ from .core import (
     negate,
 )
 from .oracle import factorizations, graver_oracle, hilbert_oracle
-from .shift import assemble_graver, effective_base_bound, graver_shift, hilbert_shift
+from .shift import (
+    effective_base_bound,
+    graver_count,
+    graver_shift,
+    hilbert_shift,  # not called here; perfbench's tracer rebinds it by name
+    hilbert_shift_compact,
+)
 
 
 def valid_shifts(fam: ShiftedFamily, t_lo: int, t_hi: int) -> list[int]:
@@ -63,10 +70,11 @@ def count_row(inst: SemigroupInstance, method: str = "auto") -> CountRow:
         hr = hilbert_oracle(inst, OrthantLabel.NPP)
         graver = 2 * len(graver_oracle(inst))
     elif method == "fast":
-        hp = hilbert_shift(inst, OrthantLabel.PNP)
-        hq = hilbert_shift(inst, OrthantLabel.PPN)
-        hr = hilbert_shift(inst, OrthantLabel.NPP)
-        graver = 2 * len(assemble_graver(hp, hq, hr))
+        # segment lengths, not members: O(1) in t, so any t <= MAX_SHIFT
+        hp = hilbert_shift_compact(inst, OrthantLabel.PNP)
+        hq = hilbert_shift_compact(inst, OrthantLabel.PPN)
+        hr = hilbert_shift_compact(inst, OrthantLabel.NPP)
+        graver = 2 * graver_count(hp, hq, hr)
     else:
         raise InvalidInputError(f"unknown count method {method!r}")
     return CountRow(inst.t, graver, len(hp), len(hq), len(hr), method)
@@ -118,7 +126,8 @@ def verify_period_law(fam: ShiftedFamily, t_lo: int, t_hi: int, method: str = "o
     """Check the one-period count increments for every covered shift in range
     above the transport threshold; a range with none of them is rejected.
 
-    Counts at t + rho are computed even when they fall beyond t_hi.
+    Counts at t + rho are computed even when they fall beyond t_hi, so a
+    shift with t + rho > MAX_SHIFT is rejected.
     """
     a, b, d = fam.a, fam.b, fam.d
     bound = effective_base_bound(fam)
@@ -126,6 +135,12 @@ def verify_period_law(fam: ShiftedFamily, t_lo: int, t_hi: int, method: str = "o
     if not shifts:
         raise InvalidInputError(
             f"range {t_lo}..{t_hi} has no covered shift above the transport threshold {bound}"
+        )
+    if shifts[-1] + fam.rho > MAX_SHIFT:
+        first = next(t for t in shifts if t + fam.rho > MAX_SHIFT)
+        raise InvalidInputError(
+            f"shift t={first} is too large to verify: verify also counts at "
+            f"t + rho = {first + fam.rho} and needs t + rho <= {MAX_SHIFT}"
         )
     expected = 2 * d * (a + b)
     cache: dict[int, CountRow] = {}

@@ -10,14 +10,17 @@ by d*a (resp. d*b) elements per period.  The three orthants differ only in
 data (strips, maps, extremal sum, growth, segment equation, threshold),
 which one table holds and one transport reads.  Transporting from an
 oracle-computed base case below the transport threshold yields the Graver
-basis at any shift without ever enumerating a large lattice.
+basis at any shift without ever enumerating a large lattice, and counting
+it reads the segment's length without writing its members out.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
+from types import MappingProxyType
 
 from .core import (
     InternalConsistencyError,
@@ -29,6 +32,7 @@ from .core import (
     Trade,
     TradeSet,
     TradeSetMode,
+    canonical_rep,
     in_orthant,
     length,
     negate,
@@ -182,9 +186,12 @@ class _Orthant:
     segment: tuple[int, int, int] | None
 
 
-def _orthant_table(fam: ShiftedFamily) -> dict[OrthantLabel, _Orthant]:
+# built once per family and shared read-only, since every transport and
+# segment solve reads it
+@lru_cache(maxsize=64)
+def _orthant_table(fam: ShiftedFamily) -> MappingProxyType[OrthantLabel, _Orthant]:
     a, b, d = fam.a, fam.b, fam.d
-    return {
+    return MappingProxyType({
         OrthantLabel.PNP: _Orthant(
             strips=((0, b + 1, (1, 2)), (2, a + 1, (0, 1))),
             extremal_sum=0,
@@ -206,13 +213,57 @@ def _orthant_table(fam: ShiftedFamily) -> dict[OrthantLabel, _Orthant]:
             threshold=fam.b_minus,
             segment=(a + b, a, -d * a),
         ),
-    }
+    })
+
+
+@dataclass(frozen=True)
+class CompactBasis:
+    """An orthant Hilbert basis as its listed members plus one segment.
+
+    `rest` is sorted by sort_key and holds every member off `segment`;
+    `segment` is None for a PNP basis and for an oracle basis, which lists
+    every member.  len() reads the two sizes, so a basis of 10^9 members
+    is counted in O(1); materialize() writes it out.
+    """
+
+    rest: tuple[Trade, ...]
+    segment: SegmentEndpoints | None = None
+
+    def __len__(self) -> int:
+        return len(self.rest) + (self.segment.count if self.segment else 0)
+
+    def boundary(self) -> set[Trade]:
+        """The members that may lie on a coordinate plane: rest and the segment ends."""
+        ends = (self.segment.start, self.segment.end) if self.segment else ()
+        return {*self.rest, *ends}
+
+    def materialize(self) -> TradeSet:
+        if self.segment is None:
+            return TradeSet(self.rest, TradeSetMode.FULL)
+        # the segment is one ascending run and the rest are few and off it,
+        # so this sort is a merge
+        trades = self.segment.trades()
+        trades.extend(self.rest)
+        trades.sort(key=sort_key)
+        return TradeSet(tuple(trades), TradeSetMode.FULL)
 
 
 def transport(
     base: SemigroupInstance, orthant: OrthantLabel, basis: TradeSet, periods: int
 ) -> TradeSet:
     """Carry the orthant's Hilbert basis at base.t to base.t + periods*rho.
+
+    The materialized form of transport_compact, which holds the method and
+    the checks.
+    """
+    return transport_compact(base, orthant, basis, periods).materialize()
+
+
+def transport_compact(
+    base: SemigroupInstance, orthant: OrthantLabel, basis: TradeSet, periods: int
+) -> CompactBasis:
+    """Carry the orthant's Hilbert basis at base.t to base.t + periods*rho,
+    as the few images off the target segment plus the segment itself.
 
     Every member rides the period map of each strip it lies in (the maps
     fix the strip's bounded coordinate, so `periods` steps are one map with
@@ -221,8 +272,8 @@ def transport(
     target shift.  Every member of `basis` must be a trade at base.t in the
     orthant.  The result must have periods*growth more members than
     `basis`, and the target segment's endpoints must be the period-map
-    images of the base segment's.  The segment comes out in sort_key order,
-    so the result is the segment merged with the few other images.
+    images of the base segment's.  Only the base members and the segment
+    ends are touched, so the cost does not grow with `periods`.
 
     A PNP member may lie in both strips and then rides both maps.  That is
     safe: for t > d*a*b such a trade v has t*length(v) = d*(a*v0 - b*v2)
@@ -256,9 +307,8 @@ def transport(
                 f"!= {row.extremal_sum} at t={base.t}"
             )
         images.update(mapped)
-    if row.segment is None:
-        result = TradeSet.full(images)
-    else:
+    after = None
+    if row.segment is not None:
         # looked up by module-global name, so a traced run can rebind them
         solve = positive_segment if row.extremal_sum > 0 else negative_segment
         target = base.shifted(periods)
@@ -275,19 +325,14 @@ def transport(
             )
         # the segment supplies its own ends; any other image of extremal sum
         # would be a trade the segment does not contain
-        rest = images - set(expected)
-        for w in rest:
+        images.difference_update(expected)
+        for w in images:
             if length(w) == row.extremal_sum:
                 raise InternalConsistencyError(
                     f"{orthant.value} image {w} has coordinate sum {row.extremal_sum} "
                     f"but is not an end of the segment at t={target.t}"
                 )
-        # the segment is one ascending run and the other images are few and
-        # off it, so this sort is a merge
-        trades = after.trades()
-        trades.extend(rest)
-        trades.sort(key=sort_key)
-        result = TradeSet(tuple(trades), TradeSetMode.FULL)
+    result = CompactBasis(tuple(sorted(images, key=sort_key)), after)
     if len(result) != len(basis) + periods * row.growth:
         raise InternalConsistencyError(
             f"{orthant.value} transport at t={base.t} over {periods} periods: expected "
@@ -314,9 +359,14 @@ def base_decomposition(inst: SemigroupInstance) -> tuple[SemigroupInstance, int]
 
 def hilbert_shift(inst: SemigroupInstance, orthant: OrthantLabel) -> TradeSet:
     """Hilbert basis of one orthant via transport from an oracle base case."""
+    return hilbert_shift_compact(inst, orthant).materialize()
+
+
+def hilbert_shift_compact(inst: SemigroupInstance, orthant: OrthantLabel) -> CompactBasis:
+    """hilbert_shift before materialization: O(1) in t to build and to count."""
     base, k = base_decomposition(inst)
     basis = hilbert_oracle(base, orthant)
-    return transport(base, orthant, basis, k) if k else basis
+    return transport_compact(base, orthant, basis, k) if k else CompactBasis(basis.trades)
 
 
 def assemble_graver(h_pnp: TradeSet, h_ppn: TradeSet, h_npp: TradeSet) -> TradeSet:
@@ -354,6 +404,36 @@ def assemble_graver(h_pnp: TradeSet, h_ppn: TradeSet, h_npp: TradeSet) -> TradeS
             f"expected 3 shared boundary trades, measured {overlap}"
         )
     return TradeSet(merged, TradeSetMode.CANONICAL)
+
+
+def graver_count(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasis) -> int:
+    """Size of the canonical Graver basis, len(assemble_graver(...)) of the
+    materialized bases, read from the compact ones.
+
+    The size is sum(len) - 3, and the overlap of 3 is measured, not
+    assumed: on the boundary members only, each basis's rest and its
+    segment's two ends, canonicalized.  An interior segment member is never
+    shared.  In PPN it is v = start + s*h with 0 < s < count-1 and
+    h = (b, -(a+b), a): v0 = start0 + s*b > 0, v1 = end1 + (count-1-s)*(a+b)
+    > 0, and v2 < 0 because the generators are positive.  NPP mirrors this
+    with v2 > 0, v1 > 0 and v0 < 0.  So no coordinate of v is zero, v lies
+    in exactly one orthant up to sign (see assemble_graver), and it is
+    neither a segment end nor in rest, which transport_compact keeps free
+    of extremal-sum members.  The overlap of the full
+    bases is therefore the overlap of their boundaries, and any value but 3
+    raises InternalConsistencyError as in assemble_graver.
+    """
+    parts = (h_pnp, h_ppn, h_npp)
+    if any(len(p) == 0 for p in parts):
+        raise InvalidInputError("orthant Hilbert bases are never empty for a valid instance")
+    boundaries = [p.boundary() for p in parts]
+    union = {canonical_rep(v) for v in chain.from_iterable(boundaries)}
+    overlap = sum(map(len, boundaries)) - len(union)
+    if overlap != 3:
+        raise InternalConsistencyError(
+            f"expected 3 shared boundary trades, measured {overlap}"
+        )
+    return sum(map(len, parts)) - overlap
 
 
 def graver_shift(inst: SemigroupInstance) -> TradeSet:

@@ -103,3 +103,17 @@ def inst79(fam231):
 @pytest.fixture(scope="session")
 def inst19_from_gens():
     return from_generators(17, 19, 22)
+
+
+@pytest.fixture
+def no_materialize(monkeypatch):
+    """Make writing out a segment or assembling a Graver basis raise, so a
+    count near MAX_SHIFT that tries to materialize fails at once instead of
+    exhausting memory."""
+    from gravershift import shift
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a count path materialized trades")
+
+    monkeypatch.setattr(shift.SegmentEndpoints, "trades", refuse)
+    monkeypatch.setattr(shift, "assemble_graver", refuse)

@@ -10,6 +10,7 @@ from gravershift import (
     OrthantLabel,
     ShiftedFamily,
     augment,
+    base_decomposition,
     count_scan,
     differential_test,
     empirical_bounds,
@@ -40,7 +41,7 @@ class TestCountScan:
         assert (row.t, row.graver, row.h_pnp, row.h_ppn, row.h_npp) == (19, 26, 5, 7, 4)
         assert row.method == "oracle"
 
-    def test_fast_row_t79(self, fam231):
+    def test_fast_row_t79(self, fam231, no_materialize):
         (row,) = count_scan(fam231, 79, 79, "fast").rows
         assert (row.t, row.graver, row.h_pnp, row.h_ppn, row.h_npp) == (79, 46, 5, 11, 10)
 
@@ -74,6 +75,30 @@ class TestCountScan:
             assert row.graver == 2 * (row.h_pnp + row.h_ppn + row.h_npp - 3)
 
 
+class TestCountsWithoutTrades:
+    """Fast counts read segment lengths and never write a basis out."""
+
+    def test_verify_answers(self, fam231, no_materialize):
+        report = verify_period_law(fam231, 7, 96, method="fast")
+        assert report.ok and len(report.rows) == 90
+
+    def test_near_max_shift_follows_period_law(self, no_materialize):
+        # (1,1,1) has about 10^9 canonical trades here
+        fam = ShiftedFamily(1, 1, 1)
+        inst = fam.instance(999_999_999)
+        base, k = base_decomposition(inst)
+        row = count_row(inst, "fast")
+        at_base = count_row(base, "oracle")
+        d, a, b = fam.d, fam.a, fam.b
+        assert (row.h_pnp, row.h_ppn, row.h_npp) == (
+            at_base.h_pnp,
+            at_base.h_ppn + k * d * a,
+            at_base.h_npp + k * d * b,
+        )
+        assert row.graver == 2 * (row.h_pnp + row.h_ppn + row.h_npp - 3)
+        assert row.graver == at_base.graver + k * 2 * d * (a + b)
+
+
 class TestPeriodLaw:
     def test_clean_window(self, fam231):
         report = verify_period_law(fam231, 7, 36)
@@ -96,6 +121,15 @@ class TestPeriodLaw:
     def test_shifts_at_or_below_bound_excluded(self, fam231):
         report = verify_period_law(fam231, 3, 8)
         assert [row.t for row in report.rows] == [7, 8]
+
+    def test_shift_plus_period_above_max_shift_rejected(self, no_materialize):
+        # rho = 4158: 999,995,842 is the last shift with t + rho <= MAX_SHIFT,
+        # and 999,995,843 the first covered one after it
+        fam = ShiftedFamily(7, 11, 3)
+        assert fam.rho == 4158
+        with pytest.raises(InvalidInputError, match=r"t=999995843 .*t \+ rho = 1000000001"):
+            verify_period_law(fam, 999_995_840, 999_995_846, method="fast")
+        assert len(verify_period_law(fam, 999_995_840, 999_995_842, method="fast").rows) == 2
 
 
 class TestEmpiricalBounds:

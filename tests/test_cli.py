@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from gravershift import ShiftedFamily, analysis
+from gravershift import OrthantLabel, ShiftedFamily, analysis
 from gravershift.analysis import DifferentialReport, DifferentialRow
 from gravershift.cli import main
 from gravershift.formats import parse_4ti2
+from gravershift.shift import CompactBasis
 from test_formats import GOLDEN_4TI2_M19
 
 
@@ -175,6 +176,46 @@ class TestCount:
         code, out, err = run(capsys, "count", "--family", family, "--t-range", t_range)
         assert (code, out) == (1, "")
         assert "empty range" in err
+
+
+class TestCountsNearMaxShift:
+    def test_count_answers(self, capsys, no_materialize):
+        code, out, _ = run(
+            capsys, "count", "--family", "1,1,1", "--t-range", "999999998..999999999",
+            "--method", "fast",
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "999999998,2000000002,3,500000001,500000000,fast",
+            "999999999,2000000002,3,500000001,500000000,fast",
+        ]
+
+    def test_verify_names_requested_shift(self, capsys, no_materialize):
+        # rho = 4158, so t = 999999001 would need counts at 1000003159
+        code, out, err = run(
+            capsys, "verify", "--family", "7,11,3", "--t-range", "999999000..999999010",
+            "--method", "fast",
+        )
+        assert (code, out) == (1, "")
+        assert "t=999999001" in err
+        assert "t + rho = 1000003159" in err
+        assert "t + rho <= 1000000000" in err
+
+    def test_missing_plane_trade_exit_2(self, capsys, monkeypatch):
+        real = analysis.hilbert_shift_compact
+
+        def without_v2_plane_trade(inst, orthant):
+            basis = real(inst, orthant)
+            if orthant is not OrthantLabel.NPP:
+                return basis
+            return CompactBasis(tuple(v for v in basis.rest if v[2] != 0), basis.segment)
+
+        monkeypatch.setattr(analysis, "hilbert_shift_compact", without_v2_plane_trade)
+        code, out, err = run(
+            capsys, "count", "--family", "2,3,1", "--t-range", "79..79", "--method", "fast"
+        )
+        assert (code, out) == (2, "")
+        assert "measured 2" in err
 
 
 class TestVerify:

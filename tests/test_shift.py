@@ -44,7 +44,7 @@ from gravershift import (
 )
 from gravershift import shift
 from gravershift.core import TradeSetMode, add, canonical_rep, sort_key
-from gravershift.shift import _orthant_table
+from gravershift.shift import CompactBasis, _orthant_table, graver_count, hilbert_shift_compact
 
 
 def _valid_shift_above(fam, t):
@@ -440,6 +440,55 @@ class TestAssemble:
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):
             assemble_graver(TradeSet.full([]), TradeSet.full(H19_PPN), TradeSet.full(H19_NPP))
+
+
+class TestCompact:
+    """The compact bases fast counts read, against their written-out form."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(a=st.integers(1, 8), b=st.integers(1, 8), d=st.integers(1, 3), data=st.data())
+    def test_lengths_match_materialized(self, a, b, d, data):
+        # any covered shift in (b_max, b_max + 3*rho], drawn evenly, and the
+        # first covered shift from 10^5
+        assume(math.gcd(a, b) == 1)
+        fam = ShiftedFamily(a, b, d)
+        window = range(fam.b_max + 1, fam.b_max + 3 * fam.rho + 1)
+        t = data.draw(st.sampled_from(window), label="t")
+        assume(math.gcd(t, d) == 1)
+        for inst in (fam.instance(t), _valid_shift_above(fam, 99_999)):
+            compact = [hilbert_shift_compact(inst, o) for o in OrthantLabel]
+            full = [hilbert_shift(inst, o) for o in OrthantLabel]
+            assert [len(c) for c in compact] == [len(f) for f in full]
+            assert all(_strictly_increasing(f) for f in full)
+            assert graver_count(*compact) == len(assemble_graver(*full))
+
+    def test_plane_trade_at_segment_end(self, fam231):
+        # b = 3 divides t = 81, so the PPN segment starts at the v0 = 0 plane
+        # trade (0, (t + d*b)/b, -t/b), which the PNP basis shares
+        inst = fam231.instance(81)
+        parts = [hilbert_shift_compact(inst, o) for o in OrthantLabel]
+        assert parts[1].segment.start == (0, 28, -27)
+        assert (0, -28, 27) in parts[0].rest
+        assert graver_count(*parts) == len(assemble_graver(*(p.materialize() for p in parts)))
+
+    def test_missing_plane_trade_raises(self, inst79):
+        # the count-path twin of TestAssemble's: the boundary check sees it
+        pnp, ppn, npp = (hilbert_shift_compact(inst79, o) for o in OrthantLabel)
+        assert (-79, 77, 0) in npp.rest
+        npp = CompactBasis(tuple(v for v in npp.rest if v != (-79, 77, 0)), npp.segment)
+        with pytest.raises(InternalConsistencyError, match="measured 2"):
+            graver_count(pnp, ppn, npp)
+
+    def test_empty_input_rejected(self, inst79):
+        pnp, ppn, _ = (hilbert_shift_compact(inst79, o) for o in OrthantLabel)
+        with pytest.raises(InvalidInputError):
+            graver_count(pnp, ppn, CompactBasis(()))
+
+    def test_orthant_table_built_once_read_only(self, fam231):
+        table = _orthant_table(fam231)
+        assert _orthant_table(ShiftedFamily(2, 3, 1)) is table
+        with pytest.raises(TypeError):
+            table[OrthantLabel.PNP] = table[OrthantLabel.PPN]
 
 
 class TestGraverShift:
