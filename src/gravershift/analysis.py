@@ -26,22 +26,24 @@ from .core import (
     negate,
 )
 from .oracle import factorizations, graver_oracle, hilbert_oracle
-from .shift import (
-    effective_base_bound,
-    graver_count,
-    graver_shift,
-    hilbert_shift,  # not called here; perfbench's tracer rebinds it by name
-    hilbert_shift_compact,
-)
+from .shift import effective_base_bound, graver_count, graver_shift, hilbert_shift
 
 
 def valid_shifts(fam: ShiftedFamily, t_lo: int, t_hi: int) -> list[int]:
-    """Shifts in [t_lo, t_hi] the family actually covers."""
-    return [
-        t
-        for t in range(max(t_lo, fam.d * fam.a + 1), t_hi + 1)
-        if math.gcd(t, fam.d) == 1
-    ]
+    """Shifts in [t_lo, t_hi] the family actually covers; a range holding a
+    covered shift past MAX_SHIFT is rejected before it is listed."""
+    t_lo = max(t_lo, fam.d * fam.a + 1)
+    past = _first_covered(fam, max(t_lo, MAX_SHIFT + 1))
+    if past <= t_hi:
+        raise InvalidInputError(f"shift t={past} exceeds the supported bound {MAX_SHIFT}")
+    return [t for t in range(t_lo, t_hi + 1) if math.gcd(t, fam.d) == 1]
+
+
+def _first_covered(fam: ShiftedFamily, t: int, step: int = 1) -> int:
+    """The first shift coprime to d from t on, at most d - 1 steps of `step` away."""
+    while math.gcd(t, fam.d) != 1:
+        t += step
+    return t
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,9 @@ def count_row(inst: SemigroupInstance, method: str = "auto") -> CountRow:
         graver = 2 * len(graver_oracle(inst))
     elif method == "fast":
         # segment lengths, not members: O(1) in t, so any t <= MAX_SHIFT
-        hp = hilbert_shift_compact(inst, OrthantLabel.PNP)
-        hq = hilbert_shift_compact(inst, OrthantLabel.PPN)
-        hr = hilbert_shift_compact(inst, OrthantLabel.NPP)
+        hp = hilbert_shift(inst, OrthantLabel.PNP)
+        hq = hilbert_shift(inst, OrthantLabel.PPN)
+        hr = hilbert_shift(inst, OrthantLabel.NPP)
         graver = 2 * graver_count(hp, hq, hr)
     else:
         raise InvalidInputError(f"unknown count method {method!r}")
@@ -131,16 +133,18 @@ def verify_period_law(fam: ShiftedFamily, t_lo: int, t_hi: int, method: str = "o
     """
     a, b, d = fam.a, fam.b, fam.d
     bound = effective_base_bound(fam)
-    shifts = valid_shifts(fam, max(t_lo, bound + 1), t_hi)
-    if not shifts:
-        raise InvalidInputError(
-            f"range {t_lo}..{t_hi} has no covered shift above the transport threshold {bound}"
-        )
-    if shifts[-1] + fam.rho > MAX_SHIFT:
-        first = next(t for t in shifts if t + fam.rho > MAX_SHIFT)
+    lo = max(t_lo, bound + 1)
+    # checked before the range is listed, which may reach far past MAX_SHIFT
+    first = _first_covered(fam, max(lo, MAX_SHIFT - fam.rho + 1))
+    if first <= t_hi:
         raise InvalidInputError(
             f"shift t={first} is too large to verify: verify also counts at "
             f"t + rho = {first + fam.rho} and needs t + rho <= {MAX_SHIFT}"
+        )
+    shifts = valid_shifts(fam, lo, t_hi)
+    if not shifts:
+        raise InvalidInputError(
+            f"range {t_lo}..{t_hi} has no covered shift above the transport threshold {bound}"
         )
     expected = 2 * d * (a + b)
     cache: dict[int, CountRow] = {}
@@ -200,6 +204,9 @@ def empirical_bounds(fam: ShiftedFamily, t_max: int) -> BoundsReport:
     a, b, d = fam.a, fam.b, fam.d
     if t_max <= d * a:
         raise InvalidInputError(f"t_max={t_max} covers no shift: it must exceed d*a={d * a}")
+    # the largest shift needs the largest oracle box: asking for it first
+    # refuses a scan beyond oracle scale before the range is listed
+    hilbert_oracle(fam.instance(_first_covered(fam, t_max, -1)), OrthantLabel.PNP)
     h = fam.homogeneous_trade
     last_red = last_no_ppn = last_no_npp = None
     reducible_at_dab = None
@@ -255,6 +262,11 @@ def differential_test(families: Sequence[ShiftedFamily], periods: int) -> Differ
     for every covered shift in (bound, bound + periods*rho] of each family."""
     if periods < 1:
         raise InvalidInputError(f"periods must be >= 1, got {periods}")
+    # each window's largest shift needs its largest oracle box: asking for
+    # those first refuses a window beyond oracle scale before any row
+    for fam in families:
+        top = effective_base_bound(fam) + periods * fam.rho
+        graver_oracle(fam.instance(_first_covered(fam, top, -1)))
     rows = []
     for fam in families:
         bound = effective_base_bound(fam)

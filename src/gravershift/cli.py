@@ -144,9 +144,10 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     inst = from_generators(*_parse_triple(args.gens, "--gens"))
     orthant = OrthantLabel(args.orthant)
     method = _resolve_method(inst, args.method)
-    basis = (
-        hilbert_shift(inst, orthant) if method == "shift" else hilbert_oracle(inst, orthant)
-    )
+    if method == "shift":
+        basis = hilbert_shift(inst, orthant).materialize()
+    else:
+        basis = hilbert_oracle(inst, orthant)
     _emit_trades(args, inst, method, basis, orthant=orthant.value)
     return EXIT_OK
 

@@ -238,6 +238,7 @@ class CompactBasis:
         return {*self.rest, *ends}
 
     def materialize(self) -> TradeSet:
+        """Every member, written out in sort_key order."""
         if self.segment is None:
             return TradeSet(self.rest, TradeSetMode.FULL)
         # the segment is one ascending run and the rest are few and off it,
@@ -249,17 +250,6 @@ class CompactBasis:
 
 
 def transport(
-    base: SemigroupInstance, orthant: OrthantLabel, basis: TradeSet, periods: int
-) -> TradeSet:
-    """Carry the orthant's Hilbert basis at base.t to base.t + periods*rho.
-
-    The materialized form of transport_compact, which holds the method and
-    the checks.
-    """
-    return transport_compact(base, orthant, basis, periods).materialize()
-
-
-def transport_compact(
     base: SemigroupInstance, orthant: OrthantLabel, basis: TradeSet, periods: int
 ) -> CompactBasis:
     """Carry the orthant's Hilbert basis at base.t to base.t + periods*rho,
@@ -357,25 +347,21 @@ def base_decomposition(inst: SemigroupInstance) -> tuple[SemigroupInstance, int]
     return base, k
 
 
-def hilbert_shift(inst: SemigroupInstance, orthant: OrthantLabel) -> TradeSet:
-    """Hilbert basis of one orthant via transport from an oracle base case."""
-    return hilbert_shift_compact(inst, orthant).materialize()
-
-
-def hilbert_shift_compact(inst: SemigroupInstance, orthant: OrthantLabel) -> CompactBasis:
-    """hilbert_shift before materialization: O(1) in t to build and to count."""
+def hilbert_shift(inst: SemigroupInstance, orthant: OrthantLabel) -> CompactBasis:
+    """Hilbert basis of one orthant via transport from an oracle base case,
+    in compact form: O(1) in t to build and to count."""
     base, k = base_decomposition(inst)
     basis = hilbert_oracle(base, orthant)
-    return transport_compact(base, orthant, basis, k) if k else CompactBasis(basis.trades)
+    return transport(base, orthant, basis, k) if k else CompactBasis(basis.trades)
 
 
-def assemble_graver(h_pnp: TradeSet, h_ppn: TradeSet, h_npp: TradeSet) -> TradeSet:
-    """Union of the three Hilbert bases and their negations, canonicalized.
+def graver_count(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasis) -> int:
+    """Size of the canonical Graver basis that assemble_graver writes out,
+    read from the three compact bases.
 
-    Each basis is sorted by sort_key, and a member's canonical
-    representative is its negation exactly when sort_key(v) < (0, 0, 0),
-    so those members are a prefix; negated and reversed, the prefix
-    ascends too.  The union is therefore a merge of six sorted runs.
+    The size is sum(len) - 3, and the overlap of 3 is measured, not
+    assumed, on the boundary members only: each basis's rest and its
+    segment's two ends, canonicalized.
 
     The bases share exactly three trades, one per coordinate plane.  A
     trade with no zero coordinate has exactly two coordinates of one sign,
@@ -383,45 +369,17 @@ def assemble_graver(h_pnp: TradeSet, h_ppn: TradeSet, h_npp: TradeSet) -> TradeS
     trade with a zero coordinate lies on the ray where its orthant meets
     that coordinate plane, and the only Hilbert basis member on a ray is
     the primitive trade of that plane, which both orthants bounded by the
-    plane contain.  Any other overlap means a basis is wrong, so it raises
-    InternalConsistencyError.
-    """
-    parts = (h_pnp, h_ppn, h_npp)
-    if any(len(p) == 0 for p in parts):
-        raise InvalidInputError("orthant Hilbert bases are never empty for a valid instance")
-    runs = []
-    for part in parts:
-        trades = part.trades
-        cut = bisect_left(trades, (0, 0, 0), key=sort_key)
-        if cut < len(trades) and trades[cut] == (0, 0, 0):
-            raise InvalidInputError("the zero vector has no canonical representative")
-        runs.append(map(negate, reversed(trades[:cut])))
-        runs.append(trades[cut:])
-    merged = tuple(dict.fromkeys(sorted(chain.from_iterable(runs), key=sort_key)))
-    overlap = sum(len(p) for p in parts) - len(merged)
-    if overlap != 3:
-        raise InternalConsistencyError(
-            f"expected 3 shared boundary trades, measured {overlap}"
-        )
-    return TradeSet(merged, TradeSetMode.CANONICAL)
+    plane contain.
 
-
-def graver_count(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasis) -> int:
-    """Size of the canonical Graver basis, len(assemble_graver(...)) of the
-    materialized bases, read from the compact ones.
-
-    The size is sum(len) - 3, and the overlap of 3 is measured, not
-    assumed: on the boundary members only, each basis's rest and its
-    segment's two ends, canonicalized.  An interior segment member is never
-    shared.  In PPN it is v = start + s*h with 0 < s < count-1 and
-    h = (b, -(a+b), a): v0 = start0 + s*b > 0, v1 = end1 + (count-1-s)*(a+b)
-    > 0, and v2 < 0 because the generators are positive.  NPP mirrors this
-    with v2 > 0, v1 > 0 and v0 < 0.  So no coordinate of v is zero, v lies
-    in exactly one orthant up to sign (see assemble_graver), and it is
-    neither a segment end nor in rest, which transport_compact keeps free
-    of extremal-sum members.  The overlap of the full
-    bases is therefore the overlap of their boundaries, and any value but 3
-    raises InternalConsistencyError as in assemble_graver.
+    An interior segment member is never shared.  In PPN it is
+    v = start + s*h with 0 < s < count-1 and h = (b, -(a+b), a):
+    v0 = start0 + s*b > 0, v1 = end1 + (count-1-s)*(a+b) > 0, and v2 < 0
+    because the generators are positive.  NPP mirrors this with v2 > 0,
+    v1 > 0 and v0 < 0.  So no coordinate of v is zero, and v is neither a
+    segment end nor in rest, which transport keeps free of extremal-sum
+    members.  The overlap of the full bases is therefore the overlap of
+    their boundaries.  Any other value than 3 means a basis is wrong, so
+    it raises InternalConsistencyError.
     """
     parts = (h_pnp, h_ppn, h_npp)
     if any(len(p) == 0 for p in parts):
@@ -434,6 +392,31 @@ def graver_count(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasis) 
             f"expected 3 shared boundary trades, measured {overlap}"
         )
     return sum(map(len, parts)) - overlap
+
+
+def assemble_graver(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasis) -> TradeSet:
+    """Union of the three Hilbert bases and their negations, canonicalized.
+
+    Each materialized basis is sorted by sort_key, and a member's
+    canonical representative is its negation exactly when
+    sort_key(v) < (0, 0, 0), so those members are a prefix; negated and
+    reversed, the prefix ascends too.  The union is therefore a merge of
+    six sorted runs.  Its size must be graver_count's, which measures the
+    overlap; a merge of any other size raises InternalConsistencyError.
+    """
+    expected = graver_count(h_pnp, h_ppn, h_npp)
+    runs = []
+    for part in (h_pnp, h_ppn, h_npp):
+        trades = part.materialize().trades
+        cut = bisect_left(trades, (0, 0, 0), key=sort_key)
+        runs.append(map(negate, reversed(trades[:cut])))
+        runs.append(trades[cut:])
+    merged = tuple(dict.fromkeys(sorted(chain.from_iterable(runs), key=sort_key)))
+    if len(merged) != expected:
+        raise InternalConsistencyError(
+            f"merged {len(merged)} canonical trades, expected {expected}"
+        )
+    return TradeSet(merged, TradeSetMode.CANONICAL)
 
 
 def graver_shift(inst: SemigroupInstance) -> TradeSet:

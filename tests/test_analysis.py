@@ -22,6 +22,7 @@ from gravershift import (
     length,
     verify_period_law,
 )
+from gravershift import analysis
 from gravershift.analysis import count_row, objective_value, valid_shifts
 
 
@@ -81,6 +82,20 @@ class TestCountsWithoutTrades:
     def test_verify_answers(self, fam231, no_materialize):
         report = verify_period_law(fam231, 7, 96, method="fast")
         assert report.ok and len(report.rows) == 90
+
+    def test_fast_row_reads_three_hilbert_shifts(self, fam231, monkeypatch, no_materialize):
+        # the count path is hilbert_shift per orthant, then graver_count
+        calls = []
+        real = analysis.hilbert_shift
+
+        def counted(inst, orthant):
+            calls.append(orthant)
+            return real(inst, orthant)
+
+        monkeypatch.setattr(analysis, "hilbert_shift", counted)
+        row = count_row(fam231.instance(79), "fast")
+        assert calls == [OrthantLabel.PNP, OrthantLabel.PPN, OrthantLabel.NPP]
+        assert (row.graver, row.h_pnp, row.h_ppn, row.h_npp) == (46, 5, 11, 10)
 
     def test_near_max_shift_follows_period_law(self, no_materialize):
         # (1,1,1) has about 10^9 canonical trades here

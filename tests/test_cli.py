@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gravershift import OrthantLabel, ShiftedFamily, analysis
+from gravershift import OrthantLabel, ShiftedFamily, analysis, oracle
 from gravershift.analysis import DifferentialReport, DifferentialRow
 from gravershift.cli import main
 from gravershift.formats import parse_4ti2
@@ -202,7 +202,7 @@ class TestCountsNearMaxShift:
         assert "t + rho <= 1000000000" in err
 
     def test_missing_plane_trade_exit_2(self, capsys, monkeypatch):
-        real = analysis.hilbert_shift_compact
+        real = analysis.hilbert_shift
 
         def without_v2_plane_trade(inst, orthant):
             basis = real(inst, orthant)
@@ -210,12 +210,65 @@ class TestCountsNearMaxShift:
                 return basis
             return CompactBasis(tuple(v for v in basis.rest if v[2] != 0), basis.segment)
 
-        monkeypatch.setattr(analysis, "hilbert_shift_compact", without_v2_plane_trade)
+        monkeypatch.setattr(analysis, "hilbert_shift", without_v2_plane_trade)
         code, out, err = run(
             capsys, "count", "--family", "2,3,1", "--t-range", "79..79", "--method", "fast"
         )
         assert (code, out) == (2, "")
         assert "measured 2" in err
+
+
+class TestRangePastMaxShift:
+    """A range reaching past MAX_SHIFT is refused before it is listed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--family", "1,1,1", "--t-range", "999999999..1000000000000",
+             "--method", "fast"],
+            ["verify", "--family", "1,1,1", "--t-range", "999999990..1000000000000",
+             "--method", "fast"],
+            ["difftest", "--family", "1,1,1", "--periods", "1000000000000"],
+        ],
+        ids=["count", "verify", "difftest"],
+    )
+    def test_exit_1_within_memory_limit(self, argv):
+        # the child alone runs under a 1 GB address-space limit, which the
+        # listed range would exceed many times over
+        resource = pytest.importorskip("resource")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "gravershift.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=limit_memory,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+
+
+def _oracle_walks(monkeypatch, limit):
+    """Record the shift of each box the oracle walks, failing past `limit`;
+    the staircase cache starts empty, so every box is walked."""
+    oracle._staircases.cache_clear()
+    real = oracle.enumerate_trades
+    walks = []
+
+    def counted(inst, box):
+        walks.append(inst.t)
+        if len(walks) > limit:
+            raise AssertionError(f"oracle walked boxes at t={walks}")
+        return real(inst, box)
+
+    monkeypatch.setattr(oracle, "enumerate_trades", counted)
+    return walks
 
 
 class TestVerify:
@@ -258,6 +311,14 @@ class TestScanBounds:
             "last_without_npp_trade": 5,
         }
         assert doc["homogeneous_reducible_at_dab"] is True
+
+    def test_beyond_oracle_scale_refused_at_once(self, capsys, monkeypatch):
+        # boxes of t >= 23,167 exceed the oracle's grid cap for (2,3,1)
+        walks = _oracle_walks(monkeypatch, 1)
+        code, out, err = run(capsys, "scan-bounds", "--family", "2,3,1", "--t-max", "30000")
+        assert (code, out) == (1, "")
+        assert "beyond oracle scale" in err
+        assert walks == [30000]
 
     @pytest.mark.parametrize("t_max", ["6", "-5"])
     def test_no_covered_shift_exit_1(self, capsys, t_max):
@@ -311,6 +372,16 @@ class TestDifftest:
         code, out, err = run(capsys, "difftest", "--family", "1,1,1", "--periods", periods)
         assert (code, out) == (1, "")
         assert "periods" in err
+
+    def test_beyond_oracle_scale_refused_at_once(self, capsys, monkeypatch):
+        # each window's largest shift is walked first: (1,1,1)'s at t = 2,001
+        # fits, and (2,3,1)'s at t = 30,006 is refused
+        walks = _oracle_walks(monkeypatch, 2)
+        code, out, err = run(capsys, "difftest", "--family", "1,1,1", "--family", "2,3,1",
+                             "--periods", "1000")
+        assert (code, out) == (1, "")
+        assert "beyond oracle scale" in err
+        assert walks == [2001, 30006]
 
     def test_mismatch_exit_3(self, capsys, monkeypatch):
         fam = ShiftedFamily(1, 1, 1)

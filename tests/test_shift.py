@@ -44,7 +44,7 @@ from gravershift import (
 )
 from gravershift import shift
 from gravershift.core import TradeSetMode, add, canonical_rep, sort_key
-from gravershift.shift import CompactBasis, _orthant_table, graver_count, hilbert_shift_compact
+from gravershift.shift import CompactBasis, _orthant_table, graver_count
 
 
 def _valid_shift_above(fam, t):
@@ -53,6 +53,11 @@ def _valid_shift_above(fam, t):
     while math.gcd(t, fam.d) != 1:
         t += 1
     return fam.instance(t)
+
+
+def _listed(trades):
+    """A compact basis that lists every member, as an oracle basis does."""
+    return CompactBasis(TradeSet.full(trades).trades)
 
 
 def _strictly_increasing(trades):
@@ -211,28 +216,34 @@ class TestAdvance:
     def test_pnp_two_steps_reach_t79(self, fam231, inst19):
         basis = TradeSet.full(H19_PNP)
         step1 = transport(inst19, OrthantLabel.PNP, basis, 1)
-        step2 = transport(fam231.instance(49), OrthantLabel.PNP, step1, 1)
-        assert step2.as_set() == H79_PNP
+        step2 = transport(fam231.instance(49), OrthantLabel.PNP, step1.materialize(), 1)
+        assert step2.materialize().as_set() == H79_PNP
         assert len(step1) == len(step2) == 5
 
     def test_ppn_growth(self, fam231, inst19):
         basis = TradeSet.full(H19_PPN)
         step1 = transport(inst19, OrthantLabel.PPN, basis, 1)
-        step2 = transport(fam231.instance(49), OrthantLabel.PPN, step1, 1)
+        step2 = transport(fam231.instance(49), OrthantLabel.PPN, step1.materialize(), 1)
         assert (len(basis), len(step1), len(step2)) == (7, 9, 11)
-        assert step2.as_set() == hilbert_oracle(fam231.instance(79), OrthantLabel.PPN).as_set()
+        assert (
+            step2.materialize().as_set()
+            == hilbert_oracle(fam231.instance(79), OrthantLabel.PPN).as_set()
+        )
 
     def test_single_point_segment_triples(self, fam231, inst19):
         # alpha = beta at t=19 seeds a 3-trade segment one period later
         step1 = transport(inst19, OrthantLabel.PPN, TradeSet.full(H19_PPN), 1)
-        assert {(2, 14, -15), (5, 9, -13), (8, 4, -11)} <= step1.as_set()
+        assert {(2, 14, -15), (5, 9, -13), (8, 4, -11)} <= step1.materialize().as_set()
 
     def test_npp_growth(self, fam231, inst19):
         basis = TradeSet.full(H19_NPP)
         step1 = transport(inst19, OrthantLabel.NPP, basis, 1)
-        step2 = transport(fam231.instance(49), OrthantLabel.NPP, step1, 1)
+        step2 = transport(fam231.instance(49), OrthantLabel.NPP, step1.materialize(), 1)
         assert (len(basis), len(step1), len(step2)) == (4, 7, 10)
-        assert step2.as_set() == hilbert_oracle(fam231.instance(79), OrthantLabel.NPP).as_set()
+        assert (
+            step2.materialize().as_set()
+            == hilbert_oracle(fam231.instance(79), OrthantLabel.NPP).as_set()
+        )
 
     def test_below_threshold_rejected(self, fam231):
         inst6 = fam231.instance(6)
@@ -315,7 +326,7 @@ class TestAdvance:
         assume(math.gcd(t, d) == 1)
         base = fam.instance(t)
         got = transport(base, orthant, hilbert_oracle(base, orthant), 1)
-        assert got.trades == hilbert_oracle(base.shifted(), orthant).trades
+        assert got.materialize().trades == hilbert_oracle(base.shifted(), orthant).trades
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -333,12 +344,13 @@ class TestAdvance:
         offset %= fam.rho
         for orthant in OrthantLabel:
             base = _valid_shift_above(fam, _orthant_table(fam)[orthant].threshold + offset)
-            got = transport(base, orthant, hilbert_oracle(base, orthant), periods)
+            got = transport(base, orthant, hilbert_oracle(base, orthant), periods).materialize()
             assert got == TradeSet.full(set(got.trades))
             assert _strictly_increasing(got)
         base = _valid_shift_above(fam, effective_base_bound(fam) + offset)
         parts = [transport(base, o, hilbert_oracle(base, o), periods) for o in OrthantLabel]
-        assert assemble_graver(*parts) == TradeSet.canonical(chain.from_iterable(parts))
+        written = [p.materialize() for p in parts]
+        assert assemble_graver(*parts) == TradeSet.canonical(chain.from_iterable(written))
 
 
 class TestSegmentGrowthIdentity:
@@ -395,7 +407,7 @@ class TestBaseDecomposition:
 class TestHilbertShift:
     def test_large_pnp(self, fam231):
         got = hilbert_shift(fam231.instance(94159), OrthantLabel.PNP)
-        assert got.as_set() == H94159_PNP
+        assert got.materialize().as_set() == H94159_PNP
 
     @pytest.mark.parametrize("a,b,d", DIFF_FAMILIES)
     def test_closed_equals_iterative(self, a, b, d):
@@ -408,38 +420,45 @@ class TestHilbertShift:
             base = fam.instance(t)
             for orthant in OrthantLabel:
                 basis = hilbert_oracle(base, orthant)
-                closed = transport(base, orthant, basis, 3)
+                closed = transport(base, orthant, basis, 3).materialize()
                 for k in range(3):
-                    basis = transport(base.shifted(k), orthant, basis, 1)
+                    basis = transport(base.shifted(k), orthant, basis, 1).materialize()
                 assert closed.trades == basis.trades, (a, b, d, t, orthant)
 
 
 class TestAssemble:
     def test_t19_counts(self, inst19):
-        merged = assemble_graver(
-            TradeSet.full(H19_PNP), TradeSet.full(H19_PPN), TradeSet.full(H19_NPP)
-        )
+        merged = assemble_graver(_listed(H19_PNP), _listed(H19_PPN), _listed(H19_NPP))
         assert len(merged) == 13
         assert len(merged.with_negations()) == 26
 
     def test_overlap_is_three_boundary_trades(self, inst79):
-        parts = [hilbert_oracle(inst79, orthant) for orthant in OrthantLabel]
+        parts = [CompactBasis(hilbert_oracle(inst79, o).trades) for o in OrthantLabel]
         merged = assemble_graver(*parts)
         assert sum(len(p) for p in parts) - len(merged) == 3
 
     def test_missing_plane_trade_raises(self):
-        npp = TradeSet.full(H19_NPP - {(-19, 17, 0)})
+        npp = _listed(H19_NPP - {(-19, 17, 0)})
         with pytest.raises(InternalConsistencyError):
-            assemble_graver(TradeSet.full(H19_PNP), TradeSet.full(H19_PPN), npp)
+            assemble_graver(_listed(H19_PNP), _listed(H19_PPN), npp)
 
     def test_zero_vector_rejected(self):
-        pnp = TradeSet.full(H19_PNP | {(0, 0, 0)})
+        pnp = _listed(H19_PNP | {(0, 0, 0)})
         with pytest.raises(InvalidInputError, match="zero vector"):
-            assemble_graver(pnp, TradeSet.full(H19_PPN), TradeSet.full(H19_NPP))
+            assemble_graver(pnp, _listed(H19_PPN), _listed(H19_NPP))
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):
-            assemble_graver(TradeSet.full([]), TradeSet.full(H19_PPN), TradeSet.full(H19_NPP))
+            assemble_graver(_listed([]), _listed(H19_PPN), _listed(H19_NPP))
+
+    def test_written_out_size_mismatch_raises(self, inst79, monkeypatch):
+        # the merge must have graver_count's size: segments written out one
+        # member short pass the boundary check but not this one
+        parts = [hilbert_shift(inst79, o) for o in OrthantLabel]
+        real = SegmentEndpoints.trades
+        monkeypatch.setattr(SegmentEndpoints, "trades", lambda self: real(self)[1:])
+        with pytest.raises(InternalConsistencyError, match="merged 21 canonical trades, expected 23"):
+            assemble_graver(*parts)
 
 
 class TestCompact:
@@ -456,31 +475,31 @@ class TestCompact:
         t = data.draw(st.sampled_from(window), label="t")
         assume(math.gcd(t, d) == 1)
         for inst in (fam.instance(t), _valid_shift_above(fam, 99_999)):
-            compact = [hilbert_shift_compact(inst, o) for o in OrthantLabel]
-            full = [hilbert_shift(inst, o) for o in OrthantLabel]
+            compact = [hilbert_shift(inst, o) for o in OrthantLabel]
+            full = [c.materialize() for c in compact]
             assert [len(c) for c in compact] == [len(f) for f in full]
             assert all(_strictly_increasing(f) for f in full)
-            assert graver_count(*compact) == len(assemble_graver(*full))
+            assert graver_count(*compact) == len(assemble_graver(*compact))
 
     def test_plane_trade_at_segment_end(self, fam231):
         # b = 3 divides t = 81, so the PPN segment starts at the v0 = 0 plane
         # trade (0, (t + d*b)/b, -t/b), which the PNP basis shares
         inst = fam231.instance(81)
-        parts = [hilbert_shift_compact(inst, o) for o in OrthantLabel]
+        parts = [hilbert_shift(inst, o) for o in OrthantLabel]
         assert parts[1].segment.start == (0, 28, -27)
         assert (0, -28, 27) in parts[0].rest
-        assert graver_count(*parts) == len(assemble_graver(*(p.materialize() for p in parts)))
+        assert graver_count(*parts) == len(assemble_graver(*parts))
 
     def test_missing_plane_trade_raises(self, inst79):
         # the count-path twin of TestAssemble's: the boundary check sees it
-        pnp, ppn, npp = (hilbert_shift_compact(inst79, o) for o in OrthantLabel)
+        pnp, ppn, npp = (hilbert_shift(inst79, o) for o in OrthantLabel)
         assert (-79, 77, 0) in npp.rest
         npp = CompactBasis(tuple(v for v in npp.rest if v != (-79, 77, 0)), npp.segment)
         with pytest.raises(InternalConsistencyError, match="measured 2"):
             graver_count(pnp, ppn, npp)
 
     def test_empty_input_rejected(self, inst79):
-        pnp, ppn, _ = (hilbert_shift_compact(inst79, o) for o in OrthantLabel)
+        pnp, ppn, _ = (hilbert_shift(inst79, o) for o in OrthantLabel)
         with pytest.raises(InvalidInputError):
             graver_count(pnp, ppn, CompactBasis(()))
 
