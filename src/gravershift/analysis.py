@@ -1,9 +1,10 @@
 """Quantitative verification: count tables, period-law checks, bound scans,
 differential testing, and Graver-augmented optimization over factorizations.
 
-All scans skip shifts the family does not cover (t <= d*a or gcd(t, d) != 1)
-rather than erroring, since ranges are swept wholesale; a range left with no
-shift to count or check is rejected.  Everything is exact integer or
+Every scan takes its shifts from one gate, `valid_shifts`.  It skips shifts
+the family does not cover (t <= d*a or gcd(t, d) != 1) rather than
+erroring, since ranges are swept wholesale, and it refuses a range it
+cannot serve before any row is computed.  Everything is exact integer or
 rational arithmetic.
 """
 
@@ -29,21 +30,54 @@ from .oracle import factorizations, graver_oracle, hilbert_oracle
 from .shift import effective_base_bound, graver_count, graver_shift, hilbert_shift
 
 
-def valid_shifts(fam: ShiftedFamily, t_lo: int, t_hi: int) -> list[int]:
-    """Shifts in [t_lo, t_hi] the family actually covers; a range holding a
-    covered shift past MAX_SHIFT is rejected before it is listed."""
-    t_lo = max(t_lo, fam.d * fam.a + 1)
-    past = _first_covered(fam, max(t_lo, MAX_SHIFT + 1))
+# The most shifts one scan may list: its shifts and rows are held in memory.
+MAX_ROWS = 10**6
+
+
+def valid_shifts(
+    fam: ShiftedFamily,
+    t_lo: int,
+    t_hi: int,
+    *,
+    reach: int = 0,
+    method: str = "fast",
+    name: str | None = None,
+) -> list[int]:
+    """The shifts in [t_lo, t_hi] the family covers: the one gate of every scan.
+
+    A row at t also counts at t + `reach`, by `method` as in `count_row`.
+    Before any row, the range is refused if (1) a covered t has
+    t + reach > MAX_SHIFT or (2) it spans more than MAX_ROWS shifts, both
+    checked before it is listed; if (3) it covers no shift (`name` names the
+    range then); or if (4) the oracle refuses the largest box the rows
+    walk, which is asked for first and cached for the scan.
+    """
+    lo = max(t_lo, fam.d * fam.a + 1)
+    past = max(lo, MAX_SHIFT - reach + 1)  # the first covered shift from here on
+    while math.gcd(past, fam.d) != 1:
+        past += 1
     if past <= t_hi:
+        if reach:
+            raise InvalidInputError(
+                f"shift t={past} is too large to verify: verify also counts at "
+                f"t + rho = {past + reach} and needs t + rho <= {MAX_SHIFT}"
+            )
         raise InvalidInputError(f"shift t={past} exceeds the supported bound {MAX_SHIFT}")
-    return [t for t in range(t_lo, t_hi + 1) if math.gcd(t, fam.d) == 1]
-
-
-def _first_covered(fam: ShiftedFamily, t: int, step: int = 1) -> int:
-    """The first shift coprime to d from t on, at most d - 1 steps of `step` away."""
-    while math.gcd(t, fam.d) != 1:
-        t += step
-    return t
+    if t_hi - lo >= MAX_ROWS:
+        raise InvalidInputError(
+            f"range {lo}..{t_hi} spans {t_hi - lo + 1} shifts; a scan lists at most {MAX_ROWS}"
+        )
+    shifts = [t for t in range(lo, t_hi + 1) if math.gcd(t, fam.d) == 1]
+    if not shifts:
+        name = name or f"{t_lo}..{t_hi}"
+        raise InvalidInputError(f"empty range {name}: the family covers no shift in it")
+    if method in ("oracle", "auto"):
+        # auto rows call the oracle only at or below the transport threshold
+        top = effective_base_bound(fam) if method == "auto" else MAX_SHIFT
+        largest = max((s for t in shifts for s in (t, t + reach) if s <= top), default=None)
+        if largest is not None:
+            hilbert_oracle(fam.instance(largest), OrthantLabel.PNP)
+    return shifts
 
 
 @dataclass(frozen=True)
@@ -58,7 +92,6 @@ class CountRow:
 
 @dataclass(frozen=True)
 class CountTable:
-    family: ShiftedFamily
     rows: tuple[CountRow, ...]
 
 
@@ -72,7 +105,7 @@ def count_row(inst: SemigroupInstance, method: str = "auto") -> CountRow:
         hr = hilbert_oracle(inst, OrthantLabel.NPP)
         graver = 2 * len(graver_oracle(inst))
     elif method == "fast":
-        # segment lengths, not members: O(1) in t, so any t <= MAX_SHIFT
+        # segment lengths, not members: O(1) in t, so any supported t
         hp = hilbert_shift(inst, OrthantLabel.PNP)
         hq = hilbert_shift(inst, OrthantLabel.PPN)
         hr = hilbert_shift(inst, OrthantLabel.NPP)
@@ -83,10 +116,8 @@ def count_row(inst: SemigroupInstance, method: str = "auto") -> CountRow:
 
 
 def count_scan(fam: ShiftedFamily, t_lo: int, t_hi: int, method: str = "auto") -> CountTable:
-    shifts = valid_shifts(fam, t_lo, t_hi)
-    if not shifts:
-        raise InvalidInputError(f"empty range {t_lo}..{t_hi}: the family covers no shift in it")
-    return CountTable(fam, tuple(count_row(fam.instance(t), method) for t in shifts))
+    shifts = valid_shifts(fam, t_lo, t_hi, method=method)
+    return CountTable(tuple(count_row(fam.instance(t), method) for t in shifts))
 
 
 @dataclass(frozen=True)
@@ -109,8 +140,6 @@ class PeriodLawReport:
     """
 
     family: ShiftedFamily
-    t_lo: int
-    t_hi: int
     expected_increment: int
     rows: tuple[PeriodLawRow, ...]
 
@@ -126,26 +155,14 @@ class PeriodLawReport:
 
 def verify_period_law(fam: ShiftedFamily, t_lo: int, t_hi: int, method: str = "oracle") -> PeriodLawReport:
     """Check the one-period count increments for every covered shift in range
-    above the transport threshold; a range with none of them is rejected.
-
-    Counts at t + rho are computed even when they fall beyond t_hi, so a
-    shift with t + rho > MAX_SHIFT is rejected.
-    """
+    above the transport threshold; each row also counts at t + rho, even
+    beyond t_hi."""
     a, b, d = fam.a, fam.b, fam.d
     bound = effective_base_bound(fam)
-    lo = max(t_lo, bound + 1)
-    # checked before the range is listed, which may reach far past MAX_SHIFT
-    first = _first_covered(fam, max(lo, MAX_SHIFT - fam.rho + 1))
-    if first <= t_hi:
-        raise InvalidInputError(
-            f"shift t={first} is too large to verify: verify also counts at "
-            f"t + rho = {first + fam.rho} and needs t + rho <= {MAX_SHIFT}"
-        )
-    shifts = valid_shifts(fam, lo, t_hi)
-    if not shifts:
-        raise InvalidInputError(
-            f"range {t_lo}..{t_hi} has no covered shift above the transport threshold {bound}"
-        )
+    shifts = valid_shifts(
+        fam, max(t_lo, bound + 1), t_hi, reach=fam.rho, method=method,
+        name=f"{t_lo}..{t_hi} above the transport threshold {bound}",
+    )
     expected = 2 * d * (a + b)
     cache: dict[int, CountRow] = {}
 
@@ -165,7 +182,7 @@ def verify_period_law(fam: ShiftedFamily, t_lo: int, t_hi: int, method: str = "o
         )
         ok = increments == (expected, 0, d * a, d * b)
         rows.append(PeriodLawRow(t, *increments, ok))
-    return PeriodLawReport(fam, t_lo, t_hi, expected, tuple(rows))
+    return PeriodLawReport(fam, expected, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -202,15 +219,11 @@ def empirical_bounds(fam: ShiftedFamily, t_max: int) -> BoundsReport:
     -d.
     """
     a, b, d = fam.a, fam.b, fam.d
-    if t_max <= d * a:
-        raise InvalidInputError(f"t_max={t_max} covers no shift: it must exceed d*a={d * a}")
-    # the largest shift needs the largest oracle box: asking for it first
-    # refuses a scan beyond oracle scale before the range is listed
-    hilbert_oracle(fam.instance(_first_covered(fam, t_max, -1)), OrthantLabel.PNP)
+    shifts = valid_shifts(fam, 1, t_max, method="oracle", name=f"up to t_max={t_max}")
     h = fam.homogeneous_trade
     last_red = last_no_ppn = last_no_npp = None
     reducible_at_dab = None
-    for t in valid_shifts(fam, fam.d * fam.a + 1, t_max):
+    for t in shifts:
         inst = fam.instance(t)
         h_irreducible = h in hilbert_oracle(inst, OrthantLabel.PNP)
         if not h_irreducible:
@@ -245,7 +258,6 @@ class DifferentialRow:
 
 @dataclass(frozen=True)
 class DifferentialReport:
-    periods: int
     rows: tuple[DifferentialRow, ...]
 
     @property
@@ -259,25 +271,26 @@ class DifferentialReport:
 
 def differential_test(families: Sequence[ShiftedFamily], periods: int) -> DifferentialReport:
     """Compare the transported Graver basis against the oracle, set-exactly,
-    for every covered shift in (bound, bound + periods*rho] of each family."""
-    if periods < 1:
-        raise InvalidInputError(f"periods must be >= 1, got {periods}")
-    # each window's largest shift needs its largest oracle box: asking for
-    # those first refuses a window beyond oracle scale before any row
-    for fam in families:
-        top = effective_base_bound(fam) + periods * fam.rho
-        graver_oracle(fam.instance(_first_covered(fam, top, -1)))
-    rows = []
+    for every covered shift in (bound, bound + periods*rho] of each family.
+    Every window is admitted before any row is computed."""
+    windows = []
     for fam in families:
         bound = effective_base_bound(fam)
-        for t in valid_shifts(fam, bound + 1, bound + periods * fam.rho):
+        shifts = valid_shifts(
+            fam, bound + 1, bound + periods * fam.rho, method="oracle",
+            name=f"of {periods} periods above the transport threshold {bound}",
+        )
+        windows.append((fam, shifts))
+    rows = []
+    for fam, shifts in windows:
+        for t in shifts:
             inst = fam.instance(t)
             fast = graver_shift(inst)
             oracle = graver_oracle(inst)
             rows.append(
                 DifferentialRow(fam, t, len(fast), len(oracle), fast.trades == oracle.trades)
             )
-    return DifferentialReport(periods, tuple(rows))
+    return DifferentialReport(tuple(rows))
 
 
 Weights = tuple[Fraction, Fraction, Fraction]

@@ -171,17 +171,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     fam = ShiftedFamily(*_parse_triple(args.family, "--family"))
     t_lo, t_hi = _parse_range(args.t_range)
     report = analysis.verify_period_law(fam, t_lo, t_hi, method=args.method)
-    lines = ["t,graver_increment,pnp_increment,ppn_increment,npp_increment,ok"]
-    lines.extend(
-        f"{r.t},{r.graver_increment},{r.pnp_increment},{r.ppn_increment},{r.npp_increment},"
-        f"{str(r.ok).lower()}"
-        for r in report.rows
+    table = formats.format_csv(
+        "t,graver_increment,pnp_increment,ppn_increment,npp_increment,ok",
+        map(dataclasses.astuple, report.rows),
     )
-    lines.append(
+    note = (
         f"# expected graver increment {report.expected_increment} per period "
-        f"{fam.rho}; leading coefficient {report.leading_coefficient}"
+        f"{fam.rho}; leading coefficient {report.leading_coefficient}\n"
     )
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(table + note, args.output)
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
@@ -243,13 +241,14 @@ def cmd_augment(args: argparse.Namespace) -> int:
 def cmd_difftest(args: argparse.Namespace) -> int:
     families = [ShiftedFamily(*_parse_triple(text, "--family")) for text in args.family]
     report = analysis.differential_test(families, args.periods)
-    lines = ["a,b,d,t,fast,oracle,equal"]
-    lines.extend(
-        f"{r.family.a},{r.family.b},{r.family.d},{r.t},{r.fast_count},{r.oracle_count},"
-        f"{str(r.equal).lower()}"
-        for r in report.rows
+    table = formats.format_csv(
+        "a,b,d,t,fast,oracle,equal",
+        (
+            (r.family.a, r.family.b, r.family.d, r.t, r.fast_count, r.oracle_count, r.equal)
+            for r in report.rows
+        ),
     )
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(table, args.output)
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 

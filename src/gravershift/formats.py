@@ -1,15 +1,15 @@
 """Serialization: 4ti2-style matrices, JSON documents, CSV tables.
 
-Every writer is byte-deterministic for identical inputs; the 4ti2 matrix
-format round-trips exactly.
+Every writer is byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Iterable, Sequence
 
 from .analysis import CountTable
-from .core import InvalidInputError, SemigroupInstance, Trade, TradeSet
+from .core import SemigroupInstance, TradeSet
 
 
 def format_4ti2(trades: TradeSet) -> str:
@@ -20,33 +20,6 @@ def format_4ti2(trades: TradeSet) -> str:
     lines = [f"{len(trades)} 3"]
     lines.extend(f"{x} {y} {z}" for x, y, z in trades)
     return "\n".join(lines) + "\n"
-
-
-def parse_4ti2(text: str) -> list[Trade]:
-    """Inverse of format_4ti2; validates the header against the row count."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise InvalidInputError("empty matrix file")
-    header = lines[0].split()
-    if len(header) != 2 or header[1] != "3":
-        raise InvalidInputError(f"expected header 'N 3', got {lines[0]!r}")
-    (n,) = _integers(header[:1], lines[0])
-    rows = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise InvalidInputError(f"expected 3 integers per row, got {line!r}")
-        rows.append(_integers(parts, line))
-    if len(rows) != n:
-        raise InvalidInputError(f"header says {n} rows, found {len(rows)}")
-    return rows
-
-
-def _integers(parts: list[str], line: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise InvalidInputError(f"expected integers, got {line!r}") from None
 
 
 def format_trades_csv(trades: TradeSet) -> str:
@@ -87,9 +60,17 @@ def dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def format_count_csv(table: CountTable) -> str:
-    lines = ["t,graver,h_pnp,h_ppn,h_npp,method"]
+def format_csv(header: str, rows: Iterable[Sequence]) -> str:
+    """Header line, then one comma-joined line per row; booleans as true/false."""
+    lines = [header]
     lines.extend(
-        f"{r.t},{r.graver},{r.h_pnp},{r.h_ppn},{r.h_npp},{r.method}" for r in table.rows
+        ",".join(str(x).lower() if isinstance(x, bool) else str(x) for x in row) for row in rows
     )
     return "\n".join(lines) + "\n"
+
+
+def format_count_csv(table: CountTable) -> str:
+    return format_csv(
+        "t,graver,h_pnp,h_ppn,h_npp,method",
+        ((r.t, r.graver, r.h_pnp, r.h_ppn, r.h_npp, r.method) for r in table.rows),
+    )

@@ -35,6 +35,16 @@ class TestValidShifts:
     def test_all_covered_for_d1(self, fam231):
         assert valid_shifts(fam231, 1, 6) == [3, 4, 5, 6]
 
+    def test_row_cap(self, monkeypatch):
+        # the span is counted from d*a + 1 = 7 and includes uncovered shifts
+        monkeypatch.setattr(analysis, "MAX_ROWS", 5)
+        fam = ShiftedFamily(3, 4, 2)
+        assert valid_shifts(fam, -100, 11) == [7, 9, 11]
+        with pytest.raises(InvalidInputError, match="7..12 spans 6 shifts"):
+            valid_shifts(fam, -100, 12)
+        with pytest.raises(InvalidInputError, match="at most 5"):
+            count_scan(fam, 7, 12, "fast")
+
 
 class TestCountScan:
     def test_oracle_row_t19(self, fam231):

@@ -9,7 +9,6 @@ import pytest
 from gravershift import OrthantLabel, ShiftedFamily, analysis, oracle
 from gravershift.analysis import DifferentialReport, DifferentialRow
 from gravershift.cli import main
-from gravershift.formats import parse_4ti2
 from gravershift.shift import CompactBasis
 from test_formats import GOLDEN_4TI2_M19
 
@@ -73,9 +72,9 @@ class TestGraver:
 
     def test_both_signs(self, capsys):
         _, out, _ = run(capsys, "graver", "--gens", "17,19,22", "--both-signs")
-        rows = parse_4ti2(out)
-        assert len(rows) == 26
-        assert (3, -5, 2) in rows and (-3, 5, -2) in rows
+        header, *rows = out.splitlines()
+        assert header == "26 3" and len(rows) == 26
+        assert "3 -5 2" in rows and "-3 5 -2" in rows
 
     def test_json_schema(self, capsys):
         _, out, _ = run(capsys, "graver", "--gens", "17,19,22", "--format", "json")
@@ -94,8 +93,9 @@ class TestGraver:
         path = tmp_path / "basis.mat"
         code, out, _ = run(capsys, "graver", "--gens", "77,79,82", "--output", str(path))
         assert code == 0 and out == ""
-        rows = parse_4ti2(path.read_text())
-        assert len(rows) == 23
+        _, stdout, _ = run(capsys, "graver", "--gens", "77,79,82")
+        assert path.read_text() == stdout
+        assert stdout.startswith("23 3\n") and len(stdout.splitlines()) == 24
 
     @pytest.mark.parametrize("target", ["missing/dir/basis.mat", "."])
     def test_unwritable_output_exit_1(self, capsys, tmp_path, target):
@@ -119,21 +119,21 @@ class TestHilbert:
     def test_pnp_table(self, capsys):
         code, out, _ = run(capsys, "hilbert", "--gens", "17,19,22", "--orthant", "pnp")
         assert code == 0
-        assert set(parse_4ti2(out)) == {
-            (0, -22, 19), (1, -9, 7), (3, -5, 2), (11, -11, 1), (19, -17, 0),
-        }
+        header, *rows = out.splitlines()
+        assert header == "5 3"
+        assert set(rows) == {"0 -22 19", "1 -9 7", "3 -5 2", "11 -11 1", "19 -17 0"}
 
     def test_npp_contains_segment_endpoints(self, capsys):
         _, out, _ = run(capsys, "hilbert", "--gens", "17,19,22", "--orthant", "npp")
-        rows = parse_4ti2(out)
-        assert len(rows) == 4
-        assert (-8, 6, 1) in rows and (-5, 1, 3) in rows
+        header, *rows = out.splitlines()
+        assert header == "4 3" and len(rows) == 4
+        assert "-8 6 1" in rows and "-5 1 3" in rows
 
     def test_ppn_at_t79(self, capsys):
         _, out, _ = run(capsys, "hilbert", "--gens", "77,79,82", "--orthant", "ppn")
-        rows = parse_4ti2(out)
-        assert len(rows) == 11
-        assert {(2, 24, -25), (14, 4, -17)} <= set(rows)
+        header, *rows = out.splitlines()
+        assert header == "11 3" and len(rows) == 11
+        assert {"2 24 -25", "14 4 -17"} <= set(rows)
 
     def test_json_has_orthant(self, capsys):
         _, out, _ = run(capsys, "hilbert", "--gens", "17,19,22", "--orthant", "ppn",
@@ -219,7 +219,8 @@ class TestCountsNearMaxShift:
 
 
 class TestRangePastMaxShift:
-    """A range reaching past MAX_SHIFT is refused before it is listed."""
+    """A range reaching past MAX_SHIFT, or spanning more than MAX_ROWS
+    shifts, is refused before it is listed."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -229,8 +230,10 @@ class TestRangePastMaxShift:
             ["verify", "--family", "1,1,1", "--t-range", "999999990..1000000000000",
              "--method", "fast"],
             ["difftest", "--family", "1,1,1", "--periods", "1000000000000"],
+            ["count", "--family", "1,1,1", "--t-range", "2..1000000000", "--method", "fast"],
+            ["verify", "--family", "1,1,1", "--t-range", "2..999999000", "--method", "fast"],
         ],
-        ids=["count", "verify", "difftest"],
+        ids=["count", "verify", "difftest", "count-rows", "verify-rows"],
     )
     def test_exit_1_within_memory_limit(self, argv):
         # the child alone runs under a 1 GB address-space limit, which the
@@ -271,6 +274,30 @@ def _oracle_walks(monkeypatch, limit):
     return walks
 
 
+@pytest.mark.parametrize(
+    "command,walked", [("count", 23200), ("verify", 23230)], ids=["count", "verify"]
+)
+def test_oracle_scan_beyond_scale_refused_at_once(capsys, monkeypatch, command, walked):
+    # the default oracle rows would walk every box from t = 23,100 up before
+    # the grid cap refuses t >= 23,167; the largest box (at t + rho = 23,230
+    # for verify) is asked for first
+    walks = _oracle_walks(monkeypatch, 1)
+    code, out, err = run(capsys, command, "--family", "2,3,1", "--t-range", "23100..23200")
+    assert (code, out) == (1, "")
+    assert "beyond oracle scale" in err
+    assert walks == [walked]
+
+
+def test_auto_count_probes_only_oracle_rows(capsys, monkeypatch):
+    # auto rows call the oracle up to the threshold 6 only, so the probe is
+    # at t = 6 and no box past the base shifts (at most 6 + rho = 36) is walked
+    walks = _oracle_walks(monkeypatch, 100)
+    code, _, _ = run(capsys, "count", "--family", "2,3,1", "--t-range", "3..200",
+                     "--method", "auto")
+    assert code == 0
+    assert walks[0] == 6 and max(walks) <= 36
+
+
 class TestVerify:
     def test_clean_window_exit_0(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "2,3,1", "--t-range", "7..12")
@@ -283,7 +310,7 @@ class TestVerify:
         from gravershift.analysis import PeriodLawReport, PeriodLawRow
 
         fam = ShiftedFamily(2, 3, 1)
-        fake = PeriodLawReport(fam, 7, 7, 10, (PeriodLawRow(7, 9, 0, 2, 3, False),))
+        fake = PeriodLawReport(fam, 10, (PeriodLawRow(7, 9, 0, 2, 3, False),))
         monkeypatch.setattr(analysis, "verify_period_law", lambda *a, **k: fake)
         code, _, _ = run(capsys, "verify", "--family", "2,3,1", "--t-range", "7..7")
         assert code == 3
@@ -385,7 +412,7 @@ class TestDifftest:
 
     def test_mismatch_exit_3(self, capsys, monkeypatch):
         fam = ShiftedFamily(1, 1, 1)
-        fake = DifferentialReport(1, (DifferentialRow(fam, 2, 5, 6, False),))
+        fake = DifferentialReport((DifferentialRow(fam, 2, 5, 6, False),))
         monkeypatch.setattr(analysis, "differential_test", lambda *a, **k: fake)
         code, _, _ = run(capsys, "difftest", "--family", "1,1,1")
         assert code == 3
