@@ -10,9 +10,11 @@ invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from fractions import Fraction
+from typing import Iterator, TextIO
 
 from . import analysis, formats
 from .core import (
@@ -74,15 +76,28 @@ def _parse_weights(text: str) -> tuple[Fraction, Fraction, Fraction]:
     return w  # type: ignore[return-value]
 
 
-def _emit(text: str, output: str | None) -> None:
+@contextlib.contextmanager
+def _opened(output: str | None) -> Iterator[TextIO]:
+    """stdout, or the --output file; opened before anything is written, so
+    a path that cannot be written exits 1 with no output."""
     if output is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise CliError(f"cannot write --output {output!r}: {exc.strerror or exc}") from None
+
+
+def _emit(text: str, output: str | None) -> None:
+    with _opened(output) as fh:
+        fh.write(text)
+
+
+def _emit_json(doc: dict, output: str | None) -> None:
+    with _opened(output) as fh:
+        formats.dump_json(doc, fh)
 
 
 def _resolve_method(inst: SemigroupInstance, method: str) -> str:
@@ -122,12 +137,11 @@ def _emit_trades(
     args: argparse.Namespace, inst: SemigroupInstance, method: str, trades: TradeSet, **extra
 ) -> None:
     if args.format == "4ti2":
-        text = formats.format_4ti2(trades)
+        _emit(formats.format_4ti2(trades), args.output)
     elif args.format == "csv":
-        text = formats.format_trades_csv(trades)
+        _emit(formats.format_trades_csv(trades), args.output)
     else:
-        text = formats.dump_json(formats.trades_document(inst, method, trades, **extra))
-    _emit(text, args.output)
+        _emit_json(formats.trades_document(inst, method, trades, **extra), args.output)
 
 
 def cmd_graver(args: argparse.Namespace) -> int:
@@ -161,7 +175,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             "family": {"a": fam.a, "b": fam.b, "d": fam.d},
             "rows": [dataclasses.asdict(r) for r in table.rows],
         }
-        _emit(formats.dump_json(doc), args.output)
+        _emit_json(doc, args.output)
     else:
         _emit(formats.format_count_csv(table), args.output)
     return EXIT_OK
@@ -201,7 +215,7 @@ def cmd_scan_bounds(args: argparse.Namespace) -> int:
         },
         "homogeneous_reducible_at_dab": report.homogeneous_reducible_at_dab,
     }
-    _emit(formats.dump_json(doc), args.output)
+    _emit_json(doc, args.output)
     return EXIT_OK
 
 
@@ -234,7 +248,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
             "value": str(value),
         }
     )
-    _emit(formats.dump_json(doc), args.output)
+    _emit_json(doc, args.output)
     return EXIT_OK
 
 

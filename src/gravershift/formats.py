@@ -6,7 +6,8 @@ Every writer is byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Sequence, TextIO
 
 from .analysis import CountTable
 from .core import SemigroupInstance, TradeSet
@@ -17,15 +18,18 @@ def format_4ti2(trades: TradeSet) -> str:
 
     Rows keep the TradeSet order (ascending lexicographic on (v2, v1, v0)).
     """
-    lines = [f"{len(trades)} 3"]
-    lines.extend(f"{x} {y} {z}" for x, y, z in trades)
-    return "\n".join(lines) + "\n"
+    return _rows(f"{len(trades)} 3", trades, " ")
 
 
 def format_trades_csv(trades: TradeSet) -> str:
-    lines = ["v0,v1,v2"]
-    lines.extend(f"{x},{y},{z}" for x, y, z in trades)
-    return "\n".join(lines) + "\n"
+    return _rows("v0,v1,v2", trades, ",")
+
+
+def _rows(header: str, trades: TradeSet, sep: str) -> str:
+    """Header line, then one line per trade with its coordinates joined by
+    sep, all rows written by one batched %-format."""
+    row = f"%d{sep}%d{sep}%d\n"
+    return f"{header}\n" + (row * len(trades)) % tuple(chain.from_iterable(trades))
 
 
 def instance_document(inst: SemigroupInstance, method: str) -> dict:
@@ -56,8 +60,11 @@ def trades_document(inst: SemigroupInstance, method: str, trades: TradeSet, **ex
     return doc
 
 
-def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def dump_json(doc: dict, out: TextIO) -> None:
+    """Write doc as indented JSON and a final newline, chunk by chunk as it
+    is encoded, so the text is never held whole."""
+    out.writelines(json.JSONEncoder(indent=2).iterencode(doc))
+    out.write("\n")
 
 
 def format_csv(header: str, rows: Iterable[Sequence]) -> str:

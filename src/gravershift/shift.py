@@ -16,11 +16,13 @@ it reads the segment's length without writing its members out.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from types import MappingProxyType
+from typing import Iterable
 
 from .core import (
     InternalConsistencyError,
@@ -32,6 +34,7 @@ from .core import (
     Trade,
     TradeSet,
     TradeSetMode,
+    add,
     canonical_rep,
     in_orthant,
     length,
@@ -238,15 +241,37 @@ class CompactBasis:
         return {*self.rest, *ends}
 
     def materialize(self) -> TradeSet:
-        """Every member, written out in sort_key order."""
+        """Every member, written out in sort_key order: the segment's run
+        with the few rest members inserted by bisect."""
         if self.segment is None:
             return TradeSet(self.rest, TradeSetMode.FULL)
-        # the segment is one ascending run and the rest are few and off it,
-        # so this sort is a merge
-        trades = self.segment.trades()
-        trades.extend(self.rest)
-        trades.sort(key=sort_key)
-        return TradeSet(tuple(trades), TradeSetMode.FULL)
+        return TradeSet(tuple(_insert_sorted(self.segment.trades(), self.rest)), TradeSetMode.FULL)
+
+
+def _ascending(trades: list[Trade]) -> bool:
+    keys = list(map(sort_key, trades))
+    return all(map(operator.lt, keys, keys[1:]))
+
+
+def _insert_sorted(run: list[Trade], members: Iterable[Trade]) -> list[Trade]:
+    """The strictly ascending `run` with `members` inserted in sort_key order.
+
+    Each member goes in by bisect and must land strictly between its
+    neighbours, so a member already in the run, or given twice, raises
+    InternalConsistencyError.  Linear in len(run) plus a sort of the
+    members, which are few.
+    """
+    listing: list[Trade] = []
+    lo = 0
+    for v in sorted(members, key=sort_key):
+        hi = bisect_left(run, sort_key(v), lo, key=sort_key)
+        listing += run[lo:hi]
+        if not _ascending([*listing[-1:], v, *run[hi:hi + 1]]):
+            raise InternalConsistencyError(f"{v} is not strictly between its neighbours")
+        listing.append(v)
+        lo = hi
+    listing += run[lo:]
+    return listing
 
 
 def transport(
@@ -381,7 +406,12 @@ def graver_count(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasis) 
     their boundaries.  Any other value than 3 means a basis is wrong, so
     it raises InternalConsistencyError.
     """
-    parts = (h_pnp, h_ppn, h_npp)
+    return _canonical_boundary(h_pnp, h_ppn, h_npp)[1]
+
+
+def _canonical_boundary(*parts: CompactBasis) -> tuple[set[Trade], int]:
+    """graver_count's measurement: the canonical boundary members of the
+    three bases, and the Graver size they give."""
     if any(len(p) == 0 for p in parts):
         raise InvalidInputError("orthant Hilbert bases are never empty for a valid instance")
     boundaries = [p.boundary() for p in parts]
@@ -391,32 +421,60 @@ def graver_count(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasis) 
         raise InternalConsistencyError(
             f"expected 3 shared boundary trades, measured {overlap}"
         )
-    return sum(map(len, parts)) - overlap
+    return union, sum(map(len, parts)) - overlap
+
+
+def _canonical_interior(segment: SegmentEndpoints | None) -> list[Trade]:
+    """The segment's members strictly between its ends, canonicalized, ascending.
+
+    They share one sign pattern (graver_count), so canonicalizing keeps
+    them all or negates them all, and negation reverses the run:
+    start+h .. end-h, or -end+h .. -start-h.
+    """
+    if segment is None or segment.count < 3:
+        return []
+    first, last, h = segment.start, segment.end, segment.step
+    if canonical_rep(add(first, h)) != add(first, h):
+        first, last = negate(last), negate(first)
+    return SegmentEndpoints(add(first, h), sub(last, h), h, segment.count - 2).trades()
 
 
 def assemble_graver(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasis) -> TradeSet:
-    """Union of the three Hilbert bases and their negations, canonicalized.
+    """Union of the three Hilbert bases and their negations, canonicalized,
+    listed in sort_key order without a sort.
 
-    Each materialized basis is sorted by sort_key, and a member's
-    canonical representative is its negation exactly when
-    sort_key(v) < (0, 0, 0), so those members are a prefix; negated and
-    reversed, the prefix ascends too.  The union is therefore a merge of
-    six sorted runs.  Its size must be graver_count's, which measures the
-    overlap; a merge of any other size raises InternalConsistencyError.
+    Almost every member lies inside the PPN or the NPP segment, and each
+    canonical interior is one arithmetic run of step h = (b, -(a+b), a);
+    h2 = a > 0, so each run ascends strictly.  The runs do not interleave.
+    An NPP interior member v has coordinate sum -d and pairs to 0 with the
+    generators, so v2 = (t - d*a - a*v1)/(a+b) < (t - d*a)/(a+b), because
+    v1 > 0 (graver_count).  A PPN interior member u has sum d, and its
+    canonical rep -u has v2 = (t - d*a + a*u1)/(a+b) > (t - d*a)/(a+b),
+    because u1 > 0.  sort_key compares v2 first, so the NPP run lies wholly
+    below the PPN run, and their concatenation ascends.  The boundary
+    members (canonical reps of every rest and segment end, graver_count's
+    set) are few above the threshold, and all members when there is no
+    segment; each goes in by bisect.
+
+    Strict order is checked where pieces meet: the ends of both runs, in
+    order, cover each run's direction and the seam; each inserted member
+    must lie strictly between its neighbours.  Inside a run the order
+    holds by construction, so the whole listing ascends strictly.  Its
+    size must be graver_count's, which measures the overlap; any other
+    size or order raises InternalConsistencyError.
     """
-    expected = graver_count(h_pnp, h_ppn, h_npp)
-    runs = []
-    for part in (h_pnp, h_ppn, h_npp):
-        trades = part.materialize().trades
-        cut = bisect_left(trades, (0, 0, 0), key=sort_key)
-        runs.append(map(negate, reversed(trades[:cut])))
-        runs.append(trades[cut:])
-    merged = tuple(dict.fromkeys(sorted(chain.from_iterable(runs), key=sort_key)))
+    boundary, expected = _canonical_boundary(h_pnp, h_ppn, h_npp)
+    npp, ppn = _canonical_interior(h_npp.segment), _canonical_interior(h_ppn.segment)
+    # a one-member run has one end
+    ends = [v for run in (npp, ppn) if run for v in dict.fromkeys((run[0], run[-1]))]
+    if not _ascending(ends):
+        raise InternalConsistencyError(f"segment interiors out of order: ends {ends}")
+    merged = _insert_sorted(npp + ppn, boundary)
     if len(merged) != expected:
         raise InternalConsistencyError(
             f"merged {len(merged)} canonical trades, expected {expected}"
         )
-    return TradeSet(merged, TradeSetMode.CANONICAL)
+    return TradeSet(tuple(merged), TradeSetMode.CANONICAL)
 
 
 def graver_shift(inst: SemigroupInstance) -> TradeSet:

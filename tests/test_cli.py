@@ -9,7 +9,7 @@ import pytest
 from gravershift import OrthantLabel, ShiftedFamily, analysis, oracle
 from gravershift.analysis import DifferentialReport, DifferentialRow
 from gravershift.cli import main
-from gravershift.shift import CompactBasis
+from gravershift.shift import CompactBasis, SegmentEndpoints
 from test_formats import GOLDEN_4TI2_M19
 
 
@@ -105,6 +105,13 @@ class TestGraver:
         assert code == 1 and out == ""
         assert err.startswith("error:") and str(path) in err
 
+    def test_out_of_order_interior_exit_2(self, capsys, monkeypatch):
+        real = SegmentEndpoints.trades
+        monkeypatch.setattr(SegmentEndpoints, "trades", lambda self: real(self)[::-1])
+        code, out, err = run(capsys, "graver", "--gens", "94157,94159,94162", "--method", "shift")
+        assert (code, out) == (2, "")
+        assert "out of order" in err
+
     def test_wrong_arity_exit_1(self, capsys):
         code, _, err = run(capsys, "graver", "--gens", "2,3")
         assert code == 1
@@ -165,6 +172,22 @@ class TestCount:
         doc = json.loads(out)
         assert doc["family"] == {"a": 2, "b": 3, "d": 1}
         assert [row["t"] for row in doc["rows"]] == [19, 20]
+
+    def test_json_streamed_as_one_shot_text(self, capsys, tmp_path):
+        # the document is written chunk by chunk; the bytes are json.dumps'
+        argv = ["count", "--family", "2,3,1", "--t-range", "19..40", "--format", "json"]
+        _, out, _ = run(capsys, *argv)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        path = tmp_path / "count.json"
+        assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+        assert path.read_text() == out
+
+    def test_json_unwritable_output_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "count.json"
+        code, out, err = run(capsys, "count", "--family", "2,3,1", "--t-range", "19..40",
+                             "--format", "json", "--output", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and not path.parent.exists()
 
     def test_bad_range_exit_1(self, capsys):
         code, _, _ = run(capsys, "count", "--family", "2,3,1", "--t-range", "19")

@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import chain
 
@@ -459,6 +460,114 @@ class TestAssemble:
         monkeypatch.setattr(SegmentEndpoints, "trades", lambda self: real(self)[1:])
         with pytest.raises(InternalConsistencyError, match="merged 21 canonical trades, expected 23"):
             assemble_graver(*parts)
+
+
+def _split(inst, orthant):
+    """The oracle basis at inst as a compact one: its segment solved at
+    inst, every other member listed.  Near the threshold the segments have
+    one or two members, which transported bases never have."""
+    basis = hilbert_oracle(inst, orthant)
+    if orthant is OrthantLabel.PNP:
+        return CompactBasis(basis.trades)
+    segment = (positive_segment if orthant is OrthantLabel.PPN else negative_segment)(inst)
+    on_segment = set(segment.trades())
+    compact = CompactBasis(tuple(v for v in basis if v not in on_segment), segment)
+    assert len(compact) == len(basis)
+    return compact
+
+
+def _coprime_families():
+    return [
+        ShiftedFamily(a, b, d)
+        for a in range(1, 7) for b in range(1, 7) for d in range(1, 4)
+        if math.gcd(a, b) == 1
+    ]
+
+
+@functools.lru_cache(maxsize=1)
+def _assembly_sweep():
+    """(instance, compact bases) over coprime a, b <= 6 and d <= 3: bases
+    listed whole (no segment), split from the oracle at the first three
+    covered shifts above b_max and half a period on, and transported
+    over one or two periods."""
+    cases = []
+    for fam in _coprime_families():
+        near = _valid_shift_above(fam, fam.b_max)
+        for inst in (near, _valid_shift_above(fam, near.t), _valid_shift_above(fam, near.t + 1),
+                     _valid_shift_above(fam, fam.b_max + fam.rho // 2)):
+            cases.append((inst, [_split(inst, o) for o in OrthantLabel]))
+        cases.append((near, [hilbert_shift(near, o) for o in OrthantLabel]))
+        for periods in (1, 2):
+            inst = _valid_shift_above(fam, fam.b_max + periods * fam.rho + fam.rho // 3)
+            cases.append((inst, [hilbert_shift(inst, o) for o in OrthantLabel]))
+    return cases
+
+
+class TestAssembleFromRuns:
+    """assemble_graver lays the two canonical segment interiors end to end
+    and inserts the boundary members; the listing must be the sorted
+    canonical union of the written-out bases."""
+
+    def test_equals_sorted_canonical_union(self):
+        seen = set()
+        for inst, parts in _assembly_sweep():
+            written = [p.materialize() for p in parts]
+            got = assemble_graver(*parts)
+            assert got == TradeSet.canonical(chain.from_iterable(written)), inst
+            assert _strictly_increasing(got)
+            for p in parts[1:]:
+                seen.add(min(p.segment.count, 3) if p.segment else None)
+            seen.add(base_decomposition(inst)[1] >= 1)
+        # no segment; segments of one and two members (no interior); longer
+        # ones; and transported bases (k >= 1)
+        assert seen == {None, 1, 2, 3, False, True}
+
+    def test_split_assembly_is_the_oracle_basis(self):
+        for inst, parts in _assembly_sweep():
+            if base_decomposition(inst)[1] == 0:
+                assert assemble_graver(*parts) == graver_oracle(inst), inst
+
+    def test_interiors_separated_by_v2(self):
+        # every NPP interior member has v2 < (t - d*a)/(a+b), every
+        # canonical PPN interior member v2 > (t - d*a)/(a+b)
+        both = 0
+        for inst, (_, ppn, npp) in _assembly_sweep():
+            fam = inst.family
+            cut = inst.t - fam.d * fam.a
+            npp_v2 = [v[2] for v in npp.segment.trades()[1:-1]] if npp.segment else []
+            ppn_v2 = [canonical_rep(v)[2] for v in ppn.segment.trades()[1:-1]] if ppn.segment else []
+            assert all(v2 * (fam.a + fam.b) < cut for v2 in npp_v2), inst
+            assert all(v2 * (fam.a + fam.b) > cut for v2 in ppn_v2), inst
+            both += bool(npp_v2 and ppn_v2)
+        assert both > 100
+
+    def test_reversed_interior_raises(self, monkeypatch):
+        inst = from_generators(94157, 94159, 94162)
+        parts = [hilbert_shift(inst, o) for o in OrthantLabel]
+        real = SegmentEndpoints.trades
+        monkeypatch.setattr(SegmentEndpoints, "trades", lambda self: real(self)[::-1])
+        with pytest.raises(InternalConsistencyError, match="out of order"):
+            assemble_graver(*parts)
+
+    def test_swapped_segments_fail_at_the_seam(self, inst79):
+        # the PPN interior listed first lies wholly above the NPP one
+        pnp, ppn, npp = (hilbert_shift(inst79, o) for o in OrthantLabel)
+        swapped_ppn = CompactBasis(ppn.rest, npp.segment)
+        swapped_npp = CompactBasis(npp.rest, ppn.segment)
+        with pytest.raises(InternalConsistencyError, match="out of order"):
+            assemble_graver(pnp, swapped_ppn, swapped_npp)
+
+    def test_duplicated_boundary_member_raises(self, inst79):
+        # an interior member also listed in rest passes the overlap check
+        # (it is not shared between bases) but not the order check
+        pnp, ppn, npp = (hilbert_shift(inst79, o) for o in OrthantLabel)
+        inner = npp.segment.trades()[1]
+        npp = CompactBasis(tuple(sorted((*npp.rest, inner), key=sort_key)), npp.segment)
+        assert graver_count(pnp, ppn, npp) == 24
+        with pytest.raises(InternalConsistencyError, match="strictly between"):
+            assemble_graver(pnp, ppn, npp)
+        with pytest.raises(InternalConsistencyError, match="strictly between"):
+            npp.materialize()
 
 
 class TestCompact:
