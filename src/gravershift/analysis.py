@@ -50,7 +50,10 @@ def valid_shifts(
     t + reach > MAX_SHIFT or (2) it spans more than MAX_ROWS shifts, both
     checked before it is listed; if (3) it covers no shift (`name` names the
     range then); or if (4) the oracle refuses the largest box the rows
-    walk, which is asked for first and cached for the scan.
+    walk, which is asked for first and cached for the scan.  An oracle row
+    walks its own shift's box; a fast or auto row walks its base shift's
+    (`base_decomposition`), which is the shift itself at or below the
+    transport threshold.
     """
     lo = max(t_lo, fam.d * fam.a + 1)
     past = max(lo, MAX_SHIFT - reach + 1)  # the first covered shift from here on
@@ -71,12 +74,15 @@ def valid_shifts(
     if not shifts:
         name = name or f"{t_lo}..{t_hi}"
         raise InvalidInputError(f"empty range {name}: the family covers no shift in it")
-    if method in ("oracle", "auto"):
-        # auto rows call the oracle only at or below the transport threshold
-        top = effective_base_bound(fam) if method == "auto" else MAX_SHIFT
-        largest = max((s for t in shifts for s in (t, t + reach) if s <= top), default=None)
-        if largest is not None:
-            hilbert_oracle(fam.instance(largest), OrthantLabel.PNP)
+    if method == "oracle":
+        largest = shifts[-1] + reach
+    else:
+        bound, rho = effective_base_bound(fam), fam.rho
+        largest = max(
+            s if s <= bound else s - (s - bound - 1) // rho * rho
+            for t in shifts for s in (t, t + reach)
+        )
+    hilbert_oracle(fam.instance(largest), OrthantLabel.PNP)
     return shifts
 
 
@@ -197,10 +203,6 @@ class BoundsReport:
     """
 
     family: ShiftedFamily
-    t_max: int
-    formula_plus: int
-    formula_plus_minus: int
-    formula_minus: int
     last_without_ppn_trade: int | None
     last_reducible_homogeneous: int | None
     last_without_npp_trade: int | None
@@ -236,10 +238,6 @@ def empirical_bounds(fam: ShiftedFamily, t_max: int) -> BoundsReport:
             last_no_npp = t
     return BoundsReport(
         family=fam,
-        t_max=t_max,
-        formula_plus=fam.b_plus,
-        formula_plus_minus=fam.b_plus_minus,
-        formula_minus=fam.b_minus,
         last_without_ppn_trade=last_no_ppn,
         last_reducible_homogeneous=last_red,
         last_without_npp_trade=last_no_npp,

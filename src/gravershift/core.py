@@ -17,7 +17,6 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator
 
 Trade = tuple[int, int, int]
@@ -248,20 +247,17 @@ class TradeSet:
     mode: TradeSetMode
 
     @staticmethod
-    def full(trades: Iterable[Trade]) -> TradeSet:
-        return TradeSet(tuple(sorted(set(trades), key=sort_key)), TradeSetMode.FULL)
-
-    @staticmethod
     def canonical(trades: Iterable[Trade]) -> TradeSet:
         reps = {canonical_rep(v) for v in trades}
         return TradeSet(tuple(sorted(reps, key=sort_key)), TradeSetMode.CANONICAL)
 
     def with_negations(self) -> TradeSet:
-        # the trades are sorted, so their negations reversed are sorted too,
-        # and sorting two runs is a merge
-        negations = map(negate, reversed(self.trades))
-        both = sorted(chain(negations, self.trades), key=sort_key)
-        return TradeSet(tuple(dict.fromkeys(both)), TradeSetMode.FULL)
+        """Every member and its negation, in sort_key order, without a sort:
+        a canonical member sorts above (0, 0, 0) and its negation below, and
+        negating the ascending members reversed keeps them ascending."""
+        if self.mode is not TradeSetMode.CANONICAL:
+            raise InvalidInputError("with_negations needs a canonical TradeSet")
+        return TradeSet((*map(negate, reversed(self.trades)), *self.trades), TradeSetMode.FULL)
 
     def as_set(self) -> frozenset[Trade]:
         return frozenset(self.trades)

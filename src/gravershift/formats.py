@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
-from .analysis import CountTable
 from .core import SemigroupInstance, TradeSet
+
+if TYPE_CHECKING:  # analysis loads only for the commands that count
+    from .analysis import CountTable
 
 
 def format_4ti2(trades: TradeSet) -> str:

@@ -66,11 +66,6 @@ def enumerate_trades(inst: SemigroupInstance, box: int) -> TradeSet:
     return TradeSet(tuple(found), TradeSetMode.FULL)
 
 
-def is_conformal(u: Trade, v: Trade) -> bool:
-    """True iff u lies below v in the conformal order: same signs, no larger magnitudes."""
-    return all(ui * vi >= 0 and abs(ui) <= abs(vi) for ui, vi in zip(u, v))
-
-
 @lru_cache(maxsize=512)
 def _staircases(inst: SemigroupInstance) -> MappingProxyType[OrthantLabel, tuple[Trade, ...]]:
     """Hilbert basis of each orthant: the Pareto minima of its box-n3 trades.

@@ -160,7 +160,7 @@ class TestPeriodLaw:
 class TestEmpiricalBounds:
     def test_family_231(self, fam231):
         report = empirical_bounds(fam231, 40)
-        assert (report.formula_plus, report.formula_plus_minus, report.formula_minus) == (4, 6, 5)
+        assert report.family == fam231
         assert report.last_without_ppn_trade == 4
         assert report.last_reducible_homogeneous == 6
         assert report.last_without_npp_trade == 5
@@ -191,7 +191,7 @@ class TestEmpiricalBounds:
     def test_d2_family_reports_minus_mismatch(self):
         # b_minus carries +a(d-1), so it matches the observed threshold for d >= 2
         report = empirical_bounds(ShiftedFamily(3, 4, 2), 40)
-        assert report.formula_minus == 17 == report.last_without_npp_trade
+        assert report.family.b_minus == 17 == report.last_without_npp_trade
         # t = d*a*b is even here, hence never scanned
         assert report.homogeneous_reducible_at_dab is None
 

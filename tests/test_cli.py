@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -19,9 +20,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_cli_import_needs_no_numpy():
+@pytest.mark.parametrize("module", ["numpy", "gravershift.analysis", "fractions"])
+def test_cli_import_needs_no(module):
+    # graver, hilbert and params load neither the counting layer nor numpy
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import gravershift.cli, sys; print('numpy' in sys.modules)"
+    probe = (
+        "import contextlib, io, sys\n"
+        "from gravershift.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for cmd in ('graver', 'hilbert --orthant ppn', 'params'):\n"
+        "        assert main([*cmd.split(), '--gens', '77,79,82']) == 0\n"
+        f"print({module!r} in sys.modules)"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -31,6 +41,49 @@ def test_cli_import_needs_no_numpy():
         check=True,
     )
     assert done.stdout == "False\n"
+
+
+EXPORTS = {
+    "analysis": [
+        "BoundsReport", "CountRow", "CountTable", "DifferentialReport", "PeriodLawReport",
+        "augment", "count_scan", "differential_test", "empirical_bounds", "exhaustive_optimum",
+        "verify_period_law",
+    ],
+    "core": [
+        "InternalConsistencyError", "InvalidInputError", "NoLengthTradeError", "OrthantLabel",
+        "OutsideScopeError", "SemigroupInstance", "ShiftedFamily", "Trade", "TradeSet",
+        "canonical_rep", "from_generators", "in_orthant", "length",
+    ],
+    "oracle": ["enumerate_trades", "factorizations", "graver_oracle", "hilbert_oracle"],
+    "shift": [
+        "SegmentEndpoints", "assemble_graver", "base_decomposition", "effective_base_bound",
+        "graver_shift", "hilbert_shift", "negative_segment", "period_map", "period_map_inverse",
+        "period_multiplier", "positive_segment", "transport",
+    ],
+}
+
+
+def test_package_exports_resolve_to_their_defining_module(monkeypatch):
+    # the same name imported, or rebound by a tracer, in another module
+    # must not be what the package exports
+    import gravershift
+
+    assert gravershift.__all__ == sorted(name for names in EXPORTS.values() for name in names)
+    modules = {
+        m: importlib.import_module(f"gravershift.{m}")
+        for m in ("analysis", "cli", "core", "formats", "oracle", "shift")
+    }
+    for home, names in EXPORTS.items():
+        for name in names:
+            for other, module in modules.items():
+                if other != home and hasattr(module, name):
+                    monkeypatch.setattr(module, name, object())
+            monkeypatch.delitem(vars(gravershift), name, raising=False)
+            value = getattr(gravershift, name)
+            assert value is getattr(modules[home], name)
+            assert getattr(value, "__module__", "builtins") in (modules[home].__name__, "builtins")
+    with pytest.raises(AttributeError):
+        gravershift.is_conformal
 
 
 class TestParams:
@@ -298,27 +351,39 @@ def _oracle_walks(monkeypatch, limit):
 
 
 @pytest.mark.parametrize(
-    "command,walked", [("count", 23200), ("verify", 23230)], ids=["count", "verify"]
+    "argv,walked",
+    [
+        (["count", "--family", "2,3,1", "--t-range", "23100..23200"], 23200),
+        (["verify", "--family", "2,3,1", "--t-range", "23100..23200"], 23230),
+        (["count", "--family", "150,151,1", "--t-range", "22990..23030", "--method", "fast"],
+         23030),
+        (["verify", "--family", "100,101,1", "--t-range", "23040..23080", "--method", "fast"],
+         23080),
+    ],
+    ids=["count", "verify", "count-fast", "verify-fast"],
 )
-def test_oracle_scan_beyond_scale_refused_at_once(capsys, monkeypatch, command, walked):
+def test_oracle_scan_beyond_scale_refused_at_once(capsys, monkeypatch, argv, walked):
     # the default oracle rows would walk every box from t = 23,100 up before
     # the grid cap refuses t >= 23,167; the largest box (at t + rho = 23,230
-    # for verify) is asked for first
+    # for verify) is asked for first.  Fast rows walk their base shift's
+    # box: the shift itself at or below b_max = 44,849 for (150,151,1), and
+    # t for both t and t + rho above b_max = 19,899 for (100,101,1)
     walks = _oracle_walks(monkeypatch, 1)
-    code, out, err = run(capsys, command, "--family", "2,3,1", "--t-range", "23100..23200")
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert "beyond oracle scale" in err
+    b = int(argv[2].split(",")[1])
+    assert f"enumeration box {walked + b} " in err and "beyond oracle scale" in err
     assert walks == [walked]
 
 
 def test_auto_count_probes_only_oracle_rows(capsys, monkeypatch):
-    # auto rows call the oracle up to the threshold 6 only, so the probe is
-    # at t = 6 and no box past the base shifts (at most 6 + rho = 36) is walked
+    # auto rows above the threshold 6 walk their base shifts, at most
+    # 6 + rho = 36, so the probe is at 36 and no box past it is walked
     walks = _oracle_walks(monkeypatch, 100)
     code, _, _ = run(capsys, "count", "--family", "2,3,1", "--t-range", "3..200",
                      "--method", "auto")
     assert code == 0
-    assert walks[0] == 6 and max(walks) <= 36
+    assert walks[0] == 36 and max(walks) <= 36
 
 
 class TestVerify:

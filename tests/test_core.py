@@ -210,7 +210,7 @@ class TestStrips:
 
     def test_wrong_orthant_rejected(self, inst19):
         with pytest.raises(InvalidInputError):
-            transport(inst19, OrthantLabel.PNP, TradeSet.full([(2, 4, -5)]), 1)
+            transport(inst19, OrthantLabel.PNP, [(2, 4, -5)], 1)
 
     def test_strip_orthants(self, inst19):
         # each strip bounds a coordinate that is non-negative in its orthant,
@@ -229,22 +229,20 @@ class TestTradeSet:
         assert ts.trades == ((3, -5, 2), (0, -22, 19))
         assert all(canonical_rep(v) == v for v in ts)
 
-    def test_full_mode_sorted_dedup(self):
-        ts = TradeSet.full([(3, -5, 2), (0, -22, 19), (3, -5, 2)])
-        assert ts.trades == tuple(sorted(ts.trades, key=sort_key))
-        assert len(ts) == 2
-
     def test_with_negations(self):
+        ts = TradeSet.canonical([(0, -22, 19), (3, -5, 2)]).with_negations()
+        assert ts.mode is TradeSetMode.FULL
+        # the negations, reversed, sort below every canonical member
+        assert ts.trades == ((0, 22, -19), (-3, 5, -2), (3, -5, 2), (0, -22, 19))
+        assert ts.trades == tuple(sorted(ts.trades, key=sort_key))
+
+    def test_with_negations_needs_canonical(self):
         ts = TradeSet.canonical([(3, -5, 2)]).with_negations()
-        assert ts.as_set() == {(3, -5, 2), (-3, 5, -2)}
-        # a negation-closed set is a fixed point: the duplicates are dropped
-        assert ts.with_negations() == ts
-        # mixed signs: the negations interleave with the trades
-        mixed = TradeSet.full([(0, 22, -19), (3, -5, 2)]).with_negations()
-        assert mixed == TradeSet.full([(0, 22, -19), (-3, 5, -2), (3, -5, 2), (0, -22, 19)])
+        with pytest.raises(InvalidInputError, match="canonical"):
+            ts.with_negations()
 
     def test_membership_and_iteration(self):
-        ts = TradeSet.full([(1, 0, 0)])
+        ts = TradeSet(((1, 0, 0),), TradeSetMode.FULL)
         assert (1, 0, 0) in ts
         assert list(ts) == [(1, 0, 0)]
 

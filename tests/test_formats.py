@@ -49,7 +49,7 @@ class TestMatrixFormat:
 
 class TestCsv:
     def test_trades_csv(self):
-        ts = TradeSet.full([(3, -5, 2), (0, -22, 19)])
+        ts = TradeSet.canonical([(3, -5, 2), (0, -22, 19)])
         assert format_trades_csv(ts) == "v0,v1,v2\n3,-5,2\n0,-22,19\n"
 
     def test_count_csv(self, fam231):

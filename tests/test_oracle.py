@@ -14,10 +14,14 @@ from gravershift import (
     graver_oracle,
     hilbert_oracle,
     in_orthant,
-    is_conformal,
     length,
 )
 from gravershift.core import TradeSetMode, negate, sort_key, sub
+
+
+def is_conformal(u, v):
+    """True iff u lies below v in the conformal order: same signs, no larger magnitudes."""
+    return all(ui * vi >= 0 and abs(ui) <= abs(vi) for ui, vi in zip(u, v))
 
 
 def _minima_by_scan(pool):

@@ -56,9 +56,14 @@ def _valid_shift_above(fam, t):
     return fam.instance(t)
 
 
+def _full(trades):
+    """A FULL-mode TradeSet of `trades`, deduplicated, in sort_key order."""
+    return TradeSet(tuple(sorted(set(trades), key=sort_key)), TradeSetMode.FULL)
+
+
 def _listed(trades):
     """A compact basis that lists every member, as an oracle basis does."""
-    return CompactBasis(TradeSet.full(trades).trades)
+    return CompactBasis(_full(trades).trades)
 
 
 def _strictly_increasing(trades):
@@ -215,14 +220,14 @@ class TestAdvance:
     """One-period steps of transport, checked against known bases."""
 
     def test_pnp_two_steps_reach_t79(self, fam231, inst19):
-        basis = TradeSet.full(H19_PNP)
+        basis = _full(H19_PNP)
         step1 = transport(inst19, OrthantLabel.PNP, basis, 1)
         step2 = transport(fam231.instance(49), OrthantLabel.PNP, step1.materialize(), 1)
         assert step2.materialize().as_set() == H79_PNP
         assert len(step1) == len(step2) == 5
 
     def test_ppn_growth(self, fam231, inst19):
-        basis = TradeSet.full(H19_PPN)
+        basis = _full(H19_PPN)
         step1 = transport(inst19, OrthantLabel.PPN, basis, 1)
         step2 = transport(fam231.instance(49), OrthantLabel.PPN, step1.materialize(), 1)
         assert (len(basis), len(step1), len(step2)) == (7, 9, 11)
@@ -233,11 +238,11 @@ class TestAdvance:
 
     def test_single_point_segment_triples(self, fam231, inst19):
         # alpha = beta at t=19 seeds a 3-trade segment one period later
-        step1 = transport(inst19, OrthantLabel.PPN, TradeSet.full(H19_PPN), 1)
+        step1 = transport(inst19, OrthantLabel.PPN, _full(H19_PPN), 1)
         assert {(2, 14, -15), (5, 9, -13), (8, 4, -11)} <= step1.materialize().as_set()
 
     def test_npp_growth(self, fam231, inst19):
-        basis = TradeSet.full(H19_NPP)
+        basis = _full(H19_NPP)
         step1 = transport(inst19, OrthantLabel.NPP, basis, 1)
         step2 = transport(fam231.instance(49), OrthantLabel.NPP, step1.materialize(), 1)
         assert (len(basis), len(step1), len(step2)) == (4, 7, 10)
@@ -249,16 +254,16 @@ class TestAdvance:
     def test_below_threshold_rejected(self, fam231):
         inst6 = fam231.instance(6)
         with pytest.raises(InvalidInputError):
-            transport(inst6, OrthantLabel.PNP, TradeSet.full(H19_PNP), 1)
+            transport(inst6, OrthantLabel.PNP, _full(H19_PNP), 1)
 
     def test_nonpositive_periods_rejected(self, inst19):
         with pytest.raises(InvalidInputError):
-            transport(inst19, OrthantLabel.PNP, TradeSet.full(H19_PNP), 0)
+            transport(inst19, OrthantLabel.PNP, _full(H19_PNP), 0)
 
     def test_foreign_basis_detected(self, inst19):
         # a genuine trade, (2,4,-5) + (7,3,-8), outside both strips with
         # coordinate sum != d: the accounting must fail
-        wrong = TradeSet.full([(9, 7, -13)])
+        wrong = _full([(9, 7, -13)])
         with pytest.raises(InternalConsistencyError):
             transport(inst19, OrthantLabel.PPN, wrong, 1)
 
@@ -268,7 +273,7 @@ class TestAdvance:
         base = fam231.instance(7)
         basis = hilbert_oracle(base, OrthantLabel.PPN).as_set() | {(0, 5, -4)}
         with pytest.raises(InvalidInputError, match="not a trade"):
-            transport(base, OrthantLabel.PPN, TradeSet.full(basis), 1)
+            transport(base, OrthantLabel.PPN, _full(basis), 1)
 
     def test_segment_endpoint_mismatch_detected(self, inst19, monkeypatch):
         real = shift.positive_segment
@@ -281,7 +286,7 @@ class TestAdvance:
 
         monkeypatch.setattr(shift, "positive_segment", shortened_later)
         with pytest.raises(InternalConsistencyError):
-            transport(inst19, OrthantLabel.PPN, TradeSet.full(H19_PPN), 1)
+            transport(inst19, OrthantLabel.PPN, _full(H19_PPN), 1)
 
     def test_extremal_image_off_segment_detected(self, fam231, monkeypatch):
         # a solver that drops the first member at every shift still passes
@@ -346,7 +351,7 @@ class TestAdvance:
         for orthant in OrthantLabel:
             base = _valid_shift_above(fam, _orthant_table(fam)[orthant].threshold + offset)
             got = transport(base, orthant, hilbert_oracle(base, orthant), periods).materialize()
-            assert got == TradeSet.full(set(got.trades))
+            assert got == _full(set(got.trades))
             assert _strictly_increasing(got)
         base = _valid_shift_above(fam, effective_base_bound(fam) + offset)
         parts = [transport(base, o, hilbert_oracle(base, o), periods) for o in OrthantLabel]
