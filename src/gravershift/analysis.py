@@ -10,9 +10,11 @@ rational arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence
 
 from .core import (
@@ -21,13 +23,12 @@ from .core import (
     OrthantLabel,
     SemigroupInstance,
     ShiftedFamily,
-    Trade,
     add,
     length,
     negate,
 )
 from .oracle import factorizations, graver_oracle, hilbert_oracle
-from .shift import effective_base_bound, graver_count, graver_shift, hilbert_shift
+from .shift import base_decomposition, effective_base_bound, graver_count, graver_shift, hilbert_shift
 
 
 # The most shifts one scan may list: its shifts and rows are held in memory.
@@ -75,14 +76,21 @@ def valid_shifts(
         name = name or f"{t_lo}..{t_hi}"
         raise InvalidInputError(f"empty range {name}: the family covers no shift in it")
     if method == "oracle":
-        largest = shifts[-1] + reach
+        largest = fam.instance(shifts[-1] + reach)
     else:
-        bound, rho = effective_base_bound(fam), fam.rho
-        largest = max(
-            s if s <= bound else s - (s - bound - 1) // rho * rho
-            for t in shifts for s in (t, t + reach)
-        )
-    hilbert_oracle(fam.instance(largest), OrthantLabel.PNP)
+        # base shifts rise through each period and wrap at its start, and
+        # rho is a multiple of d, so each list's largest base shift is its
+        # last element's or that of its last element before that period
+        bound = effective_base_bound(fam)
+        bases = []
+        for r in {0, reach}:
+            base, _ = base_decomposition(fam.instance(shifts[-1] + r))
+            bases.append(base)
+            before = bisect.bisect_right(shifts, shifts[-1] - base.t + bound) - 1
+            if base.t > bound and before >= 0:
+                bases.append(base_decomposition(fam.instance(shifts[before] + r))[0])
+        largest = max(bases, key=attrgetter("t"))
+    hilbert_oracle(largest, OrthantLabel.PNP)
     return shifts
 
 
@@ -306,11 +314,12 @@ def augment(
 ) -> tuple[int, int, int]:
     """Optimize a linear objective over the factorizations of one element.
 
-    Greedy first-improving-move search: walk the canonical Graver list in
-    sorted order, trying each trade and its negation, and restart after any
-    strict improvement that keeps all coordinates non-negative.  For linear
-    objectives the terminal point is a global optimum regardless of pivot
-    order, so the fixed order is only for determinism.
+    Greedy first-improving-move search over the canonical Graver list in
+    sorted order, each trade followed by its negation.  A move g changes the
+    objective by w.g wherever it is taken, so the improving moves are kept
+    once; each step takes the first that keeps all coordinates non-negative.
+    For linear objectives the terminal point is a global optimum regardless
+    of pivot order, so the fixed order is only for determinism.
     """
     if len(start) != 3 or any(z < 0 for z in start):
         raise InvalidInputError(f"start must be a non-negative 3-vector, got {start}")
@@ -319,26 +328,19 @@ def augment(
     w: Weights = tuple(Fraction(c) for c in weights)  # type: ignore[assignment]
     if len(w) != 3:
         raise InvalidInputError("objective must have 3 components")
-    moves: list[Trade] = []
-    for g in graver_shift(inst):
-        moves.append(g)
-        moves.append(negate(g))
-    better = (lambda x, y: x < y) if sense == "min" else (lambda x, y: x > y)
+    gain = 1 if sense == "max" else -1
+    moves = [
+        m for g in graver_shift(inst) for m in (g, negate(g)) if gain * objective_value(w, m) > 0
+    ]
     current = (int(start[0]), int(start[1]), int(start[2]))
-    value = objective_value(w, current)
-    improved = True
-    while improved:
-        improved = False
+    while True:
         for g in moves:
             candidate = add(current, g)
-            if candidate[0] < 0 or candidate[1] < 0 or candidate[2] < 0:
-                continue
-            candidate_value = objective_value(w, candidate)
-            if better(candidate_value, value):
-                current, value = candidate, candidate_value
-                improved = True
+            if candidate[0] >= 0 and candidate[1] >= 0 and candidate[2] >= 0:
+                current = candidate
                 break
-    return current
+        else:
+            return current
 
 
 def exhaustive_optimum(

@@ -25,7 +25,7 @@ from .core import (
     TradeSet,
     from_generators,
 )
-from .oracle import factorizations, graver_oracle, hilbert_oracle
+from .oracle import graver_oracle, hilbert_oracle, iter_factorizations
 from .shift import base_decomposition, effective_base_bound, graver_shift, hilbert_shift
 
 # graver, hilbert and params never load the counting layer: analysis and
@@ -241,10 +241,9 @@ def cmd_augment(args: argparse.Namespace) -> int:
         element = inst.evaluate(start)
     else:
         element = args.element
-        options = factorizations(inst, element)
-        if not options:
+        start = next(iter_factorizations(inst, element), None)
+        if start is None:
             raise CliError(f"{element} is not in the semigroup {inst.generators}")
-        start = options[0]
     result = analysis.augment(inst, start, weights, args.sense)
     value = analysis.objective_value(weights, result)
     doc = formats.instance_document(inst, "augment")

@@ -57,7 +57,7 @@ def instance_document(inst: SemigroupInstance, method: str) -> dict:
 def trades_document(inst: SemigroupInstance, method: str, trades: TradeSet, **extra) -> dict:
     doc = instance_document(inst, method)
     doc.update(extra)
-    doc["trades"] = [list(v) for v in trades]
+    doc["trades"] = trades.trades  # tuples encode as arrays
     doc["count"] = len(trades)
     return doc
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
+from typing import Iterator
 
 from .core import (
     InternalConsistencyError,
@@ -140,15 +141,23 @@ def hilbert_oracle(inst: SemigroupInstance, orthant: OrthantLabel) -> TradeSet:
 
 
 def factorizations(inst: SemigroupInstance, n: int) -> list[tuple[int, int, int]]:
-    """All non-negative (z0, z1, z2) with z . generators == n, by triple enumeration."""
+    """All non-negative (z0, z1, z2) with z . generators == n, ascending."""
+    return list(iter_factorizations(inst, n))
+
+
+def iter_factorizations(inst: SemigroupInstance, n: int) -> Iterator[tuple[int, int, int]]:
+    """The factorizations of n in ascending (z0, z1) order.  For each z0,
+    n2*z1 = n - n1*z0 (mod n3) is solvable iff g = gcd(n2, n3) divides the
+    right side, and then z1 is fixed modulo n3/g, so only its solutions are
+    stepped through."""
     if n < 0:
         raise InvalidInputError(f"element must be non-negative, got {n}")
     n1, n2, n3 = inst.generators
-    out = []
+    g = math.gcd(n2, n3)
+    step = n3 // g
+    inverse = pow(n2 // g, -1, step)
     for z0 in range(n // n1 + 1):
-        rest0 = n - z0 * n1
-        for z1 in range(rest0 // n2 + 1):
-            rest1 = rest0 - z1 * n2
-            if rest1 % n3 == 0:
-                out.append((z0, z1, rest1 // n3))
-    return out
+        rest = n - z0 * n1
+        if rest % g == 0:
+            for z1 in range(rest // g * inverse % step, rest // n2 + 1, step):
+                yield (z0, z1, (rest - z1 * n2) // n3)

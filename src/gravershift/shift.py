@@ -362,8 +362,9 @@ def effective_base_bound(fam: ShiftedFamily) -> int:
 
 
 def base_decomposition(inst: SemigroupInstance) -> tuple[SemigroupInstance, int]:
-    """Write t = t0 + k*rho with t0 maximal such that t0 <= bound, i.e. k maximal
-    with t - k*rho above the transport threshold.  Returns (base instance, k)."""
+    """Write t = t0 + k*rho with k maximal such that t0 = t - k*rho stays above
+    the transport threshold, so t0 lies in (bound, bound + rho]; at or below
+    the threshold t0 = t and k = 0.  Returns (base instance, k)."""
     bound = effective_base_bound(inst.family)
     if inst.t <= bound:
         return inst, 0

@@ -17,6 +17,8 @@ from gravershift import (
     enumerate_trades,
     exhaustive_optimum,
     factorizations,
+    from_generators,
+    graver_shift,
     hilbert_oracle,
     in_orthant,
     length,
@@ -24,6 +26,7 @@ from gravershift import (
 )
 from gravershift import analysis
 from gravershift.analysis import count_row, objective_value, valid_shifts
+from gravershift.core import add, negate
 
 
 class TestValidShifts:
@@ -44,6 +47,31 @@ class TestValidShifts:
             valid_shifts(fam, -100, 12)
         with pytest.raises(InvalidInputError, match="at most 5"):
             count_scan(fam, 7, 12, "fast")
+
+    @pytest.mark.parametrize("a,b,d", [(1, 1, 1), (2, 3, 1), (3, 4, 2), (1, 3, 2), (2, 5, 3), (1, 1, 3)])
+    def test_probes_the_largest_box_the_rows_walk(self, a, b, d, monkeypatch):
+        # brute force: an oracle row walks its own shift, a fast or auto row
+        # its base shift, at t and at t + reach
+        fam = ShiftedFamily(a, b, d)
+        probed = []
+        monkeypatch.setattr(analysis, "hilbert_oracle", lambda inst, orthant: probed.append(inst))
+        bound, rho = fam.b_max, fam.rho
+        edges = sorted({1, d * a + 2, bound - 1, bound, bound + 1, bound + rho // 3,
+                        bound + rho - 1, bound + rho, bound + rho + 1, bound + 2 * rho + 5})
+        for lo in edges:
+            for hi in (*edges, bound + 3 * rho + 2):
+                for reach in (0, rho):
+                    for method in ("oracle", "fast", "auto"):
+                        try:
+                            shifts = valid_shifts(fam, lo, hi, reach=reach, method=method)
+                        except InvalidInputError:
+                            continue
+                        if method == "oracle":
+                            walked = [t + reach for t in shifts]
+                        else:
+                            walked = [base_decomposition(fam.instance(s))[0].t
+                                      for t in shifts for s in (t, t + reach)]
+                        assert probed.pop().t == max(walked), (lo, hi, reach, method)
 
 
 class TestCountScan:
@@ -262,3 +290,47 @@ class TestAugment:
     def test_exhaustive_on_gap_rejected(self, inst19):
         with pytest.raises(InvalidInputError):
             exhaustive_optimum(inst19, 1, (1, 1, 1))
+
+    @pytest.mark.parametrize("gens", [(17, 19, 22), (77, 79, 82), (4, 6, 9), (5, 7, 9)], ids=str)
+    def test_same_point_as_candidate_loop(self, gens):
+        # (1,1,1) ties every move along the homogeneous trade, (0,0,0) and
+        # the generators themselves tie every move
+        inst = from_generators(*gens)
+        objectives = [
+            (1, 1, 1), (0, 0, 0), gens, (1, 0, -1), (3, -2, 1),
+            (Fraction(1, 2), Fraction(1, 3), 1), (0, 1, 0),
+        ]
+        for n in (*range(0, 400, 19), 640):
+            starts = factorizations(inst, n)
+            for start in starts[:: max(1, len(starts) // 2)]:
+                for weights in objectives:
+                    for sense in ("min", "max"):
+                        assert augment(inst, start, weights, sense) == _candidate_loop(
+                            inst, start, weights, sense
+                        ), (n, start, weights, sense)
+
+
+def _candidate_loop(inst, start, weights, sense):
+    """The walk as first written: every step evaluates the objective at each
+    candidate and restarts after the first strict improvement."""
+    w = tuple(Fraction(c) for c in weights)
+    moves = []
+    for g in graver_shift(inst):
+        moves.append(g)
+        moves.append(negate(g))
+    better = (lambda x, y: x < y) if sense == "min" else (lambda x, y: x > y)
+    current = tuple(start)
+    value = objective_value(w, current)
+    improved = True
+    while improved:
+        improved = False
+        for g in moves:
+            candidate = add(current, g)
+            if min(candidate) < 0:
+                continue
+            candidate_value = objective_value(w, candidate)
+            if better(candidate_value, value):
+                current, value = candidate, candidate_value
+                improved = True
+                break
+    return current

@@ -471,6 +471,31 @@ class TestAugment:
                          "--start", "3,0,2", "--objective", "1,1,1")
         assert code == 1
 
+    def test_large_element_within_memory_limit(self):
+        # 10^7 has about 7*10^9 factorizations; the walk starts at the first
+        # one without listing the rest, in a child limited to 1 GB of
+        # address space
+        resource = pytest.importorskip("resource")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "gravershift.cli", "augment", "--gens", "17,19,22",
+             "--element", "10000000", "--objective", "1,1,1", "--sense", "max"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=limit_memory,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        doc = json.loads(done.stdout)
+        assert doc["start"] == [0, 4, 454542]
+        # 588236 generators would weigh at least 17*588236 > 10^7
+        assert (doc["result"], doc["value"]) == ([588234, 0, 1], "588235")
+
 
 class TestDifftest:
     def test_tiny_families_exit_0(self, capsys):

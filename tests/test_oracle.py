@@ -11,12 +11,14 @@ from gravershift import (
     ShiftedFamily,
     enumerate_trades,
     factorizations,
+    from_generators,
     graver_oracle,
     hilbert_oracle,
     in_orthant,
     length,
 )
 from gravershift.core import TradeSetMode, negate, sort_key, sub
+from gravershift.oracle import iter_factorizations
 
 
 def is_conformal(u, v):
@@ -253,3 +255,32 @@ class TestFactorizations:
     def test_negative_rejected(self, inst19):
         with pytest.raises(InvalidInputError):
             factorizations(inst19, -1)
+
+    @pytest.mark.parametrize(
+        "gens,step", [((17, 19, 22), 3), ((77, 79, 82), 1), ((4, 6, 9), 29), ((5, 7, 9), 23)]
+    )
+    def test_same_list_as_triple_loop(self, gens, step):
+        # every n below 200, then a stride through n < 2500 that meets every
+        # residue of the generators
+        inst = from_generators(*gens)
+        for n in sorted({*range(200), *range(0, 2500, step)}):
+            assert factorizations(inst, n) == _triple_loop(inst, n), n
+
+    def test_first_at_large_element_without_listing(self):
+        # about 10^15 factorizations; the first has z0 = 0 and the least z1
+        inst = from_generators(17, 19, 22)
+        z = next(iter_factorizations(inst, 10**9))
+        assert z[0] == 0 and z[1] < 22 and inst.evaluate(z) == 10**9
+
+
+def _triple_loop(inst, n):
+    """Factorizations of n as first written: every (z0, z1) is tried."""
+    n1, n2, n3 = inst.generators
+    out = []
+    for z0 in range(n // n1 + 1):
+        rest0 = n - z0 * n1
+        for z1 in range(rest0 // n2 + 1):
+            rest1 = rest0 - z1 * n2
+            if rest1 % n3 == 0:
+                out.append((z0, z1, rest1 // n3))
+    return out

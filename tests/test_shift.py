@@ -43,7 +43,7 @@ from gravershift import (
     positive_segment,
     transport,
 )
-from gravershift import shift
+from gravershift import oracle, shift
 from gravershift.core import TradeSetMode, add, canonical_rep, sort_key
 from gravershift.shift import CompactBasis, _orthant_table, graver_count
 
@@ -69,6 +69,54 @@ def _listed(trades):
 def _strictly_increasing(trades):
     keys = [sort_key(v) for v in trades]
     return all(u < w for u, w in zip(keys, keys[1:]))
+
+
+def _cf_hilbert(inst, orthant):
+    """Hilbert basis of one orthant by its Hirzebruch-Jung continued fraction,
+    as full vectors in sort_key order: a third reference, with no box.
+
+    With (i, j) the orthant's non-negative coordinates and k the third,
+    g = gcd(n_i, n_k) and m = n_k/g, its trades are {(x, g*y) >= 0 :
+    x = c*y (mod m)} with c = -n_j*(n_i/g)^-1 mod m, whose Hilbert basis is
+    u_0 = (m, 0), u_1 = (c, 1), u_(s+1) = ceil(x_(s-1)/x_s)*u_s - u_(s-1)
+    until x = 0 (Oda 1988, ch. 1).
+    """
+    n = inst.generators
+    i, j = orthant.nonneg_coords
+    k = 3 - i - j
+    g = math.gcd(n[i], n[k])
+    m = n[k] // g
+    prev, cur = (m, 0), (-n[j] * pow(n[i] // g, -1, m) % m, 1)
+    members = [prev, cur]
+    while cur[0]:
+        q = -(-prev[0] // cur[0])
+        prev, cur = cur, (q * cur[0] - prev[0], q * cur[1] - prev[1])
+        members.append(cur)
+    out = []
+    for x, y in members:
+        v = [0, 0, 0]
+        v[i], v[j], v[k] = x, g * y, -(n[i] * x + n[j] * g * y) // n[k]
+        out.append(tuple(v))
+    return tuple(sorted(out, key=sort_key))
+
+
+def _within_oracle_scale(inst):
+    side = 2 * inst.generators[2] + 1
+    return side * side <= oracle._MAX_GRID_CELLS
+
+
+class TestContinuedFractionReference:
+    @pytest.mark.parametrize(
+        "a,b,d",
+        [(a, b, d) for a in range(1, 5) for b in range(1, 5) for d in (1, 2) if math.gcd(a, b) == 1],
+    )
+    def test_matches_oracle(self, a, b, d):
+        fam = ShiftedFamily(a, b, d)
+        for t in range(d * a + 1, 90):
+            if math.gcd(t, d) == 1:
+                inst = fam.instance(t)
+                for orthant in OrthantLabel:
+                    assert _cf_hilbert(inst, orthant) == hilbert_oracle(inst, orthant).trades
 
 
 class TestPeriodMultiplier:
@@ -330,9 +378,24 @@ class TestAdvance:
         hi = effective_base_bound(fam) + fam.rho
         t = data.draw(st.sampled_from(range(lo, hi + 1)), label="t")
         assume(math.gcd(t, d) == 1)
-        base = fam.instance(t)
-        got = transport(base, orthant, hilbert_oracle(base, orthant), 1)
-        assert got.materialize().trades == hilbert_oracle(base.shifted(), orthant).trades
+        self._check_one_period(fam.instance(t), orthant)
+
+    @pytest.mark.parametrize("orthant", list(OrthantLabel), ids=lambda o: o.value)
+    def test_matches_reference_beyond_oracle_scale(self, orthant):
+        # the target t + rho = 23123 needs box 23171, past the oracle's
+        base = ShiftedFamily(11, 12, 4).instance(10979)
+        assert not _within_oracle_scale(base.shifted())
+        self._check_one_period(base, orthant)
+
+    @staticmethod
+    def _check_one_period(base, orthant):
+        """transport one period from the oracle's base against the continued
+        fraction at the target, and against the oracle within its scale."""
+        got = transport(base, orthant, hilbert_oracle(base, orthant), 1).materialize().trades
+        target = base.shifted()
+        assert got == _cf_hilbert(target, orthant)
+        if _within_oracle_scale(target):
+            assert got == hilbert_oracle(target, orthant).trades
 
     @settings(max_examples=50, deadline=None)
     @given(
