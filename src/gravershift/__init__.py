@@ -2,8 +2,8 @@
 
 Two independent routes to the same answer: a brute-force oracle (bounded
 kernel enumeration, keeping each orthant's staircase of Pareto minima) and
-a period transport that carries orthant Hilbert bases from a small base
-shift to an arbitrarily large one.
+a period transport that carries orthant Hilbert bases, computed at a small
+base shift by their continued fractions, to an arbitrarily large shift.
 
 Each export is loaded from the module that defines it on first access
 (PEP 562), so a process pays only for the modules it uses.

@@ -10,11 +10,9 @@ rational arithmetic.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 from typing import Sequence
 
 from .core import (
@@ -28,7 +26,7 @@ from .core import (
     negate,
 )
 from .oracle import factorizations, graver_oracle, hilbert_oracle
-from .shift import base_decomposition, effective_base_bound, graver_count, graver_shift, hilbert_shift
+from .shift import effective_base_bound, graver_count, graver_shift, hilbert_shift
 
 
 # The most shifts one scan may list: its shifts and rows are held in memory.
@@ -51,10 +49,10 @@ def valid_shifts(
     t + reach > MAX_SHIFT or (2) it spans more than MAX_ROWS shifts, both
     checked before it is listed; if (3) it covers no shift (`name` names the
     range then); or if (4) the oracle refuses the largest box the rows
-    walk, which is asked for first and cached for the scan.  An oracle row
-    walks its own shift's box; a fast or auto row walks its base shift's
-    (`base_decomposition`), which is the shift itself at or below the
-    transport threshold.
+    walk, which is asked for first and cached for the scan.  Only oracle
+    rows walk a box, their own shift's: every row of method "oracle", and
+    the "auto" rows at or below the transport threshold.  A fast row walks
+    none.
     """
     lo = max(t_lo, fam.d * fam.a + 1)
     past = max(lo, MAX_SHIFT - reach + 1)  # the first covered shift from here on
@@ -76,21 +74,14 @@ def valid_shifts(
         name = name or f"{t_lo}..{t_hi}"
         raise InvalidInputError(f"empty range {name}: the family covers no shift in it")
     if method == "oracle":
-        largest = fam.instance(shifts[-1] + reach)
-    else:
-        # base shifts rise through each period and wrap at its start, and
-        # rho is a multiple of d, so each list's largest base shift is its
-        # last element's or that of its last element before that period
+        walked = [shifts[-1] + reach]
+    elif method == "auto":
         bound = effective_base_bound(fam)
-        bases = []
-        for r in {0, reach}:
-            base, _ = base_decomposition(fam.instance(shifts[-1] + r))
-            bases.append(base)
-            before = bisect.bisect_right(shifts, shifts[-1] - base.t + bound) - 1
-            if base.t > bound and before >= 0:
-                bases.append(base_decomposition(fam.instance(shifts[before] + r))[0])
-        largest = max(bases, key=attrgetter("t"))
-    hilbert_oracle(largest, OrthantLabel.PNP)
+        walked = [t + r for r in {0, reach} for t in shifts if t + r <= bound]
+    else:
+        walked = []
+    if walked:
+        hilbert_oracle(fam.instance(max(walked)), OrthantLabel.PNP)
     return shifts
 
 

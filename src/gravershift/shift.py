@@ -8,14 +8,17 @@ coordinate; the trades of extremal coordinate sum (+d in the PPN orthant,
 homogeneous trade, that is re-solved directly at the target shift and grows
 by d*a (resp. d*b) elements per period.  The three orthants differ only in
 data (strips, maps, extremal sum, growth, segment equation, threshold),
-which one table holds and one transport reads.  Transporting from an
-oracle-computed base case below the transport threshold yields the Graver
-basis at any shift without ever enumerating a large lattice, and counting
-it reads the segment's length without writing its members out.
+which one table holds and one transport reads.  The base case is each
+orthant's Hirzebruch-Jung continued fraction at a shift at most one period
+above the transport threshold, so the route never enumerates a lattice:
+it yields the Graver basis at any shift, and counting it reads the
+segment's length without writing its members out.  Nothing here calls the
+brute-force oracle, which stays an independent check.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -43,7 +46,8 @@ from .core import (
     sort_key,
     sub,
 )
-from .oracle import graver_oracle, hilbert_oracle
+# unused here; the benchmark's tracer rebinds these names in this module
+from .oracle import graver_oracle, hilbert_oracle  # noqa: F401
 
 
 def period_multiplier(fam: ShiftedFamily, i: int, j: int) -> int:
@@ -224,9 +228,9 @@ class CompactBasis:
     """An orthant Hilbert basis as its listed members plus one segment.
 
     `rest` is sorted by sort_key and holds every member off `segment`;
-    `segment` is None for a PNP basis and for an oracle basis, which lists
-    every member.  len() reads the two sizes, so a basis of 10^9 members
-    is counted in O(1); materialize() writes it out.
+    `segment` is None for a PNP basis and for a base-case basis, which
+    lists every member.  len() reads the two sizes, so a basis of 10^9
+    members is counted in O(1); materialize() writes it out.
     """
 
     rest: tuple[Trade, ...]
@@ -357,7 +361,7 @@ def transport(
 
 
 def effective_base_bound(fam: ShiftedFamily) -> int:
-    """Largest shift that must be handled by the oracle rather than transport."""
+    """Largest shift that is its own base case rather than a transport target."""
     return fam.b_max
 
 
@@ -373,12 +377,50 @@ def base_decomposition(inst: SemigroupInstance) -> tuple[SemigroupInstance, int]
     return base, k
 
 
+def _cf_hilbert(inst: SemigroupInstance, orthant: OrthantLabel) -> tuple[Trade, ...]:
+    """Hilbert basis of one orthant by its Hirzebruch-Jung continued
+    fraction, as full vectors in sort_key order, with no lattice enumerated.
+
+    Let (i, j) be the orthant's non-negative coordinates, k the third,
+    g = gcd(n_i, n_k) and m = n_k/g.  A trade v has n_j*v_j = 0 (mod g), and
+    gcd(g, n_j) divides gcd(n1, n2, n3) = gcd(t, d) = 1, so g divides v_j.
+    Dividing the trade equation by g leaves (n_i/g)*v_i + n_j*(v_j/g) = 0
+    (mod m), and v_k = -(n_i*v_i + n_j*v_j)/n_k is then an integer, <= 0 in
+    the orthant.  So v -> (x, y) = (v_i, v_j/g) is an additive bijection
+    from the orthant's trades onto the points x, y >= 0 of the lattice
+    x = c*y (mod m), c = -n_j*(n_i/g)^-1 mod m, and it carries Hilbert basis
+    to Hilbert basis.  That cone's basis is u_0 = (m, 0), u_1 = (c, 1),
+    u_(s+1) = ceil(x_(s-1)/x_s)*u_s - u_(s-1) until x = 0 (Oda 1988, ch. 1;
+    Fulton 1993, section 2.6).
+    """
+    n = inst.generators
+    i, j = orthant.nonneg_coords
+    k = 3 - i - j
+    g = math.gcd(n[i], n[k])
+    m = n[k] // g
+    prev, cur = (m, 0), (-n[j] * pow(n[i] // g, -1, m) % m, 1)
+    members = [prev, cur]
+    while cur[0]:
+        q = -(-prev[0] // cur[0])
+        prev, cur = cur, (q * cur[0] - prev[0], q * cur[1] - prev[1])
+        members.append(cur)
+    out = []
+    for x, y in members:
+        v = [0, 0, 0]
+        v[i], v[j], v[k] = x, g * y, -(n[i] * x + n[j] * g * y) // n[k]
+        out.append((v[0], v[1], v[2]))
+    return tuple(sorted(out, key=sort_key))
+
+
 def hilbert_shift(inst: SemigroupInstance, orthant: OrthantLabel) -> CompactBasis:
-    """Hilbert basis of one orthant via transport from an oracle base case,
-    in compact form: O(1) in t to build and to count."""
+    """Hilbert basis of one orthant, in compact form: the continued fraction
+    at the base shift, transported k periods when k > 0.  O(1) in t to
+    build and to count."""
     base, k = base_decomposition(inst)
-    basis = hilbert_oracle(base, orthant)
-    return transport(base, orthant, basis, k) if k else CompactBasis(basis.trades)
+    members = _cf_hilbert(base, orthant)
+    if not k:
+        return CompactBasis(members)
+    return transport(base, orthant, TradeSet(members, TradeSetMode.FULL), k)
 
 
 def graver_count(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasis) -> int:
@@ -479,15 +521,11 @@ def assemble_graver(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasi
 
 
 def graver_shift(inst: SemigroupInstance) -> TradeSet:
-    """Graver basis of inst, canonical mode, via the transport recursion.
-
-    Above the transport threshold this always goes through the three
-    orthant Hilbert bases (zero transport steps within the first period),
-    so it stays an independent route from the direct conformal filter;
-    at or below the threshold it delegates to the oracle.
+    """Graver basis of inst, canonical mode, assembled from the three
+    orthant Hilbert bases of hilbert_shift at every shift: listed whole at
+    or below the transport threshold and within the first period above
+    it, transported beyond.
     """
-    if inst.t <= effective_base_bound(inst.family):
-        return graver_oracle(inst)
     return assemble_graver(
         hilbert_shift(inst, OrthantLabel.PNP),
         hilbert_shift(inst, OrthantLabel.PPN),

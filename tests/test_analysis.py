@@ -50,8 +50,9 @@ class TestValidShifts:
 
     @pytest.mark.parametrize("a,b,d", [(1, 1, 1), (2, 3, 1), (3, 4, 2), (1, 3, 2), (2, 5, 3), (1, 1, 3)])
     def test_probes_the_largest_box_the_rows_walk(self, a, b, d, monkeypatch):
-        # brute force: an oracle row walks its own shift, a fast or auto row
-        # its base shift, at t and at t + reach
+        # brute force: only oracle rows walk a box, their own shift's: every
+        # row of method "oracle", and the auto rows at or below b_max, at t
+        # and at t + reach.  A fast row walks none, so nothing is probed
         fam = ShiftedFamily(a, b, d)
         probed = []
         monkeypatch.setattr(analysis, "hilbert_oracle", lambda inst, orthant: probed.append(inst))
@@ -66,12 +67,14 @@ class TestValidShifts:
                             shifts = valid_shifts(fam, lo, hi, reach=reach, method=method)
                         except InvalidInputError:
                             continue
-                        if method == "oracle":
-                            walked = [t + reach for t in shifts]
-                        else:
-                            walked = [base_decomposition(fam.instance(s))[0].t
-                                      for t in shifts for s in (t, t + reach)]
-                        assert probed.pop().t == max(walked), (lo, hi, reach, method)
+                        walked = {
+                            "oracle": [t + reach for t in shifts],
+                            "auto": [s for t in shifts for s in (t, t + reach) if s <= bound],
+                            "fast": [],
+                        }[method]
+                        expected = [max(walked)] if walked else []
+                        assert [inst.t for inst in probed] == expected, (lo, hi, reach, method)
+                        probed.clear()
 
 
 class TestCountScan:

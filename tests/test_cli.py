@@ -355,35 +355,53 @@ def _oracle_walks(monkeypatch, limit):
     [
         (["count", "--family", "2,3,1", "--t-range", "23100..23200"], 23200),
         (["verify", "--family", "2,3,1", "--t-range", "23100..23200"], 23230),
-        (["count", "--family", "150,151,1", "--t-range", "22990..23030", "--method", "fast"],
-         23030),
-        (["verify", "--family", "100,101,1", "--t-range", "23040..23080", "--method", "fast"],
-         23080),
     ],
-    ids=["count", "verify", "count-fast", "verify-fast"],
+    ids=["count", "verify"],
 )
 def test_oracle_scan_beyond_scale_refused_at_once(capsys, monkeypatch, argv, walked):
     # the default oracle rows would walk every box from t = 23,100 up before
     # the grid cap refuses t >= 23,167; the largest box (at t + rho = 23,230
-    # for verify) is asked for first.  Fast rows walk their base shift's
-    # box: the shift itself at or below b_max = 44,849 for (150,151,1), and
-    # t for both t and t + rho above b_max = 19,899 for (100,101,1)
+    # for verify) is asked for first; its box is n3 = t + d*b = t + 3
     walks = _oracle_walks(monkeypatch, 1)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    b = int(argv[2].split(",")[1])
-    assert f"enumeration box {walked + b} " in err and "beyond oracle scale" in err
+    assert f"enumeration box {walked + 3} " in err and "beyond oracle scale" in err
     assert walks == [walked]
 
 
+def test_fast_count_beyond_oracle_scale_answers(capsys, monkeypatch):
+    # every shift is at or below b_max = 44,849, so each row is a base case,
+    # whose box would be past the oracle's grid cap; no box is walked
+    walks = _oracle_walks(monkeypatch, 0)
+    code, out, _ = run(capsys, "count", "--family", "150,151,1", "--t-range", "22990..23030",
+                       "--method", "fast")
+    assert code == 0 and walks == []
+    rows = [list(map(int, line.split(",")[:5])) for line in out.splitlines()[1:]]
+    assert [t for t, *_ in rows] == list(range(22990, 23031))
+    for _, graver, *hilbert in rows:
+        assert graver == 2 * (sum(hilbert) - 3)
+
+
+def test_fast_verify_beyond_oracle_scale_answers(capsys, monkeypatch):
+    # above b_max = 19,899 for (100,101,1): both t and t + rho are
+    # transported from base shifts whose boxes are past the grid cap
+    walks = _oracle_walks(monkeypatch, 0)
+    code, out, _ = run(capsys, "verify", "--family", "100,101,1", "--t-range", "23040..23080",
+                       "--method", "fast")
+    assert code == 0 and walks == []
+    rows = out.splitlines()[1:-1]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(23040, 23081))
+    assert all(row.endswith(",402,0,100,101,true") for row in rows)
+
+
 def test_auto_count_probes_only_oracle_rows(capsys, monkeypatch):
-    # auto rows above the threshold 6 walk their base shifts, at most
-    # 6 + rho = 36, so the probe is at 36 and no box past it is walked
+    # only the auto rows at or below the threshold 6 are oracle rows, so the
+    # probe is at 6 and no box past it is walked
     walks = _oracle_walks(monkeypatch, 100)
     code, _, _ = run(capsys, "count", "--family", "2,3,1", "--t-range", "3..200",
                      "--method", "auto")
     assert code == 0
-    assert walks[0] == 36 and max(walks) <= 36
+    assert walks[0] == 6 and max(walks) <= 6
 
 
 class TestVerify:

@@ -45,7 +45,8 @@ from gravershift import (
 )
 from gravershift import oracle, shift
 from gravershift.core import TradeSetMode, add, canonical_rep, sort_key
-from gravershift.shift import CompactBasis, _orthant_table, graver_count
+from gravershift.analysis import count_row
+from gravershift.shift import CompactBasis, _cf_hilbert, _orthant_table, graver_count
 
 
 def _valid_shift_above(fam, t):
@@ -71,41 +72,14 @@ def _strictly_increasing(trades):
     return all(u < w for u, w in zip(keys, keys[1:]))
 
 
-def _cf_hilbert(inst, orthant):
-    """Hilbert basis of one orthant by its Hirzebruch-Jung continued fraction,
-    as full vectors in sort_key order: a third reference, with no box.
-
-    With (i, j) the orthant's non-negative coordinates and k the third,
-    g = gcd(n_i, n_k) and m = n_k/g, its trades are {(x, g*y) >= 0 :
-    x = c*y (mod m)} with c = -n_j*(n_i/g)^-1 mod m, whose Hilbert basis is
-    u_0 = (m, 0), u_1 = (c, 1), u_(s+1) = ceil(x_(s-1)/x_s)*u_s - u_(s-1)
-    until x = 0 (Oda 1988, ch. 1).
-    """
-    n = inst.generators
-    i, j = orthant.nonneg_coords
-    k = 3 - i - j
-    g = math.gcd(n[i], n[k])
-    m = n[k] // g
-    prev, cur = (m, 0), (-n[j] * pow(n[i] // g, -1, m) % m, 1)
-    members = [prev, cur]
-    while cur[0]:
-        q = -(-prev[0] // cur[0])
-        prev, cur = cur, (q * cur[0] - prev[0], q * cur[1] - prev[1])
-        members.append(cur)
-    out = []
-    for x, y in members:
-        v = [0, 0, 0]
-        v[i], v[j], v[k] = x, g * y, -(n[i] * x + n[j] * g * y) // n[k]
-        out.append(tuple(v))
-    return tuple(sorted(out, key=sort_key))
-
-
 def _within_oracle_scale(inst):
     side = 2 * inst.generators[2] + 1
     return side * side <= oracle._MAX_GRID_CELLS
 
 
 class TestContinuedFractionReference:
+    """The shift route's base case against the oracle's staircases."""
+
     @pytest.mark.parametrize(
         "a,b,d",
         [(a, b, d) for a in range(1, 5) for b in range(1, 5) for d in (1, 2) if math.gcd(a, b) == 1],
@@ -692,9 +666,15 @@ class TestGraverShift:
         got = graver_shift(from_generators(77, 79, 82))
         assert list(got) == GOLDEN_M79
 
-    def test_delegates_below_threshold(self, fam231):
-        inst = fam231.instance(6)
-        assert graver_shift(inst).trades == graver_oracle(inst).trades
+    # (1,1,1) has no base case: its b_max is d*a
+    @pytest.mark.parametrize("a,b,d", DIFF_FAMILIES[1:])
+    def test_assembles_below_threshold(self, a, b, d):
+        # base cases are assembled from three listed bases, no segment
+        fam = ShiftedFamily(a, b, d)
+        for t in range(d * a + 1, effective_base_bound(fam) + 1):
+            if math.gcd(t, d) == 1:
+                inst = fam.instance(t)
+                assert graver_shift(inst).trades == graver_oracle(inst).trades, t
 
     @pytest.mark.parametrize("t", [7, 19, 36, 49, 67, 96])
     def test_matches_oracle(self, fam231, t):
@@ -729,3 +709,56 @@ class TestGraverShift:
                 continue
             inst = fam.instance(t)
             assert graver_shift(inst).trades == graver_oracle(inst).trades, (a, b, d, t)
+
+
+class TestShiftRouteWalksNoBox:
+    @pytest.mark.parametrize("a,b,d", DIFF_FAMILIES)
+    def test_oracle_never_called(self, a, b, d, monkeypatch):
+        def refuse(inst):
+            raise AssertionError(f"the oracle walked the box at t={inst.t}")
+
+        monkeypatch.setattr(oracle, "_staircases", refuse)
+        fam = ShiftedFamily(a, b, d)
+        bound = effective_base_bound(fam)
+        # the last base case (none for (1,1,1), where b_max = d*a), a shift
+        # within the first period above it, and one near 10^6
+        base_cases = [t for t in range(d * a + 1, bound + 1) if math.gcd(t, d) == 1]
+        for inst in (*map(fam.instance, base_cases[-1:]),
+                     _valid_shift_above(fam, bound + fam.rho // 2), _valid_shift_above(fam, 10**6)):
+            assert inst.t <= bound + fam.rho or inst.t > 10**6
+            graver = graver_shift(inst)
+            for orthant in OrthantLabel:
+                hilbert_shift(inst, orthant)
+            assert count_row(inst, "fast").graver == 2 * len(graver)
+
+
+class TestBeyondOracleScale:
+    """Families whose boxes are past the oracle's grid cap even at the base
+    shift; the continued fraction at t is the reference."""
+
+    def test_base_case_listing(self):
+        # k = 0 at t = 40,001: above b_max = 19,899, within the first period
+        inst = ShiftedFamily(100, 101, 1).instance(40_001)
+        assert not _within_oracle_scale(inst)
+        assert base_decomposition(inst) == (inst, 0)
+        got = graver_shift(inst)
+        assert len(got) == 174
+        assert all(canonical_rep(v) == v for v in got)
+        assert _strictly_increasing(got)
+
+    @pytest.mark.parametrize(
+        "a,b,d,t,graver",
+        [(100, 101, 1, 5_000_001, 1280), (150, 151, 1, 9_999_999, 982), (37, 64, 2, 3_000_001, 2600)],
+    )
+    def test_transported_rows(self, a, b, d, t, graver):
+        fam = ShiftedFamily(a, b, d)
+        inst = fam.instance(t)
+        base, k = base_decomposition(inst)
+        assert k >= 1 and not _within_oracle_scale(base)
+        for orthant in OrthantLabel:
+            assert hilbert_shift(inst, orthant).materialize().trades == _cf_hilbert(inst, orthant)
+        row, at_base = count_row(inst, "fast"), count_row(base, "fast")
+        assert row.graver == graver == at_base.graver + k * 2 * d * (a + b)
+        assert (row.h_pnp, row.h_ppn, row.h_npp) == (
+            at_base.h_pnp, at_base.h_ppn + k * d * a, at_base.h_npp + k * d * b
+        )
