@@ -20,12 +20,12 @@ _EXPORTS = {
     ),
     "core": (
         "InternalConsistencyError InvalidInputError NoLengthTradeError OrthantLabel "
-        "OutsideScopeError SemigroupInstance ShiftedFamily Trade TradeSet canonical_rep "
-        "from_generators in_orthant length"
+        "OutsideScopeError SegmentEndpoints SemigroupInstance ShiftedFamily Trade TradeSet "
+        "canonical_rep from_generators in_orthant length"
     ),
     "oracle": "enumerate_trades factorizations graver_oracle hilbert_oracle",
     "shift": (
-        "SegmentEndpoints assemble_graver base_decomposition effective_base_bound graver_shift "
+        "assemble_graver base_decomposition effective_base_bound graver_shift "
         "hilbert_shift negative_segment period_map period_map_inverse period_multiplier "
         "positive_segment transport"
     ),

@@ -26,7 +26,13 @@ from .core import (
     negate,
 )
 from .oracle import factorizations, graver_oracle, hilbert_oracle
-from .shift import effective_base_bound, graver_count, graver_shift, hilbert_shift
+from .shift import (
+    auto_oracle_bound,
+    effective_base_bound,
+    graver_count,
+    graver_shift,
+    hilbert_shift,
+)
 
 
 # The most shifts one scan may list: its shifts and rows are held in memory.
@@ -51,8 +57,7 @@ def valid_shifts(
     range then); or if (4) the oracle refuses the largest box the rows
     walk, which is asked for first and cached for the scan.  Only oracle
     rows walk a box, their own shift's: every row of method "oracle", and
-    the "auto" rows at or below the transport threshold.  A fast row walks
-    none.
+    the "auto" rows up to `auto_oracle_bound`.  A fast row walks none.
     """
     lo = max(t_lo, fam.d * fam.a + 1)
     past = max(lo, MAX_SHIFT - reach + 1)  # the first covered shift from here on
@@ -76,7 +81,7 @@ def valid_shifts(
     if method == "oracle":
         walked = [shifts[-1] + reach]
     elif method == "auto":
-        bound = effective_base_bound(fam)
+        bound = auto_oracle_bound(fam)
         walked = [t + r for r in {0, reach} for t in shifts if t + r <= bound]
     else:
         walked = []
@@ -103,7 +108,7 @@ class CountTable:
 def count_row(inst: SemigroupInstance, method: str = "auto") -> CountRow:
     """Graver and per-orthant Hilbert cardinalities at one shift."""
     if method == "auto":
-        method = "oracle" if inst.t <= effective_base_bound(inst.family) else "fast"
+        method = "oracle" if inst.t <= auto_oracle_bound(inst.family) else "fast"
     if method == "oracle":
         hp = hilbert_oracle(inst, OrthantLabel.PNP)
         hq = hilbert_oracle(inst, OrthantLabel.PPN)

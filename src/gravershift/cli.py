@@ -26,7 +26,13 @@ from .core import (
     from_generators,
 )
 from .oracle import graver_oracle, hilbert_oracle, iter_factorizations
-from .shift import base_decomposition, effective_base_bound, graver_shift, hilbert_shift
+from .shift import (
+    auto_oracle_bound,
+    base_decomposition,
+    effective_base_bound,
+    graver_shift,
+    hilbert_shift,
+)
 
 # graver, hilbert and params never load the counting layer: analysis and
 # fractions are imported inside the subcommands that use them
@@ -108,7 +114,7 @@ def _emit_json(doc: dict, output: str | None) -> None:
 
 def _resolve_method(inst: SemigroupInstance, method: str) -> str:
     if method == "auto":
-        return "shift" if inst.t > effective_base_bound(inst.family) else "oracle"
+        return "oracle" if inst.t <= auto_oracle_bound(inst.family) else "shift"
     return method
 
 
@@ -142,12 +148,13 @@ def cmd_params(args: argparse.Namespace) -> int:
 def _emit_trades(
     args: argparse.Namespace, inst: SemigroupInstance, method: str, trades: TradeSet, **extra
 ) -> None:
-    if args.format == "4ti2":
-        _emit(formats.format_4ti2(trades), args.output)
-    elif args.format == "csv":
-        _emit(formats.format_trades_csv(trades), args.output)
-    else:
+    if args.format == "json":
         _emit_json(formats.trades_document(inst, method, trades, **extra), args.output)
+        return
+    # looked up at call time, so a traced run sees the writing as serialization
+    write = formats.format_4ti2 if args.format == "4ti2" else formats.format_trades_csv
+    with _opened(args.output) as fh:
+        write(trades, fh)
 
 
 def cmd_graver(args: argparse.Namespace) -> int:

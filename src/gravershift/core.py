@@ -17,6 +17,8 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 Trade = tuple[int, int, int]
@@ -234,6 +236,68 @@ class TradeSetMode(enum.Enum):
 
 
 @dataclass(frozen=True)
+class SegmentEndpoints:
+    """An arithmetic run of trades: start, start+step, ..., end.
+
+    In every run the program builds, step is the homogeneous trade
+    (b, -(a+b), a): its entries are nonzero, so each coordinate of the run
+    is a range, and step[2] = a > 0, so the members ascend in sort_key
+    order.  A run is a sequence of its members, indexed arithmetically,
+    so bisect finds a member's place without writing the run out.
+    """
+
+    start: Trade
+    end: Trade
+    step: Trade
+    count: int
+
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise InternalConsistencyError(f"segment count must be >= 1, got {self.count}")
+        if sub(self.end, self.start) != scale(self.count - 1, self.step):
+            raise InternalConsistencyError(
+                f"segment endpoints {self.start}..{self.end} do not differ by "
+                f"{self.count - 1} steps of {self.step}"
+            )
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, k: int) -> Trade:
+        if not 0 <= k < self.count:
+            raise IndexError(f"run index {k} outside 0..{self.count - 1}")
+        return add(self.start, scale(k, self.step))
+
+    def __iter__(self) -> Iterator[Trade]:
+        return zip(*self.ranges())
+
+    def ranges(self) -> tuple[range, range, range]:
+        """The run's three coordinates, each as a range."""
+        r0, r1, r2 = (range(s, s + self.count * h, h) for s, h in zip(self.start, self.step))
+        return r0, r1, r2
+
+    def part(self, lo: int, hi: int) -> SegmentEndpoints:
+        """Members lo..hi-1, as a run; needs 0 <= lo < hi <= count."""
+        return SegmentEndpoints(self[lo], self[hi - 1], self.step, hi - lo)
+
+    def negated(self) -> SegmentEndpoints:
+        """The negations of the members, in the same order as sort_key:
+        -end, -end+step, ..., -start, so the step is unchanged."""
+        return SegmentEndpoints(negate(self.end), negate(self.start), self.step, self.count)
+
+
+Piece = Trade | SegmentEndpoints
+
+
+def _members(piece: Piece) -> Iterable[Trade]:
+    return piece if isinstance(piece, SegmentEndpoints) else (piece,)
+
+
+def _negated(piece: Piece) -> Piece:
+    return piece.negated() if isinstance(piece, SegmentEndpoints) else negate(piece)
+
+
+@dataclass(frozen=True, eq=False)
 class TradeSet:
     """A deduplicated, deterministically ordered collection of trades.
 
@@ -241,9 +305,15 @@ class TradeSet:
     basis in its positive orientation, or a negation-closed enumeration);
     CANONICAL mode keeps one representative per {v, -v} pair.  Ordering is
     always ascending lexicographic on (v2, v1, v0).
+
+    The members are held as ordered pieces, each a single trade or a
+    SegmentEndpoints run, so a tuple of trades is a TradeSet of single
+    pieces and a transported basis of 10^9 members is a handful of
+    pieces.  `trades` writes the members out on first read; len,
+    iteration, equality and with_negations work on the pieces.
     """
 
-    trades: tuple[Trade, ...]
+    pieces: tuple[Piece, ...]
     mode: TradeSetMode
 
     @staticmethod
@@ -251,22 +321,42 @@ class TradeSet:
         reps = {canonical_rep(v) for v in trades}
         return TradeSet(tuple(sorted(reps, key=sort_key)), TradeSetMode.CANONICAL)
 
+    @cached_property
+    def trades(self) -> tuple[Trade, ...]:
+        """Every member, written out on first read; a TradeSet of single
+        pieces is its own listing."""
+        if not any(isinstance(p, SegmentEndpoints) for p in self.pieces):
+            return self.pieces
+        return tuple(self)
+
     def with_negations(self) -> TradeSet:
         """Every member and its negation, in sort_key order, without a sort:
         a canonical member sorts above (0, 0, 0) and its negation below, and
-        negating the ascending members reversed keeps them ascending."""
+        negating the ascending pieces reversed keeps them ascending."""
         if self.mode is not TradeSetMode.CANONICAL:
             raise InvalidInputError("with_negations needs a canonical TradeSet")
-        return TradeSet((*map(negate, reversed(self.trades)), *self.trades), TradeSetMode.FULL)
+        negations = map(_negated, reversed(self.pieces))
+        return TradeSet((*negations, *self.pieces), TradeSetMode.FULL)
 
     def as_set(self) -> frozenset[Trade]:
-        return frozenset(self.trades)
+        return frozenset(self)
 
     def __len__(self) -> int:
-        return len(self.trades)
+        return sum(p.count if isinstance(p, SegmentEndpoints) else 1 for p in self.pieces)
 
     def __iter__(self) -> Iterator[Trade]:
-        return iter(self.trades)
+        return chain.from_iterable(map(_members, self.pieces))
 
     def __contains__(self, v: object) -> bool:
         return v in self.trades
+
+    def __eq__(self, other: object) -> bool:
+        """Member-wise: the same mode and the same members in order,
+        however they are split into pieces."""
+        if not isinstance(other, TradeSet):
+            return NotImplemented
+        return (
+            self.mode is other.mode
+            and len(self) == len(other)
+            and all(map(operator.eq, self, other))
+        )

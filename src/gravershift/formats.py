@@ -6,32 +6,67 @@ Every writer is byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import json
-from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
+from itertools import chain, groupby
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 
-from .core import SemigroupInstance, TradeSet
+from .core import Piece, SegmentEndpoints, SemigroupInstance, Trade, TradeSet
 
 if TYPE_CHECKING:  # analysis loads only for the commands that count
     from .analysis import CountTable
 
 
-def format_4ti2(trades: TradeSet) -> str:
+# Rows per batched %-format: a block's text and its argument tuple stay a
+# few MB whatever the listing's size.
+BLOCK_ROWS = 2**16
+
+
+def format_4ti2(trades: TradeSet, out: TextIO | None = None) -> str | None:
     """Header "N 3", then one trade per line, space-separated, trailing newline.
 
     Rows keep the TradeSet order (ascending lexicographic on (v2, v1, v0)).
+    Returns the text, or writes it to `out` block by block and returns None.
     """
-    return _rows(f"{len(trades)} 3", trades, " ")
+    return _write(_blocks(f"{len(trades)} 3", trades, " "), out)
 
 
-def format_trades_csv(trades: TradeSet) -> str:
-    return _rows("v0,v1,v2", trades, ",")
+def format_trades_csv(trades: TradeSet, out: TextIO | None = None) -> str | None:
+    """Header "v0,v1,v2", then one comma-separated trade per line; the text,
+    or None after writing it to `out` block by block."""
+    return _write(_blocks("v0,v1,v2", trades, ","), out)
 
 
-def _rows(header: str, trades: TradeSet, sep: str) -> str:
+def _write(blocks: Iterator[str], out: TextIO | None) -> str | None:
+    if out is None:
+        return "".join(blocks)
+    out.writelines(blocks)
+    return None
+
+
+def _blocks(header: str, trades: TradeSet, sep: str) -> Iterator[str]:
     """Header line, then one line per trade with its coordinates joined by
-    sep, all rows written by one batched %-format."""
+    sep, each block of rows written by one batched %-format."""
     row = f"%d{sep}%d{sep}%d\n"
-    return f"{header}\n" + (row * len(trades)) % tuple(chain.from_iterable(trades))
+    yield f"{header}\n"
+    for n, members in _chunks(trades.pieces):
+        yield (row * n) % tuple(chain.from_iterable(members))
+
+
+def _chunks(pieces: Iterable[Piece]) -> Iterator[tuple[int, Iterable[Trade]]]:
+    """The members in order, in blocks of at most BLOCK_ROWS, each with its
+    size: a run's blocks zip slices of its three coordinate ranges, so no
+    run is written out; consecutive single trades make blocks of their own."""
+    for is_run, group in groupby(pieces, key=lambda p: isinstance(p, SegmentEndpoints)):
+        if is_run:
+            for run in group:
+                ranges = run.ranges()
+                for lo in range(0, run.count, BLOCK_ROWS):
+                    n = min(BLOCK_ROWS, run.count - lo)
+                    yield n, zip(*(r[lo:lo + n] for r in ranges))
+        else:
+            single = list(group)
+            for lo in range(0, len(single), BLOCK_ROWS):
+                block = single[lo:lo + BLOCK_ROWS]
+                yield len(block), block
 
 
 def instance_document(inst: SemigroupInstance, method: str) -> dict:

@@ -32,6 +32,8 @@ from .core import (
 # oracle is out of its intended desk scale, and refusing up front keeps
 # the work of every accepted box bounded.
 _MAX_GRID_CELLS = 2**31
+# The largest radius C within the cap.
+MAX_BOX = (math.isqrt(_MAX_GRID_CELLS) - 1) // 2
 
 
 def enumerate_trades(inst: SemigroupInstance, box: int) -> TradeSet:
@@ -42,10 +44,9 @@ def enumerate_trades(inst: SemigroupInstance, box: int) -> TradeSet:
     """
     if box < 1:
         raise InvalidInputError(f"enumeration box must be >= 1, got {box}")
-    side = 2 * box + 1
-    if side * side > _MAX_GRID_CELLS:
+    if box > MAX_BOX:
         raise InvalidInputError(
-            f"enumeration box {box} needs {side * side} grid cells; beyond oracle scale"
+            f"enumeration box {box} needs {(2 * box + 1) ** 2} grid cells; beyond oracle scale"
         )
     n1, t, n3 = inst.generators
     # n1*v0 + t*v1 + n3*v2 = 0 needs n1*v0 = -n3*v2 (mod t): solvable iff g

@@ -11,9 +11,11 @@ data (strips, maps, extremal sum, growth, segment equation, threshold),
 which one table holds and one transport reads.  The base case is each
 orthant's Hirzebruch-Jung continued fraction at a shift at most one period
 above the transport threshold, so the route never enumerates a lattice:
-it yields the Graver basis at any shift, and counting it reads the
-segment's length without writing its members out.  Nothing here calls the
-brute-force oracle, which stays an independent check.
+it yields the Graver basis at any shift, as a few single trades and the
+two segments' runs, and counting it reads the segments' lengths.  No
+segment member is written out here.  Nothing here calls the brute-force
+oracle, which stays an independent check; only its scale limit is read,
+for the `auto` method's rule.
 """
 
 from __future__ import annotations
@@ -25,27 +27,26 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .core import (
     InternalConsistencyError,
     InvalidInputError,
     NoLengthTradeError,
     OrthantLabel,
+    Piece,
+    SegmentEndpoints,
     SemigroupInstance,
     ShiftedFamily,
     Trade,
     TradeSet,
     TradeSetMode,
-    add,
     canonical_rep,
     in_orthant,
     length,
-    negate,
-    scale,
     sort_key,
-    sub,
 )
+from .oracle import MAX_BOX
 # unused here; the benchmark's tracer rebinds these names in this module
 from .oracle import graver_oracle, hilbert_oracle  # noqa: F401
 
@@ -82,36 +83,6 @@ def period_map(fam: ShiftedFamily, i: int, j: int, v: Trade, periods: int = 1) -
 def period_map_inverse(fam: ShiftedFamily, i: int, j: int, v: Trade, periods: int = 1) -> Trade:
     """Exact inverse of period_map (transport back by periods*rho)."""
     return period_map(fam, i, j, v, -periods)
-
-
-@dataclass(frozen=True)
-class SegmentEndpoints:
-    """An arithmetic progression of trades: start, start+step, ..., end.
-
-    All members share one coordinate sum; step is the homogeneous trade.
-    """
-
-    start: Trade
-    end: Trade
-    step: Trade
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise InternalConsistencyError(f"segment count must be >= 1, got {self.count}")
-        if sub(self.end, self.start) != scale(self.count - 1, self.step):
-            raise InternalConsistencyError(
-                f"segment endpoints {self.start}..{self.end} do not differ by "
-                f"{self.count - 1} steps of {self.step}"
-            )
-
-    def trades(self) -> list[Trade]:
-        # every entry of the homogeneous step is nonzero, so each coordinate
-        # is a well-defined range; the members ascend in sort_key order
-        # because the step raises v2
-        return list(zip(*(
-            range(s, s + self.count * h, h) for s, h in zip(self.start, self.step)
-        )))
 
 
 def positive_segment(inst: SemigroupInstance) -> SegmentEndpoints:
@@ -230,26 +201,25 @@ class CompactBasis:
     `rest` is sorted by sort_key and holds every member off `segment`;
     `segment` is None for a PNP basis and for a base-case basis, which
     lists every member.  len() reads the two sizes, so a basis of 10^9
-    members is counted in O(1); materialize() writes it out.
+    members is counted in O(1); materialize() lists it in order.
     """
 
     rest: tuple[Trade, ...]
     segment: SegmentEndpoints | None = None
 
     def __len__(self) -> int:
-        return len(self.rest) + (self.segment.count if self.segment else 0)
+        return len(self.rest) + (self.segment.count if self.segment is not None else 0)
 
     def boundary(self) -> set[Trade]:
         """The members that may lie on a coordinate plane: rest and the segment ends."""
-        ends = (self.segment.start, self.segment.end) if self.segment else ()
+        ends = (self.segment.start, self.segment.end) if self.segment is not None else ()
         return {*self.rest, *ends}
 
     def materialize(self) -> TradeSet:
-        """Every member, written out in sort_key order: the segment's run
-        with the few rest members inserted by bisect."""
-        if self.segment is None:
-            return TradeSet(self.rest, TradeSetMode.FULL)
-        return TradeSet(tuple(_insert_sorted(self.segment.trades(), self.rest)), TradeSetMode.FULL)
+        """Every member in sort_key order, as pieces: the segment's run
+        with the few rest members inserted by bisect, none written out."""
+        runs = [] if self.segment is None else [self.segment]
+        return TradeSet(tuple(_ordered_pieces(runs, self.rest)), TradeSetMode.FULL)
 
 
 def _ascending(trades: list[Trade]) -> bool:
@@ -257,29 +227,52 @@ def _ascending(trades: list[Trade]) -> bool:
     return all(map(operator.lt, keys, keys[1:]))
 
 
-def _insert_sorted(run: list[Trade], members: Iterable[Trade]) -> list[Trade]:
-    """The strictly ascending `run` with `members` inserted in sort_key order.
+def _last(piece: Piece) -> Trade:
+    return piece.end if isinstance(piece, SegmentEndpoints) else piece
 
-    Each member goes in by bisect and must land strictly between its
-    neighbours, so a member already in the run, or given twice, raises
-    InternalConsistencyError.  Linear in len(run) plus a sort of the
-    members, which are few.
+
+def _ordered_pieces(runs: list[SegmentEndpoints], members: Iterable[Trade]) -> list[Piece]:
+    """The runs laid end to end with `members` inserted in sort_key order,
+    as ordered pieces (parts of runs and single members): nothing is
+    written out.
+
+    The runs' ends, in order, must ascend strictly, which covers each
+    run's direction and every seam between runs.  Each member goes in by
+    bisect over the run's arithmetic members and must land strictly
+    between its neighbours, so a member already in a run, or given twice,
+    raises InternalConsistencyError.  Linear in the number of runs plus a
+    sort of the members, which are few, and logarithmic in the run lengths.
     """
-    listing: list[Trade] = []
-    lo = 0
+    # a one-member run has one end
+    ends = [v for run in runs for v in dict.fromkeys((run.start, run.end))]
+    if not _ascending(ends):
+        raise InternalConsistencyError(f"runs out of order: ends {ends}")
+    pieces: list[Piece] = []
+    i = lo = 0  # runs[i] from its member lo on is not laid yet
     for v in sorted(members, key=sort_key):
-        hi = bisect_left(run, sort_key(v), lo, key=sort_key)
-        listing += run[lo:hi]
-        if not _ascending([*listing[-1:], v, *run[hi:hi + 1]]):
+        key = sort_key(v)
+        while i < len(runs) and sort_key(runs[i].end) < key:
+            pieces.append(runs[i].part(lo, runs[i].count))
+            i, lo = i + 1, 0
+        after = []
+        if i < len(runs):
+            hi = bisect_left(runs[i], key, lo, key=sort_key)
+            if hi > lo:
+                pieces.append(runs[i].part(lo, hi))
+                lo = hi
+            after.append(runs[i][hi])
+        before = [_last(pieces[-1])] if pieces else []
+        if not _ascending([*before, v, *after]):
             raise InternalConsistencyError(f"{v} is not strictly between its neighbours")
-        listing.append(v)
-        lo = hi
-    listing += run[lo:]
-    return listing
+        pieces.append(v)
+    if i < len(runs):
+        pieces.append(runs[i].part(lo, runs[i].count))
+        pieces += runs[i + 1:]
+    return pieces
 
 
 def transport(
-    base: SemigroupInstance, orthant: OrthantLabel, basis: TradeSet, periods: int
+    base: SemigroupInstance, orthant: OrthantLabel, basis: Collection[Trade], periods: int
 ) -> CompactBasis:
     """Carry the orthant's Hilbert basis at base.t to base.t + periods*rho,
     as the few images off the target segment plus the segment itself.
@@ -288,11 +281,12 @@ def transport(
     fix the strip's bounded coordinate, so `periods` steps are one map with
     a `periods`-fold correction); the members outside both strips have the
     extremal coordinate sum and form the segment, which is re-solved at the
-    target shift.  Every member of `basis` must be a trade at base.t in the
-    orthant.  The result must have periods*growth more members than
-    `basis`, and the target segment's endpoints must be the period-map
-    images of the base segment's.  Only the base members and the segment
-    ends are touched, so the cost does not grow with `periods`.
+    target shift.  `basis` is a listing (a tuple of trades or a TradeSet),
+    and every member must be a trade at base.t in the orthant.  The result
+    must have periods*growth more members than `basis`, and the target
+    segment's endpoints must be the period-map images of the base
+    segment's.  Only the base members and the segment ends are touched, so
+    the cost does not grow with `periods`.
 
     A PNP member may lie in both strips and then rides both maps.  That is
     safe: for t > d*a*b such a trade v has t*length(v) = d*(a*v0 - b*v2)
@@ -365,6 +359,13 @@ def effective_base_bound(fam: ShiftedFamily) -> int:
     return fam.b_max
 
 
+def auto_oracle_bound(fam: ShiftedFamily) -> int:
+    """Largest shift the `auto` method sends to the oracle: one at or below
+    the transport threshold whose box, of radius n3 = t + d*b, the oracle
+    walks rather than refuses.  Every other shift takes the shift route."""
+    return min(effective_base_bound(fam), MAX_BOX - fam.d * fam.b)
+
+
 def base_decomposition(inst: SemigroupInstance) -> tuple[SemigroupInstance, int]:
     """Write t = t0 + k*rho with k maximal such that t0 = t - k*rho stays above
     the transport threshold, so t0 lies in (bound, bound + rho]; at or below
@@ -420,7 +421,7 @@ def hilbert_shift(inst: SemigroupInstance, orthant: OrthantLabel) -> CompactBasi
     members = _cf_hilbert(base, orthant)
     if not k:
         return CompactBasis(members)
-    return transport(base, orthant, TradeSet(members, TradeSetMode.FULL), k)
+    return transport(base, orthant, members, k)
 
 
 def graver_count(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasis) -> int:
@@ -467,24 +468,24 @@ def _canonical_boundary(*parts: CompactBasis) -> tuple[set[Trade], int]:
     return union, sum(map(len, parts)) - overlap
 
 
-def _canonical_interior(segment: SegmentEndpoints | None) -> list[Trade]:
-    """The segment's members strictly between its ends, canonicalized, ascending.
+def _canonical_interior(segment: SegmentEndpoints | None) -> SegmentEndpoints | None:
+    """The segment's members strictly between its ends, canonicalized, as
+    an ascending run; None when there are none.
 
     They share one sign pattern (graver_count), so canonicalizing keeps
-    them all or negates them all, and negation reverses the run:
-    start+h .. end-h, or -end+h .. -start-h.
+    them all or negates them all, and negation keeps the step and reverses
+    the run: start+h .. end-h, or -end+h .. -start-h.
     """
     if segment is None or segment.count < 3:
-        return []
-    first, last, h = segment.start, segment.end, segment.step
-    if canonical_rep(add(first, h)) != add(first, h):
-        first, last = negate(last), negate(first)
-    return SegmentEndpoints(add(first, h), sub(last, h), h, segment.count - 2).trades()
+        return None
+    interior = segment.part(1, segment.count - 1)
+    return interior if canonical_rep(interior.start) == interior.start else interior.negated()
 
 
 def assemble_graver(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasis) -> TradeSet:
     """Union of the three Hilbert bases and their negations, canonicalized,
-    listed in sort_key order without a sort.
+    in sort_key order without a sort, as ordered pieces: no member of a
+    segment interior is written out.
 
     Almost every member lies inside the PPN or the NPP segment, and each
     canonical interior is one arithmetic run of step h = (b, -(a+b), a);
@@ -507,17 +508,14 @@ def assemble_graver(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasi
     size or order raises InternalConsistencyError.
     """
     boundary, expected = _canonical_boundary(h_pnp, h_ppn, h_npp)
-    npp, ppn = _canonical_interior(h_npp.segment), _canonical_interior(h_ppn.segment)
-    # a one-member run has one end
-    ends = [v for run in (npp, ppn) if run for v in dict.fromkeys((run[0], run[-1]))]
-    if not _ascending(ends):
-        raise InternalConsistencyError(f"segment interiors out of order: ends {ends}")
-    merged = _insert_sorted(npp + ppn, boundary)
+    interiors = map(_canonical_interior, (h_npp.segment, h_ppn.segment))
+    runs = [run for run in interiors if run is not None]
+    merged = TradeSet(tuple(_ordered_pieces(runs, boundary)), TradeSetMode.CANONICAL)
     if len(merged) != expected:
         raise InternalConsistencyError(
             f"merged {len(merged)} canonical trades, expected {expected}"
         )
-    return TradeSet(tuple(merged), TradeSetMode.CANONICAL)
+    return merged
 
 
 def graver_shift(inst: SemigroupInstance) -> TradeSet:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from gravershift import (
     length,
     verify_period_law,
 )
-from gravershift import analysis
+from gravershift import analysis, oracle
 from gravershift.analysis import count_row, objective_value, valid_shifts
 from gravershift.core import add, negate
 
@@ -51,9 +52,14 @@ class TestValidShifts:
     @pytest.mark.parametrize("a,b,d", [(1, 1, 1), (2, 3, 1), (3, 4, 2), (1, 3, 2), (2, 5, 3), (1, 1, 3)])
     def test_probes_the_largest_box_the_rows_walk(self, a, b, d, monkeypatch):
         # brute force: only oracle rows walk a box, their own shift's: every
-        # row of method "oracle", and the auto rows at or below b_max, at t
-        # and at t + reach.  A fast row walks none, so nothing is probed
+        # row of method "oracle", and the auto rows at or below b_max whose
+        # box the oracle walks, at t and at t + reach.  A fast row walks
+        # none, so nothing is probed
         fam = ShiftedFamily(a, b, d)
+
+        def auto_oracle(s):
+            return s <= fam.b_max and (2 * (s + d * b) + 1) ** 2 <= oracle._MAX_GRID_CELLS
+
         probed = []
         monkeypatch.setattr(analysis, "hilbert_oracle", lambda inst, orthant: probed.append(inst))
         bound, rho = fam.b_max, fam.rho
@@ -69,13 +75,25 @@ class TestValidShifts:
                             continue
                         walked = {
                             "oracle": [t + reach for t in shifts],
-                            "auto": [s for t in shifts for s in (t, t + reach) if s <= bound],
+                            "auto": [s for t in shifts for s in (t, t + reach) if auto_oracle(s)],
                             "fast": [],
                         }[method]
                         expected = [max(walked)] if walked else []
                         assert [inst.t for inst in probed] == expected, (lo, hi, reach, method)
                         probed.clear()
 
+
+    @pytest.mark.parametrize(
+        "lo,hi,probe", [(22990, 23030, 23018), (23019, 23100, None), (44000, 44849, None)]
+    )
+    def test_auto_probe_stops_at_oracle_scale(self, lo, hi, probe, monkeypatch):
+        # every shift here is a base case of (150,151,1) (b_max = 44,849),
+        # but the box n3 = t + 151 passes the grid cap from t = 23,019 on:
+        # auto rows there take the fast route, so they are not probed
+        probed = []
+        monkeypatch.setattr(analysis, "hilbert_oracle", lambda inst, orthant: probed.append(inst.t))
+        valid_shifts(ShiftedFamily(150, 151, 1), lo, hi, method="auto")
+        assert probed == ([probe] if probe else [])
 
 class TestCountScan:
     def test_oracle_row_t19(self, fam231):
@@ -94,6 +112,14 @@ class TestCountScan:
     def test_auto_resolution(self, fam231):
         assert count_row(fam231.instance(5), "auto").method == "oracle"
         assert count_row(fam231.instance(79), "auto").method == "fast"
+
+    def test_auto_takes_the_fast_route_beyond_oracle_scale(self):
+        # both shifts are base cases of (150,151,1) (b_max = 44,849); the
+        # box n3 = t + 151 is within the grid cap up to t = 23,018 only
+        fam = ShiftedFamily(150, 151, 1)
+        last, first = count_row(fam.instance(23018), "auto"), count_row(fam.instance(23019), "auto")
+        assert (last.method, first.method) == ("oracle", "fast")
+        assert last == dataclasses.replace(count_row(fam.instance(23018), "fast"), method="oracle")
 
     def test_oracle_vs_fast_agree(self, fam231):
         oracle_rows = count_scan(fam231, 7, 21, "oracle").rows

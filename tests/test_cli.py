@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from gravershift import OrthantLabel, ShiftedFamily, analysis, oracle
+from gravershift import OrthantLabel, ShiftedFamily, analysis, oracle, shift
 from gravershift.analysis import DifferentialReport, DifferentialRow
 from gravershift.cli import main
-from gravershift.shift import CompactBasis, SegmentEndpoints
+from gravershift.shift import CompactBasis
 from test_formats import GOLDEN_4TI2_M19
+from test_shift import _reversed_interior
 
 
 def run(capsys, *argv):
@@ -51,12 +52,12 @@ EXPORTS = {
     ],
     "core": [
         "InternalConsistencyError", "InvalidInputError", "NoLengthTradeError", "OrthantLabel",
-        "OutsideScopeError", "SemigroupInstance", "ShiftedFamily", "Trade", "TradeSet",
-        "canonical_rep", "from_generators", "in_orthant", "length",
+        "OutsideScopeError", "SegmentEndpoints", "SemigroupInstance", "ShiftedFamily", "Trade",
+        "TradeSet", "canonical_rep", "from_generators", "in_orthant", "length",
     ],
     "oracle": ["enumerate_trades", "factorizations", "graver_oracle", "hilbert_oracle"],
     "shift": [
-        "SegmentEndpoints", "assemble_graver", "base_decomposition", "effective_base_bound",
+        "assemble_graver", "base_decomposition", "effective_base_bound",
         "graver_shift", "hilbert_shift", "negative_segment", "period_map", "period_map_inverse",
         "period_multiplier", "positive_segment", "transport",
     ],
@@ -159,11 +160,19 @@ class TestGraver:
         assert err.startswith("error:") and str(path) in err
 
     def test_out_of_order_interior_exit_2(self, capsys, monkeypatch):
-        real = SegmentEndpoints.trades
-        monkeypatch.setattr(SegmentEndpoints, "trades", lambda self: real(self)[::-1])
+        monkeypatch.setattr(shift, "_canonical_interior", _reversed_interior)
         code, out, err = run(capsys, "graver", "--gens", "94157,94159,94162", "--method", "shift")
         assert (code, out) == (2, "")
         assert "out of order" in err
+
+    def test_auto_beyond_oracle_scale_takes_shift(self, capsys):
+        # (150,151,1) at t = 23,100 is a base case (b_max = 44,849) whose
+        # box, n3 = 23,251, the oracle refuses; auto answers by the shift route
+        code, out, err = run(capsys, "graver", "--gens", "22950,23100,23251")
+        assert (code, err) == (0, "") and out.startswith("90 3\n")
+        assert out == run(capsys, "graver", "--gens", "22950,23100,23251", "--method", "shift")[1]
+        _, doc, _ = run(capsys, "graver", "--gens", "22950,23100,23251", "--format", "json")
+        assert json.loads(doc)["method"] == "shift"
 
     def test_wrong_arity_exit_1(self, capsys):
         code, _, err = run(capsys, "graver", "--gens", "2,3")
@@ -513,6 +522,74 @@ class TestAugment:
         assert doc["start"] == [0, 4, 454542]
         # 588236 generators would weigh at least 17*588236 > 10^7
         assert (doc["result"], doc["value"]) == ([588234, 0, 1], "588235")
+
+
+def _cli_in_child(argv, stdout, limit=None):
+    """Run the CLI in a child process, optionally under an address-space
+    limit set on the child alone; returns (exit code, stderr, peak RSS in
+    MB), the child reporting its own peak on its last stderr line."""
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        if limit is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    probe = (
+        "import resource, sys\n"
+        "from gravershift.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stdout.flush()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+        preexec_fn=limit_memory,
+    )
+    err = done.stderr.splitlines()
+    peak = int(err.pop()) / 1024 if err and err[-1].isdigit() else None
+    return done.returncode, "\n".join(err), peak
+
+
+class TestFlatMemoryListing:
+    """graver writes its rows in blocks as it formats them, so its memory
+    does not grow with the listing."""
+
+    @pytest.mark.parametrize("both_signs", [False, True], ids=["canonical", "both-signs"])
+    @pytest.mark.parametrize("fmt", ["4ti2", "csv"])
+    def test_two_million_trades_under_256_mb(self, tmp_path, fmt, both_signs):
+        # (1,1,1) at t = 2*10^6 has 2,000,001 canonical trades; listing them
+        # whole took about 470 MB
+        t = 2_000_000
+        rows = analysis.count_row(ShiftedFamily(1, 1, 1).instance(t), "fast").graver
+        rows = rows if both_signs else rows // 2
+        argv = ["graver", "--gens", f"{t - 1},{t},{t + 1}", "--method", "shift", "--format", fmt]
+        path = tmp_path / "listing.txt"
+        with open(path, "w") as fh:
+            code, err, _ = _cli_in_child(argv + ["--both-signs"] * both_signs, fh, 2**28)
+        assert (code, err) == (0, "")
+        with open(path, "rb") as fh:
+            header = fh.readline().decode()
+            lines = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(2**20), b""))
+        path.unlink()
+        assert header == (f"{rows} 3\n" if fmt == "4ti2" else "v0,v1,v2\n")
+        assert lines == rows
+
+    def test_peak_rss_flat_from_1e5_to_1e6_trades(self):
+        peaks = []
+        for t in (100_000, 1_000_000):
+            argv = ["graver", "--gens", f"{t - 1},{t},{t + 1}", "--method", "shift",
+                    "--output", os.devnull]
+            code, err, peak = _cli_in_child(argv, subprocess.DEVNULL)
+            assert (code, err) == (0, "")
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) < 8, peaks
 
 
 class TestDifftest:

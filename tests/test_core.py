@@ -8,6 +8,7 @@ from gravershift import (
     InvalidInputError,
     OrthantLabel,
     OutsideScopeError,
+    SegmentEndpoints,
     ShiftedFamily,
     TradeSet,
     canonical_rep,
@@ -245,6 +246,40 @@ class TestTradeSet:
         ts = TradeSet(((1, 0, 0),), TradeSetMode.FULL)
         assert (1, 0, 0) in ts
         assert list(ts) == [(1, 0, 0)]
+
+    # (-8, 6, 1), (-5, 1, 3), (-2, -4, 5) as a run of step h = (3, -5, 2)
+    RUN = SegmentEndpoints((-8, 6, 1), (-2, -4, 5), (3, -5, 2), 3)
+    LISTED = ((11, -11, 1), (-8, 6, 1), (-5, 1, 3), (-2, -4, 5), (0, -22, 19))
+
+    def test_runs_count_and_compare_member_wise(self):
+        ts = TradeSet(((11, -11, 1), self.RUN, (0, -22, 19)), TradeSetMode.CANONICAL)
+        assert len(ts) == 5 and tuple(ts) == self.LISTED
+        # equality ignores how the members are split into pieces
+        assert ts == TradeSet(self.LISTED, TradeSetMode.CANONICAL)
+        assert ts != TradeSet(self.LISTED, TradeSetMode.FULL)
+        assert ts != TradeSet(self.LISTED[:-1], TradeSetMode.CANONICAL)
+        assert (-5, 1, 3) in ts and (5, -1, -3) not in ts
+
+    def test_trades_written_out_on_first_read_only(self):
+        ts = TradeSet(((11, -11, 1), self.RUN, (0, -22, 19)), TradeSetMode.CANONICAL)
+        len(ts), list(ts), ts.with_negations()
+        assert "trades" not in vars(ts)
+        assert ts.trades == self.LISTED and "trades" in vars(ts)
+        # a tuple of trades is its own listing
+        listed = TradeSet(self.LISTED, TradeSetMode.CANONICAL)
+        assert listed.trades is self.LISTED
+
+    def test_with_negations_reverses_runs(self):
+        ts = TradeSet(((11, -11, 1), self.RUN, (0, -22, 19)), TradeSetMode.CANONICAL)
+        both = ts.with_negations()
+        assert both.pieces == (
+            (0, 22, -19),
+            SegmentEndpoints((2, 4, -5), (8, -6, -1), (3, -5, 2), 3),
+            (-11, 11, -1),
+            *ts.pieces,
+        )
+        assert both.trades == (*map(negate, reversed(self.LISTED)), *self.LISTED)
+        assert both.trades == tuple(sorted(both.trades, key=sort_key))
 
 
 def test_in_orthant_boundaries():

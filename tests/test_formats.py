@@ -1,7 +1,25 @@
 import io
 import json
+import math
+from unittest import mock
 
-from gravershift import TradeSet, count_scan, graver_oracle
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from gravershift import (
+    OrthantLabel,
+    SegmentEndpoints,
+    ShiftedFamily,
+    TradeSet,
+    count_scan,
+    graver_oracle,
+    graver_shift,
+    hilbert_shift,
+    negative_segment,
+    positive_segment,
+)
+from gravershift import formats
 from gravershift.formats import (
     dump_json,
     format_4ti2,
@@ -45,6 +63,88 @@ class TestMatrixFormat:
         header, *rows = format_4ti2(basis).splitlines()
         assert header == f"{len(basis)} 3"
         assert [tuple(map(int, row.split())) for row in rows] == list(basis.trades)
+
+
+def _reference_4ti2(trades):
+    """The 4ti2 text written row by row from the listed members."""
+    rows = trades.trades
+    return f"{len(rows)} 3\n" + "".join(f"{x} {y} {z}\n" for x, y, z in rows)
+
+
+def _reference_csv(trades):
+    return "v0,v1,v2\n" + "".join(f"{x},{y},{z}\n" for x, y, z in trades.trades)
+
+
+def _listings(inst):
+    """Every listing the CLI writes for inst: the Graver basis, with both
+    signs, and each orthant's Hilbert basis."""
+    graver = graver_shift(inst)
+    return [graver, graver.with_negations(),
+            *(hilbert_shift(inst, o).materialize() for o in OrthantLabel)]
+
+
+def _assert_written_as_reference(inst):
+    for trades in _listings(inst):
+        assert format_4ti2(trades) == _reference_4ti2(trades), inst
+        assert format_trades_csv(trades) == _reference_csv(trades), inst
+        out = io.StringIO()
+        assert format_4ti2(trades, out) is None
+        assert out.getvalue() == _reference_4ti2(trades), inst
+
+
+class TestRunWriter:
+    """The writers format runs straight from their coordinate ranges, in
+    blocks; the text must be what row-by-row formatting of the written-out
+    members gives."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        a=st.integers(1, 8),
+        b=st.integers(1, 8),
+        d=st.integers(1, 3),
+        block=st.sampled_from([2, 3, 7, formats.BLOCK_ROWS]),
+        data=st.data(),
+    )
+    def test_byte_identical_to_row_by_row(self, a, b, d, block, data):
+        # base cases, the first period above b_max, and shifts near 10^5 to
+        # 10^6 where the listing (about t/(a*b) rows) stays near 2*10^4 rows
+        # so an example takes well under a second; small blocks put block
+        # edges inside every run and every stretch of single trades
+        assume(math.gcd(a, b) == 1)
+        fam = ShiftedFamily(a, b, d)
+        base_cases = range(d * a + 1, fam.b_max + 1)
+        near_large = [t for t in (100_003, 300_007, 1_000_003) if t <= 20_000 * a * b]
+        t = data.draw(st.one_of(
+            st.sampled_from(base_cases) if base_cases else st.nothing(),
+            st.sampled_from(range(fam.b_max + 1, fam.b_max + fam.rho + 1)),
+            st.sampled_from(near_large) if near_large else st.nothing(),
+        ), label="t")
+        assume(math.gcd(t, d) == 1)
+        with mock.patch.object(formats, "BLOCK_ROWS", block):
+            _assert_written_as_reference(fam.instance(t))
+
+    @pytest.mark.parametrize(
+        "t,counts",
+        [
+            (19, (1, 2)),  # segments with no interior
+            (49, (3, 5)),  # a one-member interior run
+            (81, (6, 8)),  # a boundary member next to a run's end
+        ],
+    )
+    def test_short_segments_and_boundary_at_run_end(self, fam231, t, counts):
+        # at t = 81 the PPN segment starts at the plane trade (0, 28, -27),
+        # whose canonical rep follows the negated interior's last member
+        inst = fam231.instance(t)
+        assert (positive_segment(inst).count, negative_segment(inst).count) == counts
+        _assert_written_as_reference(inst)
+
+    def test_runs_longer_than_a_block(self):
+        # (1,1,1) at t = 132,001: both interiors are runs of about 66,000
+        # members, each written in two blocks
+        inst = ShiftedFamily(1, 1, 1).instance(132_001)
+        runs = [p for p in graver_shift(inst).pieces if isinstance(p, SegmentEndpoints)]
+        assert len(runs) == 2 and all(r.count > formats.BLOCK_ROWS for r in runs)
+        _assert_written_as_reference(inst)
 
 
 class TestCsv:

@@ -44,9 +44,16 @@ from gravershift import (
     transport,
 )
 from gravershift import oracle, shift
-from gravershift.core import TradeSetMode, add, canonical_rep, sort_key
+from gravershift.core import TradeSetMode, add, canonical_rep, negate, sort_key, sub
 from gravershift.analysis import count_row
-from gravershift.shift import CompactBasis, _cf_hilbert, _orthant_table, graver_count
+from gravershift.shift import (
+    CompactBasis,
+    _canonical_interior,
+    _cf_hilbert,
+    _ordered_pieces,
+    _orthant_table,
+    graver_count,
+)
 
 
 def _valid_shift_above(fam, t):
@@ -152,7 +159,7 @@ class TestPositiveSegment:
     def test_t79(self, inst79):
         seg = positive_segment(inst79)
         assert (seg.start, seg.end, seg.count) == ((2, 24, -25), (14, 4, -17), 5)
-        assert seg.trades() == SEGMENT79_PPN
+        assert list(seg) == SEGMENT79_PPN
 
     def test_large_shift(self, fam231):
         seg = positive_segment(fam231.instance(94159))
@@ -168,7 +175,7 @@ class TestPositiveSegment:
             positive_segment(fam231.instance(4))
 
     def test_members_all_valid(self, inst79):
-        for v in positive_segment(inst79).trades():
+        for v in positive_segment(inst79):
             assert inst79.evaluate(v) == 0
             assert length(v) == 1
             assert in_orthant(v, OrthantLabel.PPN)
@@ -185,7 +192,7 @@ class TestPositiveSegment:
         assert candidates
         assert seg.start[0] == min(v[0] for v in candidates)
         assert seg.end[1] == min(v[1] for v in candidates)
-        assert set(seg.trades()) == set(candidates)
+        assert set(seg) == set(candidates)
 
 
 class TestSegmentEndpoints:
@@ -207,6 +214,15 @@ class TestSegmentEndpoints:
         with pytest.raises(InternalConsistencyError, match="steps"):
             SegmentEndpoints((2, 4, -5), end, (3, -5, 2), count)
 
+    def test_members_by_index_part_and_negation(self, inst79):
+        seg = negative_segment(inst79)
+        assert len(seg) == 8
+        assert [seg[k] for k in range(len(seg))] == list(seg) == SEGMENT79_NPP
+        with pytest.raises(IndexError):
+            seg[8]
+        assert list(seg.part(2, 5)) == SEGMENT79_NPP[2:5]
+        assert list(seg.negated()) == [negate(v) for v in reversed(SEGMENT79_NPP)]
+
 
 class TestNegativeSegment:
     def test_t19(self, inst19):
@@ -216,7 +232,7 @@ class TestNegativeSegment:
     def test_t79(self, inst79):
         seg = negative_segment(inst79)
         assert (seg.start, seg.end, seg.count) == ((-38, 36, 1), (-17, 1, 15), 8)
-        assert seg.trades() == SEGMENT79_NPP
+        assert list(seg) == SEGMENT79_NPP
 
     def test_large_shift(self, fam231):
         seg = negative_segment(fam231.instance(94159))
@@ -232,7 +248,7 @@ class TestNegativeSegment:
             negative_segment(fam231.instance(5))
 
     def test_members_all_valid(self, inst79):
-        for v in negative_segment(inst79).trades():
+        for v in negative_segment(inst79):
             assert inst79.evaluate(v) == 0
             assert length(v) == -1
             assert in_orthant(v, OrthantLabel.NPP)
@@ -498,8 +514,11 @@ class TestAssemble:
         # the merge must have graver_count's size: segments written out one
         # member short pass the boundary check but not this one
         parts = [hilbert_shift(inst79, o) for o in OrthantLabel]
-        real = SegmentEndpoints.trades
-        monkeypatch.setattr(SegmentEndpoints, "trades", lambda self: real(self)[1:])
+        def without_first(segment):
+            run = _canonical_interior(segment)
+            return run.part(1, run.count)
+
+        monkeypatch.setattr(shift, "_canonical_interior", without_first)
         with pytest.raises(InternalConsistencyError, match="merged 21 canonical trades, expected 23"):
             assemble_graver(*parts)
 
@@ -512,10 +531,17 @@ def _split(inst, orthant):
     if orthant is OrthantLabel.PNP:
         return CompactBasis(basis.trades)
     segment = (positive_segment if orthant is OrthantLabel.PPN else negative_segment)(inst)
-    on_segment = set(segment.trades())
+    on_segment = set(segment)
     compact = CompactBasis(tuple(v for v in basis if v not in on_segment), segment)
     assert len(compact) == len(basis)
     return compact
+
+
+def _reversed_interior(segment):
+    """The canonical interior listed backwards: a run from its end to its
+    start, stepping by -h."""
+    run = _canonical_interior(segment)
+    return run and SegmentEndpoints(run.end, run.start, negate(run.step), run.count)
 
 
 def _coprime_families():
@@ -576,8 +602,8 @@ class TestAssembleFromRuns:
         for inst, (_, ppn, npp) in _assembly_sweep():
             fam = inst.family
             cut = inst.t - fam.d * fam.a
-            npp_v2 = [v[2] for v in npp.segment.trades()[1:-1]] if npp.segment else []
-            ppn_v2 = [canonical_rep(v)[2] for v in ppn.segment.trades()[1:-1]] if ppn.segment else []
+            npp_v2 = [v[2] for v in list(npp.segment)[1:-1]] if npp.segment else []
+            ppn_v2 = [canonical_rep(v)[2] for v in list(ppn.segment)[1:-1]] if ppn.segment else []
             assert all(v2 * (fam.a + fam.b) < cut for v2 in npp_v2), inst
             assert all(v2 * (fam.a + fam.b) > cut for v2 in ppn_v2), inst
             both += bool(npp_v2 and ppn_v2)
@@ -586,10 +612,21 @@ class TestAssembleFromRuns:
     def test_reversed_interior_raises(self, monkeypatch):
         inst = from_generators(94157, 94159, 94162)
         parts = [hilbert_shift(inst, o) for o in OrthantLabel]
-        real = SegmentEndpoints.trades
-        monkeypatch.setattr(SegmentEndpoints, "trades", lambda self: real(self)[::-1])
+        monkeypatch.setattr(shift, "_canonical_interior", _reversed_interior)
         with pytest.raises(InternalConsistencyError, match="out of order"):
             assemble_graver(*parts)
+
+    def test_members_before_and_after_the_runs(self):
+        # runs laid end to end whole when every member lies before them, and
+        # after the last member when every member lies past them
+        h = (3, -5, 2)
+        low = SegmentEndpoints((-8, 6, 1), (-2, -4, 5), h, 3)
+        high = SegmentEndpoints((1, -9, 7), (7, -19, 11), h, 3)
+        first, last = (11, -11, 1), (0, -22, 19)
+        assert _ordered_pieces([low, high], [first]) == [first, low, high]
+        assert _ordered_pieces([low, high], [last]) == [low, high, last]
+        pieces = _ordered_pieces([low, high], [last, (-5, 2, 3), first])
+        assert pieces == [first, low.part(0, 2), (-5, 2, 3), low.part(2, 3), high, last]
 
     def test_swapped_segments_fail_at_the_seam(self, inst79):
         # the PPN interior listed first lies wholly above the NPP one
@@ -603,7 +640,7 @@ class TestAssembleFromRuns:
         # an interior member also listed in rest passes the overlap check
         # (it is not shared between bases) but not the order check
         pnp, ppn, npp = (hilbert_shift(inst79, o) for o in OrthantLabel)
-        inner = npp.segment.trades()[1]
+        inner = npp.segment[1]
         npp = CompactBasis(tuple(sorted((*npp.rest, inner), key=sort_key)), npp.segment)
         assert graver_count(pnp, ppn, npp) == 24
         with pytest.raises(InternalConsistencyError, match="strictly between"):
@@ -659,6 +696,69 @@ class TestCompact:
         assert _orthant_table(ShiftedFamily(2, 3, 1)) is table
         with pytest.raises(TypeError):
             table[OrthantLabel.PNP] = table[OrthantLabel.PPN]
+
+
+class TestSegmentIsTheLongestStepStretch:
+    """ROADMAP item 1's structural link, which the run form rests on.
+
+    Listed along the cone's boundary (the continued fraction's order: the
+    orthant's first non-negative coordinate descending), a PPN or NPP
+    Hilbert basis above its threshold has exactly one longest stretch of
+    consecutive members that differ by +-h, and it is the segment that
+    transport carries: the segment is one edge of the boundary, and no
+    other edge of a convex boundary has direction +-h.
+    """
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        a=st.integers(1, 8),
+        b=st.integers(1, 8),
+        d=st.integers(1, 3),
+        orthant=st.sampled_from([OrthantLabel.PPN, OrthantLabel.NPP]),
+        data=st.data(),
+    )
+    def test_longest_step_stretch_is_the_segment(self, a, b, d, orthant, data):
+        # any covered shift from the orthant's threshold to b_max + 3*rho,
+        # or one near 10^5
+        assume(math.gcd(a, b) == 1)
+        fam = ShiftedFamily(a, b, d)
+        lo = max(_orthant_table(fam)[orthant].threshold, d * a) + 1
+        t = data.draw(st.one_of(
+            st.sampled_from(range(lo, fam.b_max + 3 * fam.rho + 1)),
+            st.sampled_from([100_003, 100_019]),
+        ), label="t")
+        assume(math.gcd(t, d) == 1)
+        inst = fam.instance(t)
+        segment = (positive_segment if orthant is OrthantLabel.PPN else negative_segment)(inst)
+        # a one-member segment ties with every lone member
+        assume(segment.count >= 2)
+        i = orthant.nonneg_coords[0]
+        members = sorted(_cf_hilbert(inst, orthant), key=lambda v: -v[i])
+        h = fam.homogeneous_trade
+        stretches = [[members[0]]]
+        for u, v in zip(members, members[1:]):
+            if sub(v, u) in (h, negate(h)):
+                stretches[-1].append(v)
+            else:
+                stretches.append([v])
+        longest = max(map(len, stretches))
+        found = [sorted(s, key=sort_key) for s in stretches if len(s) == longest]
+        assert found == [list(segment)], (a, b, d, t, orthant)
+        transported = hilbert_shift(inst, orthant).segment
+        assert transported in (None, segment)
+
+    def test_sort_order_splits_the_segment(self):
+        # in sort_key order the plane trade (5, 0, -3) falls between the
+        # PPN segment's first and second members at (1,1,1), t = 4, so the
+        # listing holds the run in two parts around it
+        inst = ShiftedFamily(1, 1, 1).instance(4)
+        basis = hilbert_shift(inst, OrthantLabel.PPN)
+        assert list(positive_segment(inst)) == [(0, 5, -4), (1, 3, -3), (2, 1, -2)]
+        assert basis.materialize().pieces == (
+            SegmentEndpoints((0, 5, -4), (0, 5, -4), (1, -2, 1), 1),
+            (5, 0, -3),
+            SegmentEndpoints((1, 3, -3), (2, 1, -2), (1, -2, 1), 2),
+        )
 
 
 class TestGraverShift:
