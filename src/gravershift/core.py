@@ -269,12 +269,16 @@ class SegmentEndpoints:
         return add(self.start, scale(k, self.step))
 
     def __iter__(self) -> Iterator[Trade]:
-        return zip(*self.ranges())
+        """The members, zipped from the three coordinate ranges."""
+        return zip(*(range(s, s + self.count * h, h) for s, h in zip(self.start, self.step)))
 
-    def ranges(self) -> tuple[range, range, range]:
-        """The run's three coordinates, each as a range."""
-        r0, r1, r2 = (range(s, s + self.count * h, h) for s, h in zip(self.start, self.step))
-        return r0, r1, r2
+    def __contains__(self, v: object) -> bool:
+        """By arithmetic: v is start + k*step for the k that v[2] gives,
+        if that k is a whole number in 0..count-1 (step[2] > 0)."""
+        if not (isinstance(v, tuple) and len(v) == 3):
+            return False
+        k, r = divmod(v[2] - self.start[2], self.step[2])
+        return r == 0 and 0 <= k < self.count and self[k] == v
 
     def part(self, lo: int, hi: int) -> SegmentEndpoints:
         """Members lo..hi-1, as a run; needs 0 <= lo < hi <= count."""
@@ -310,7 +314,7 @@ class TradeSet:
     SegmentEndpoints run, so a tuple of trades is a TradeSet of single
     pieces and a transported basis of 10^9 members is a handful of
     pieces.  `trades` writes the members out on first read; len,
-    iteration, equality and with_negations work on the pieces.
+    iteration, membership, equality and with_negations work on the pieces.
     """
 
     pieces: tuple[Piece, ...]
@@ -348,7 +352,8 @@ class TradeSet:
         return chain.from_iterable(map(_members, self.pieces))
 
     def __contains__(self, v: object) -> bool:
-        return v in self.trades
+        """Piece by piece, so no run is written out."""
+        return any(v in p if isinstance(p, SegmentEndpoints) else v == p for p in self.pieces)
 
     def __eq__(self, other: object) -> bool:
         """Member-wise: the same mode and the same members in order,

@@ -10,6 +10,7 @@ from gravershift import (
     InvalidInputError,
     OrthantLabel,
     ShiftedFamily,
+    TradeSet,
     augment,
     base_decomposition,
     count_scan,
@@ -27,7 +28,7 @@ from gravershift import (
 )
 from gravershift import analysis, oracle
 from gravershift.analysis import count_row, objective_value, valid_shifts
-from gravershift.core import add, negate
+from gravershift.core import TradeSetMode, add, negate
 
 
 class TestValidShifts:
@@ -259,6 +260,17 @@ class TestDifferential:
         assert report.ok
         assert len(report.rows) == 8
         assert all(row.fast_count == row.oracle_count for row in report.rows)
+
+    def test_a_changed_member_is_a_mismatch(self, monkeypatch):
+        # the routes are compared member by member, not by their counts
+        def one_member_negated(inst):
+            listed = tuple(graver_shift(inst))
+            return TradeSet((*listed[:-1], negate(listed[-1])), TradeSetMode.CANONICAL)
+
+        monkeypatch.setattr(analysis, "graver_shift", one_member_negated)
+        report = differential_test([ShiftedFamily(1, 2, 1)], 1)
+        assert report.rows and not report.ok
+        assert all(r.fast_count == r.oracle_count and not r.equal for r in report.rows)
 
     def test_empty_family_list(self):
         report = differential_test([], 2)

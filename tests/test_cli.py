@@ -562,10 +562,12 @@ class TestFlatMemoryListing:
     does not grow with the listing."""
 
     @pytest.mark.parametrize("both_signs", [False, True], ids=["canonical", "both-signs"])
-    @pytest.mark.parametrize("fmt", ["4ti2", "csv"])
+    @pytest.mark.parametrize("fmt", ["4ti2", "csv", "json"])
     def test_two_million_trades_under_256_mb(self, tmp_path, fmt, both_signs):
         # (1,1,1) at t = 2*10^6 has 2,000,001 canonical trades; listing them
-        # whole took about 470 MB
+        # whole took about 470 MB.  JSON spends five lines on each trade and
+        # 21 more on the envelope after its opening brace, and ends with
+        # the count
         t = 2_000_000
         rows = analysis.count_row(ShiftedFamily(1, 1, 1).instance(t), "fast").graver
         rows = rows if both_signs else rows // 2
@@ -577,9 +579,16 @@ class TestFlatMemoryListing:
         with open(path, "rb") as fh:
             header = fh.readline().decode()
             lines = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(2**20), b""))
+            fh.seek(-64, os.SEEK_END)
+            tail = fh.read().decode()
         path.unlink()
-        assert header == (f"{rows} 3\n" if fmt == "4ti2" else "v0,v1,v2\n")
-        assert lines == rows
+        if fmt == "json":
+            assert header == "{\n"
+            assert tail.endswith(f'\n    ]\n  ],\n  "count": {rows}\n}}\n')
+            assert lines == 5 * rows + 21
+        else:
+            assert header == (f"{rows} 3\n" if fmt == "4ti2" else "v0,v1,v2\n")
+            assert lines == rows
 
     def test_peak_rss_flat_from_1e5_to_1e6_trades(self):
         peaks = []

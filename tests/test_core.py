@@ -260,6 +260,19 @@ class TestTradeSet:
         assert ts != TradeSet(self.LISTED[:-1], TradeSetMode.CANONICAL)
         assert (-5, 1, 3) in ts and (5, -1, -3) not in ts
 
+    def test_membership_by_arithmetic(self):
+        # every vector near the run answers as the listing does, and
+        # none of them writes the listing out
+        ts = TradeSet(((11, -11, 1), self.RUN, (0, -22, 19)), TradeSetMode.CANONICAL)
+        near = [(x, y, z) for x in range(-12, 13) for y in range(-24, 13) for z in range(-1, 21)]
+        assert [v in ts for v in near] == [v in self.LISTED for v in near]
+        assert "trades" not in vars(ts)
+        # one step before the start and after the end, off in v0 only, and
+        # a list or a pair instead of a trade
+        assert (-11, 11, -1) not in self.RUN and (1, -9, 7) not in self.RUN
+        assert (-4, 1, 3) not in self.RUN
+        assert [-5, 1, 3] not in ts and (-5, 1) not in ts
+
     def test_trades_written_out_on_first_read_only(self):
         ts = TradeSet(((11, -11, 1), self.RUN, (0, -22, 19)), TradeSetMode.CANONICAL)
         len(ts), list(ts), ts.with_negations()

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -20,6 +21,7 @@ from gravershift import (
     positive_segment,
 )
 from gravershift import formats
+from gravershift.core import TradeSetMode
 from gravershift.formats import (
     dump_json,
     format_4ti2,
@@ -147,6 +149,114 @@ class TestRunWriter:
         _assert_written_as_reference(inst)
 
 
+def _members(start, step, count):
+    return [tuple(s + k * h for s, h in zip(start, step)) for k in range(count)]
+
+
+# values at and around 0 and the 3- and 4-digit edges, where the writer
+# changes how it splits a number
+EDGES = (-1001, -1000, -999, -998, -1, 0, 1, 998, 999, 1000, 1001)
+# the text after each number of a row: 4ti2, CSV, and a JSON trades array
+SEPS = ((" ", " ", "\n"), (",", ",", "\n"), (",\n      ", ",\n      ", "\n    ],\n    [\n      "))
+
+
+class TestRunText:
+    """A run's rows are built from the periodic tails and the stretches of
+    equal heads of its coordinates; the text must be the batched %-format
+    of its members, for any start, step and length."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        step=st.tuples(*[st.sampled_from(range(-12, 13))] * 3),
+        count=st.sampled_from([1, 2, 3, 5, 8, 63, 64, 65, 250, 999, 1000, 1001, 2600]),
+        middle=st.tuples(*[st.one_of(
+            st.sampled_from(EDGES),
+            st.sampled_from(range(-3000, 3001)),
+            st.sampled_from(range(-10**12, 10**12 + 1)),
+        )] * 3),
+        seps=st.sampled_from(SEPS),
+        data=st.data(),
+    )
+    def test_byte_identical_to_percent_format(self, step, count, middle, seps, data):
+        # the run passes through `middle` at a drawn row, so a middle value
+        # from EDGES puts a sign change or a digit-count edge inside it
+        k = data.draw(st.sampled_from(range(count)), label="row of middle")
+        start = tuple(m - k * h for m, h in zip(middle, step))
+        row = "%d{}%d{}%d{}".format(*seps)
+        expected = (row * count) % tuple(chain.from_iterable(_members(start, step, count)))
+        assert formats._run_text(start, step, count, seps) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        start=st.tuples(*[st.sampled_from(EDGES + (-5000, 5000))] * 3),
+        # a run's step has no zero entry (its coordinates are ranges)
+        step=st.tuples(*[st.sampled_from([*range(-12, 0), *range(1, 13)])] * 3),
+        count=st.sampled_from([1, 2, 6, 7, 8, 13, 14, 15, 64, 65, 300]),
+        block=st.sampled_from([1, 7, 64, formats.BLOCK_ROWS]),
+        singles=st.sampled_from([0, 1, 2, 9]),
+    )
+    def test_blocks_around_a_patched_block_size(self, start, step, count, block, singles):
+        # a run between stretches of single trades, in blocks of a patched
+        # size that falls inside the run, at its end or beyond it
+        members = _members(start, step, count)
+        end = members[-1]
+        run = SegmentEndpoints(start, end, step, count)
+        before = [(-7, k, -3) for k in range(singles)]
+        after = [(k, 5, 9999) for k in range(singles)]
+        ts = TradeSet((*before, run, *after), TradeSetMode.FULL)
+        rows = [*before, *members, *after]
+        with mock.patch.object(formats, "BLOCK_ROWS", block):
+            assert format_4ti2(ts) == f"{len(rows)} 3\n" + "".join(
+                "%d %d %d\n" % v for v in rows)
+            assert format_trades_csv(ts) == "v0,v1,v2\n" + "".join(
+                "%d,%d,%d\n" % v for v in rows)
+            doc = {"method": "shift", "trades": ts, "count": len(ts)}
+            assert _dumped(doc) == json.dumps({**doc, "trades": rows}, indent=2) + "\n"
+
+
+def _json_reference(doc):
+    """json.dumps of the document with each TradeSet listed as arrays."""
+    listed = {k: [list(v) for v in x] if isinstance(x, TradeSet) else x for k, x in doc.items()}
+    return json.dumps(listed, indent=2) + "\n"
+
+
+class TestJsonListing:
+    """dump_json writes a TradeSet value from its pieces in blocks; the
+    bytes must be json.dumps of the document with the trades listed."""
+
+    @pytest.mark.parametrize("t", [7, 19, 49, 81, 3001])
+    @pytest.mark.parametrize("block", [1, 2, 3, formats.BLOCK_ROWS])
+    def test_listings_byte_identical(self, fam231, t, block):
+        inst = fam231.instance(t)
+        with mock.patch.object(formats, "BLOCK_ROWS", block):
+            for trades in _listings(inst):
+                doc = trades_document(inst, "shift", trades)
+                assert _dumped(doc) == _json_reference(doc)
+            hilbert = hilbert_shift(inst, OrthantLabel.NPP).materialize()
+            doc = trades_document(inst, "shift", hilbert, orthant="npp")
+            assert _dumped(doc) == _json_reference(doc)
+
+    @pytest.mark.parametrize("pieces", [
+        (),
+        ((3, -5, 2),),
+        (SegmentEndpoints((-8, 6, 1), (-8, 6, 1), (3, -5, 2), 1),),
+        (SegmentEndpoints((-8, 6, 1), (-5, 1, 3), (3, -5, 2), 2),),
+        ((11, -11, 1), SegmentEndpoints((-8, 6, 1), (-2, -4, 5), (3, -5, 2), 3)),
+    ], ids=["empty", "one-trade", "one-member-run", "two-member-run", "ending-in-a-run"])
+    def test_short_listings(self, inst19, pieces):
+        # the last member closes the array, so it is split off its run
+        doc = trades_document(inst19, "shift", TradeSet(pieces, TradeSetMode.CANONICAL))
+        assert _dumped(doc) == _json_reference(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {},
+        {"rows": []},
+        {"family": {"a": 1}, "rows": [{"t": 2, "ok": True}, {"t": 3, "x": None}], "s": "a\nb"},
+    ], ids=["empty", "empty-list", "nested"])
+    def test_documents_without_trades(self, doc):
+        assert _dumped(doc) == json.dumps(doc, indent=2) + "\n"
+
+
 class TestCsv:
     def test_trades_csv(self):
         ts = TradeSet.canonical([(3, -5, 2), (0, -22, 19)])
@@ -165,7 +275,8 @@ class TestCsv:
 
 class TestJsonDocument:
     def test_schema_fields(self, inst19):
-        doc = trades_document(inst19, "oracle", graver_oracle(inst19))
+        basis = graver_oracle(inst19)
+        doc = trades_document(inst19, "oracle", basis)
         assert set(doc) == {
             "generators", "t", "a", "b", "d", "rho", "bounds", "method", "trades", "count",
         }
@@ -173,7 +284,9 @@ class TestJsonDocument:
         assert doc["rho"] == 30
         assert doc["bounds"] == {"plus": 4, "plusMinus": 6, "minus": 5, "max": 6}
         assert doc["count"] == 13
-        assert doc["trades"][0] == (-19, 17, 0)
+        # the TradeSet itself, which dump_json writes as an array of arrays
+        assert doc["trades"] is basis
+        assert next(iter(doc["trades"])) == (-19, 17, 0)
 
     def test_dump_deterministic_and_parseable(self, inst19):
         doc = trades_document(inst19, "oracle", graver_oracle(inst19))

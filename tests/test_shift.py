@@ -1,5 +1,6 @@
 import functools
 import math
+import time
 from itertools import chain
 
 import pytest
@@ -798,6 +799,26 @@ class TestGraverShift:
         assert _strictly_increasing(got)
         assert all(canonical_rep(v) == v for v in got)
         assert len(got) == len(graver_oracle(base)) + k * fam231.d * (fam231.a + fam231.b)
+
+    def test_membership_at_a_million_without_listing(self):
+        # (1,1,1) at t = 10^6 has 1,000,003 members, nearly all in two runs;
+        # writing them out to test one took about 4 s
+        got = graver_shift(ShiftedFamily(1, 1, 1).instance(10**6))
+        run = max((p for p in got.pieces if isinstance(p, SegmentEndpoints)), key=len)
+        inside = run[run.count // 2]
+        probes = (run.start, inside, run.end, sub(run.start, run.step), add(run.end, run.step),
+                  add(inside, (0, 0, 1)), negate(inside))
+        fastest = float("inf")
+        for _ in range(5):
+            started = time.perf_counter()
+            answers = [v in got for v in probes]
+            fastest = min(fastest, time.perf_counter() - started)
+        assert "trades" not in vars(got)
+        assert fastest < 1e-3
+        # the reference: one pass over the members, keeping the probes met
+        met = {v for v in got if v in probes}
+        assert answers == [v in met for v in probes]
+        assert answers[:3] == [True] * 3 and answers[5:] == [False] * 2
 
     @pytest.mark.parametrize("a,b,d", [(1, 1, 1), (1, 2, 1), (2, 3, 1), (1, 3, 2)])
     def test_matches_oracle_three_periods(self, a, b, d):
