@@ -13,7 +13,7 @@ import argparse
 import contextlib
 import dataclasses
 import sys
-from typing import TYPE_CHECKING, Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 from . import formats
 from .core import (
@@ -34,10 +34,8 @@ from .shift import (
     hilbert_shift,
 )
 
-# graver, hilbert and params never load the counting layer: analysis and
-# fractions are imported inside the subcommands that use them
-if TYPE_CHECKING:
-    from fractions import Fraction
+# graver, hilbert and params never load the counting layer: analysis is
+# imported inside the subcommands that use it, and fractions by _values
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -54,38 +52,24 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _parse_triple(text: str, flag: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise CliError(f"{flag} expects three comma-separated integers, got {text!r}")
-    try:
-        x, y, z = (int(p) for p in parts)
-    except ValueError:
-        raise CliError(f"{flag} expects integers, got {text!r}") from None
-    return (x, y, z)
+def _values(n: int, kind: str, sep: str = ",") -> Callable[[str], tuple]:
+    """The type of a flag whose value is n numbers of one kind, "integer" or
+    "rational", split by sep; fractions loads only when a rational is parsed."""
 
+    def parse(text: str) -> tuple:
+        if kind == "rational":
+            from fractions import Fraction as convert
+        else:
+            convert = int
+        parts = text.split(sep)
+        try:
+            if len(parts) == n:
+                return tuple(map(convert, parts))
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected {n} {kind}s separated by {sep!r}, got {text!r}")
 
-def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise CliError(f"--t-range expects lo..hi, got {text!r}")
-    try:
-        return int(lo), int(hi)
-    except ValueError:
-        raise CliError(f"--t-range expects integers, got {text!r}") from None
-
-
-def _parse_weights(text: str) -> tuple[Fraction, Fraction, Fraction]:
-    from fractions import Fraction
-
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise CliError(f"--objective expects three comma-separated rationals, got {text!r}")
-    try:
-        w = tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"--objective expects rationals like 1, -2, 1/3; got {text!r}") from None
-    return w  # type: ignore[return-value]
+    return parse
 
 
 @contextlib.contextmanager
@@ -119,7 +103,7 @@ def _resolve_method(inst: SemigroupInstance, method: str) -> str:
 
 
 def cmd_params(args: argparse.Namespace) -> int:
-    inst = from_generators(*_parse_triple(args.gens, "--gens"))
+    inst = from_generators(*args.gens)
     fam = inst.family
     base, k = base_decomposition(inst)
     h = fam.homogeneous_trade
@@ -158,7 +142,7 @@ def _emit_trades(
 
 
 def cmd_graver(args: argparse.Namespace) -> int:
-    inst = from_generators(*_parse_triple(args.gens, "--gens"))
+    inst = from_generators(*args.gens)
     method = _resolve_method(inst, args.method)
     trades = graver_shift(inst) if method == "shift" else graver_oracle(inst)
     if args.both_signs:
@@ -168,7 +152,7 @@ def cmd_graver(args: argparse.Namespace) -> int:
 
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
-    inst = from_generators(*_parse_triple(args.gens, "--gens"))
+    inst = from_generators(*args.gens)
     orthant = OrthantLabel(args.orthant)
     method = _resolve_method(inst, args.method)
     if method == "shift":
@@ -182,9 +166,8 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     from . import analysis
 
-    fam = ShiftedFamily(*_parse_triple(args.family, "--family"))
-    t_lo, t_hi = _parse_range(args.t_range)
-    table = analysis.count_scan(fam, t_lo, t_hi, args.method)
+    fam = ShiftedFamily(*args.family)
+    table = analysis.count_scan(fam, *args.t_range, args.method)
     if args.format == "json":
         doc = {
             "family": {"a": fam.a, "b": fam.b, "d": fam.d},
@@ -199,9 +182,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import analysis
 
-    fam = ShiftedFamily(*_parse_triple(args.family, "--family"))
-    t_lo, t_hi = _parse_range(args.t_range)
-    report = analysis.verify_period_law(fam, t_lo, t_hi, method=args.method)
+    fam = ShiftedFamily(*args.family)
+    report = analysis.verify_period_law(fam, *args.t_range, method=args.method)
     table = formats.format_csv(
         "t,graver_increment,pnp_increment,ppn_increment,npp_increment,ok",
         map(dataclasses.astuple, report.rows),
@@ -217,7 +199,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_scan_bounds(args: argparse.Namespace) -> int:
     from . import analysis
 
-    fam = ShiftedFamily(*_parse_triple(args.family, "--family"))
+    fam = ShiftedFamily(*args.family)
     report = analysis.empirical_bounds(fam, args.t_max)
     doc = {
         "family": {"a": fam.a, "b": fam.b, "d": fam.d},
@@ -237,20 +219,16 @@ def cmd_scan_bounds(args: argparse.Namespace) -> int:
 def cmd_augment(args: argparse.Namespace) -> int:
     from . import analysis
 
-    inst = from_generators(*_parse_triple(args.gens, "--gens"))
-    weights = _parse_weights(args.objective)
-    if (args.element is None) == (args.start is None):
+    inst = from_generators(*args.gens)
+    start, element, weights = args.start, args.element, args.objective
+    if (element is None) == (start is None):
         raise CliError("provide exactly one of --element or --start")
-    if args.start is not None:
-        start = _parse_triple(args.start, "--start")
-        if any(z < 0 for z in start):
-            raise CliError(f"--start must be non-negative, got {start}")
-        element = inst.evaluate(start)
-    else:
-        element = args.element
+    if start is None:
         start = next(iter_factorizations(inst, element), None)
         if start is None:
             raise CliError(f"{element} is not in the semigroup {inst.generators}")
+    else:  # analysis.augment refuses a negative start
+        element = inst.evaluate(start)
     result = analysis.augment(inst, start, weights, args.sense)
     value = analysis.objective_value(weights, result)
     doc = formats.instance_document(inst, "augment")
@@ -271,7 +249,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
 def cmd_difftest(args: argparse.Namespace) -> int:
     from . import analysis
 
-    families = [ShiftedFamily(*_parse_triple(text, "--family")) for text in args.family]
+    families = [ShiftedFamily(*abc) for abc in args.family]
     report = analysis.differential_test(families, args.periods)
     table = formats.format_csv(
         "a,b,d,t,fast,oracle,equal",
@@ -284,76 +262,62 @@ def cmd_difftest(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
+# Flags that several subcommands share, each written once: (flag, add_argument keywords).
+_TRIPLE = _values(3, "integer")
+_GENS = ("--gens", dict(required=True, type=_TRIPLE, help="n1,n2,n3"))
+_FAMILY = ("--family", dict(required=True, type=_TRIPLE, help="a,b,d"))
+_T_RANGE = ("--t-range", dict(required=True, type=_values(2, "integer", ".."), help="lo..hi"))
+_LISTING = (
+    ("--method", dict(choices=["auto", "oracle", "shift"], default="auto")),
+    ("--format", dict(choices=["4ti2", "json", "csv"], default="4ti2")),
+)
+
+# (subcommand, handler, help, flags); build_parser adds --output to each.
+_COMMANDS = (
+    ("params", cmd_params, "derived parameters and base decomposition", (_GENS,)),
+    ("graver", cmd_graver, "Graver basis of one instance", (
+        _GENS, *_LISTING, ("--both-signs", dict(
+            action="store_true", help="list every trade and its negation instead of one per pair"
+        )),
+    )),
+    ("hilbert", cmd_hilbert, "Hilbert basis of one orthant", (
+        _GENS, ("--orthant", dict(choices=["pnp", "ppn", "npp"], required=True)), *_LISTING,
+    )),
+    ("count", cmd_count, "count table over a shift range", (
+        _FAMILY, _T_RANGE, ("--method", dict(choices=["auto", "oracle", "fast"], default="oracle")),
+        ("--format", dict(choices=["csv", "json"], default="csv")),
+    )),
+    ("verify", cmd_verify, "check the one-period count increments", (
+        _FAMILY, _T_RANGE, ("--method", dict(choices=["oracle", "fast", "auto"], default="oracle")),
+    )),
+    ("scan-bounds", cmd_scan_bounds, "empirical sharpness of the thresholds", (
+        _FAMILY, ("--t-max", dict(type=int, required=True)),
+    )),
+    ("augment", cmd_augment, "optimize a linear objective over factorizations", (
+        _GENS,
+        ("--element", dict(type=int, help="element whose factorizations to search")),
+        ("--start", dict(type=_TRIPLE, help="starting factorization z0,z1,z2")),
+        ("--objective", dict(
+            required=True, type=_values(3, "rational"), help="c0,c1,c2 (exact rationals)"
+        )),
+        ("--sense", dict(choices=["min", "max"], default="min")),
+    )),
+    ("difftest", cmd_difftest, "transported vs oracle Graver bases", (
+        ("--family", {**_FAMILY[1], "action": "append", "help": "a,b,d (repeatable)"}),
+        ("--periods", dict(type=int, default=1)),
+    )),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gravershift", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p: argparse.ArgumentParser) -> None:
+    for name, handler, help_text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, spec in flags:
+            p.add_argument(flag, **spec)
         p.add_argument("--output", help="write to this path instead of stdout")
-
-    p = sub.add_parser("params", help="derived parameters and base decomposition")
-    p.add_argument("--gens", required=True, help="n1,n2,n3")
-    add_output(p)
-    p.set_defaults(func=cmd_params)
-
-    p = sub.add_parser("graver", help="Graver basis of one instance")
-    p.add_argument("--gens", required=True, help="n1,n2,n3")
-    p.add_argument("--method", choices=["auto", "oracle", "shift"], default="auto")
-    p.add_argument("--format", choices=["4ti2", "json", "csv"], default="4ti2")
-    p.add_argument(
-        "--both-signs",
-        action="store_true",
-        help="list every trade and its negation instead of one per pair",
-    )
-    add_output(p)
-    p.set_defaults(func=cmd_graver)
-
-    p = sub.add_parser("hilbert", help="Hilbert basis of one orthant")
-    p.add_argument("--gens", required=True, help="n1,n2,n3")
-    p.add_argument("--orthant", choices=["pnp", "ppn", "npp"], required=True)
-    p.add_argument("--method", choices=["auto", "oracle", "shift"], default="auto")
-    p.add_argument("--format", choices=["4ti2", "json", "csv"], default="4ti2")
-    add_output(p)
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("count", help="count table over a shift range")
-    p.add_argument("--family", required=True, help="a,b,d")
-    p.add_argument("--t-range", required=True, help="lo..hi")
-    p.add_argument("--method", choices=["auto", "oracle", "fast"], default="oracle")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    add_output(p)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("verify", help="check the one-period count increments")
-    p.add_argument("--family", required=True, help="a,b,d")
-    p.add_argument("--t-range", required=True, help="lo..hi")
-    p.add_argument("--method", choices=["oracle", "fast", "auto"], default="oracle")
-    add_output(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("scan-bounds", help="empirical sharpness of the thresholds")
-    p.add_argument("--family", required=True, help="a,b,d")
-    p.add_argument("--t-max", type=int, required=True)
-    add_output(p)
-    p.set_defaults(func=cmd_scan_bounds)
-
-    p = sub.add_parser("augment", help="optimize a linear objective over factorizations")
-    p.add_argument("--gens", required=True, help="n1,n2,n3")
-    p.add_argument("--element", type=int, help="element whose factorizations to search")
-    p.add_argument("--start", help="starting factorization z0,z1,z2")
-    p.add_argument("--objective", required=True, help="c0,c1,c2 (exact rationals)")
-    p.add_argument("--sense", choices=["min", "max"], default="min")
-    add_output(p)
-    p.set_defaults(func=cmd_augment)
-
-    p = sub.add_parser("difftest", help="transported vs oracle Graver bases")
-    p.add_argument(
-        "--family", action="append", required=True, help="a,b,d (repeatable)"
-    )
-    p.add_argument("--periods", type=int, default=1)
-    add_output(p)
-    p.set_defaults(func=cmd_difftest)
-
+        p.set_defaults(func=handler)
     return parser
 
 

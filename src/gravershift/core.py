@@ -239,11 +239,12 @@ class TradeSetMode(enum.Enum):
 class SegmentEndpoints:
     """An arithmetic run of trades: start, start+step, ..., end.
 
-    In every run the program builds, step is the homogeneous trade
-    (b, -(a+b), a): its entries are nonzero, so each coordinate of the run
-    is a range, and step[2] = a > 0, so the members ascend in sort_key
-    order.  A run is a sequence of its members, indexed arithmetically,
-    so bisect finds a member's place without writing the run out.
+    The step's entries must be nonzero, so each coordinate of the run is a
+    range, and step[2] must be positive, so the members ascend in sort_key
+    order; every run the program builds steps by the homogeneous trade
+    (b, -(a+b), a).  A run is a sequence of its members, indexed
+    arithmetically, so bisect finds a member's place without writing the
+    run out.
     """
 
     start: Trade
@@ -254,6 +255,10 @@ class SegmentEndpoints:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise InternalConsistencyError(f"segment count must be >= 1, got {self.count}")
+        if 0 in self.step or self.step[2] < 0:  # a zero step[2] is a zero entry
+            raise InternalConsistencyError(
+                f"segment step {self.step} needs nonzero entries and step[2] > 0"
+            )
         if sub(self.end, self.start) != scale(self.count - 1, self.step):
             raise InternalConsistencyError(
                 f"segment endpoints {self.start}..{self.end} do not differ by "

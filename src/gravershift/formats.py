@@ -85,7 +85,8 @@ def _run_text(start: Trade, step: Trade, count: int, seps: tuple[str, str, str])
 
 
 def _column(v: int, h: int, n: int, sep: str) -> tuple[list[str], list[str]]:
-    """Heads and tails with head + tail == f"{x}{sep}" for x = v + k*h, k < n.
+    """Heads and tails with head + tail == f"{x}{sep}" for x = v + k*h, k < n,
+    and h != 0 (a run's step has no zero entry).
 
     The column is split where |x| crosses _M: a stretch of |x| >= _M is
     written by _digits with its sign, and the at most 2*_M/|h| rows between
@@ -97,15 +98,11 @@ def _column(v: int, h: int, n: int, sep: str) -> tuple[list[str], list[str]]:
     while k < n:
         x = v + k * h
         if x >= _M:  # rows until x falls below _M
-            m = n - k if h >= 0 else min(n - k, (x - _M) // -h + 1)
+            m = n - k if h > 0 else min(n - k, (x - _M) // -h + 1)
             _digits(heads, tails, "", x, h, m, sep)
         elif x <= -_M:  # rows until x rises above -_M
-            m = n - k if h <= 0 else min(n - k, (-_M - x) // h + 1)
+            m = n - k if h < 0 else min(n - k, (-_M - x) // h + 1)
             _digits(heads, tails, "-", -x, -h, m, sep)
-        elif h == 0:
-            m = n - k
-            heads += [str(x)] * m
-            tails += [sep] * m
         else:  # rows until |x| reaches _M
             m = min(n - k, (_M - x + h - 1) // h if h > 0 else (_M + x - h - 1) // -h)
             heads += map(str, range(x, x + m * h, h))
@@ -127,13 +124,7 @@ def _digits(heads: list[str], tails: list[str], sign: str, u: int, g: int, m: in
     j = 0
     while j < m:
         q = (u + j * g) // _M
-        if g > 0:
-            nxt = ((q + 1) * _M - u + g - 1) // g
-        elif g < 0:
-            nxt = (u - q * _M) // -g + 1
-        else:
-            nxt = m
-        nxt = min(nxt, m)
+        nxt = min(m, ((q + 1) * _M - u + g - 1) // g if g > 0 else (u - q * _M) // -g + 1)
         heads += [f"{sign}{q}"] * (nxt - j)
         j = nxt
 

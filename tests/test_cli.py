@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -7,12 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from gravershift import OrthantLabel, ShiftedFamily, analysis, oracle, shift
+from gravershift import OrthantLabel, ShiftedFamily, analysis, from_generators, oracle, shift
 from gravershift.analysis import DifferentialReport, DifferentialRow
-from gravershift.cli import main
+from gravershift.cli import build_parser, main
 from gravershift.shift import CompactBasis
 from test_formats import GOLDEN_4TI2_M19
-from test_shift import _reversed_interior
+from test_shift import _swapped_interiors
 
 
 def run(capsys, *argv):
@@ -160,7 +161,8 @@ class TestGraver:
         assert err.startswith("error:") and str(path) in err
 
     def test_out_of_order_interior_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(shift, "_canonical_interior", _reversed_interior)
+        inst = from_generators(94157, 94159, 94162)
+        monkeypatch.setattr(shift, "_canonical_interior", _swapped_interiors(inst))
         code, out, err = run(capsys, "graver", "--gens", "94157,94159,94162", "--method", "shift")
         assert (code, out) == (2, "")
         assert "out of order" in err
@@ -633,6 +635,78 @@ class TestDifftest:
         monkeypatch.setattr(analysis, "differential_test", lambda *a, **k: fake)
         code, _, _ = run(capsys, "difftest", "--family", "1,1,1")
         assert code == 3
+
+
+AUGMENT = ["augment", "--gens", "17,19,22", "--element", "209", "--objective", "1,1,1"]
+
+
+@pytest.mark.parametrize(
+    "flag,argv",
+    [
+        ("--gens", ["graver", "--gens", "17,19"]),
+        ("--gens", ["params", "--gens", "17,x,22"]),
+        ("--gens", ["hilbert", "--orthant", "ppn", "--gens", "1/0,19,22"]),
+        ("--family", ["count", "--family", "2,3,1,1", "--t-range", "19..40"]),
+        ("--family", ["scan-bounds", "--family", "2,three,1", "--t-max", "40"]),
+        ("--family", ["difftest", "--family", "1,1,1", "--family", "2,3"]),
+        ("--t-range", ["count", "--family", "2,3,1", "--t-range", "19"]),
+        ("--t-range", ["verify", "--family", "2,3,1", "--t-range", "7-12"]),
+        ("--t-range", ["verify", "--family", "2,3,1", "--t-range", "7..x"]),
+        ("--t-range", ["count", "--family", "2,3,1", "--t-range", "1..2..3"]),
+        ("--objective", [*AUGMENT, "--objective=1,1"]),
+        ("--objective", [*AUGMENT, "--objective=1/0,1,1"]),
+        ("--objective", [*AUGMENT, "--objective=a,1,1"]),
+        ("--start", [*AUGMENT[:3], "--start=3,0", "--objective", "1,1,1"]),
+        ("--start", [*AUGMENT[:3], "--start=x,0,2", "--objective", "1,1,1"]),
+        ("--start", [*AUGMENT[:3], "--start=-1,0,2", "--objective", "1,1,1"]),
+    ],
+    ids=["gens-arity", "gens-word", "gens-1/0", "family-arity", "family-word",
+         "family-repeated", "t-range-no-dots", "t-range-dash", "t-range-word", "t-range-arity",
+         "objective-arity", "objective-1/0", "objective-word", "start-arity", "start-word",
+         "start-negative"],
+)
+def test_malformed_value_exit_1_naming_the_flag(capsys, flag, argv):
+    # wrong arity, a non-number, a range without "..", 1/0 and a negative
+    # start: one error line that names the flag (augment's own check names
+    # the start without dashes), no output and no traceback
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag.lstrip("-") in err and "Traceback" not in err
+
+
+def _surface(parser):
+    """{subcommand: [(flag, choices, default, required), ...]} in the order
+    build_parser adds them, help flags left out."""
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [
+            (a.option_strings[-1], a.choices, a.default, a.required)
+            for a in sub._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, sub in commands.choices.items()
+    }
+
+
+def test_cli_surface():
+    gens, family = ("--gens", None, None, True), ("--family", None, None, True)
+    t_range, output = ("--t-range", None, None, True), ("--output", None, None, False)
+    listing = [("--method", ["auto", "oracle", "shift"], "auto", False),
+               ("--format", ["4ti2", "json", "csv"], "4ti2", False)]
+    assert _surface(build_parser()) == {
+        "params": [gens, output],
+        "graver": [gens, *listing, ("--both-signs", None, False, False), output],
+        "hilbert": [gens, ("--orthant", ["pnp", "ppn", "npp"], None, True), *listing, output],
+        "count": [family, t_range, ("--method", ["auto", "oracle", "fast"], "oracle", False),
+                  ("--format", ["csv", "json"], "csv", False), output],
+        "verify": [family, t_range, ("--method", ["oracle", "fast", "auto"], "oracle", False),
+                   output],
+        "scan-bounds": [family, ("--t-max", None, None, True), output],
+        "augment": [gens, ("--element", None, None, False), ("--start", None, None, False),
+                    ("--objective", None, None, True),
+                    ("--sense", ["min", "max"], "min", False), output],
+        "difftest": [family, ("--periods", None, 1, False), output],
+    }
 
 
 def test_unknown_command_exit_1(capsys):

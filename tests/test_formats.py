@@ -5,7 +5,7 @@ from itertools import chain
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from gravershift import (
@@ -85,13 +85,33 @@ def _listings(inst):
             *(hilbert_shift(inst, o).materialize() for o in OrthantLabel)]
 
 
+# Hypothesis without its explain phase, which reruns a failing example
+# under a tracer only to annotate the report: over listings of megabytes
+# it took most of a minute; the examples drawn and shrunk are the same.
+REPORT_FAST = [phase for phase in Phase if phase is not Phase.explain]
+
+
+def _assert_same_text(got, expected):
+    """got == expected, or a failure naming the line counts and the first
+    differing line, its index and both texts.  Listings run to megabytes,
+    and pytest's own diff of two such texts takes minutes to report."""
+    if got == expected:
+        return
+    lines, want = got.split("\n"), expected.split("\n")
+    n, m = len(lines), len(want)
+    i = next((i for i, (x, y) in enumerate(zip(lines, want)) if x != y), min(n, m))
+    first = f"first differing line {i}: {lines[i:i + 1]} vs {want[i:i + 1]}"
+    assert n == m, f"{n} lines, expected {m}; {first}"
+    raise AssertionError(first)
+
+
 def _assert_written_as_reference(inst):
     for trades in _listings(inst):
-        assert format_4ti2(trades) == _reference_4ti2(trades), inst
-        assert format_trades_csv(trades) == _reference_csv(trades), inst
+        _assert_same_text(format_4ti2(trades), _reference_4ti2(trades))
+        _assert_same_text(format_trades_csv(trades), _reference_csv(trades))
         out = io.StringIO()
         assert format_4ti2(trades, out) is None
-        assert out.getvalue() == _reference_4ti2(trades), inst
+        _assert_same_text(out.getvalue(), _reference_4ti2(trades))
 
 
 class TestRunWriter:
@@ -99,7 +119,7 @@ class TestRunWriter:
     blocks; the text must be what row-by-row formatting of the written-out
     members gives."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, phases=REPORT_FAST)
     @given(
         a=st.integers(1, 8),
         b=st.integers(1, 8),
@@ -158,6 +178,10 @@ def _members(start, step, count):
 EDGES = (-1001, -1000, -999, -998, -1, 0, 1, 998, 999, 1000, 1001)
 # the text after each number of a row: 4ti2, CSV, and a JSON trades array
 SEPS = ((" ", " ", "\n"), (",", ",", "\n"), (",\n      ", ",\n      ", "\n    ],\n    [\n      "))
+# a run's step: no zero entry, so each coordinate is a range, and a
+# positive last entry, so the members ascend (SegmentEndpoints refuses others)
+NONZERO = st.sampled_from([*range(-12, 0), *range(1, 13)])
+STEPS = st.tuples(NONZERO, NONZERO, st.sampled_from(range(1, 13)))
 
 
 class TestRunText:
@@ -165,9 +189,9 @@ class TestRunText:
     equal heads of its coordinates; the text must be the batched %-format
     of its members, for any start, step and length."""
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400, deadline=None, phases=REPORT_FAST)
     @given(
-        step=st.tuples(*[st.sampled_from(range(-12, 13))] * 3),
+        step=STEPS,
         count=st.sampled_from([1, 2, 3, 5, 8, 63, 64, 65, 250, 999, 1000, 1001, 2600]),
         middle=st.tuples(*[st.one_of(
             st.sampled_from(EDGES),
@@ -184,13 +208,12 @@ class TestRunText:
         start = tuple(m - k * h for m, h in zip(middle, step))
         row = "%d{}%d{}%d{}".format(*seps)
         expected = (row * count) % tuple(chain.from_iterable(_members(start, step, count)))
-        assert formats._run_text(start, step, count, seps) == expected
+        _assert_same_text(formats._run_text(start, step, count, seps), expected)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, phases=REPORT_FAST)
     @given(
         start=st.tuples(*[st.sampled_from(EDGES + (-5000, 5000))] * 3),
-        # a run's step has no zero entry (its coordinates are ranges)
-        step=st.tuples(*[st.sampled_from([*range(-12, 0), *range(1, 13)])] * 3),
+        step=STEPS,
         count=st.sampled_from([1, 2, 6, 7, 8, 13, 14, 15, 64, 65, 300]),
         block=st.sampled_from([1, 7, 64, formats.BLOCK_ROWS]),
         singles=st.sampled_from([0, 1, 2, 9]),
@@ -206,12 +229,13 @@ class TestRunText:
         ts = TradeSet((*before, run, *after), TradeSetMode.FULL)
         rows = [*before, *members, *after]
         with mock.patch.object(formats, "BLOCK_ROWS", block):
-            assert format_4ti2(ts) == f"{len(rows)} 3\n" + "".join(
-                "%d %d %d\n" % v for v in rows)
-            assert format_trades_csv(ts) == "v0,v1,v2\n" + "".join(
-                "%d,%d,%d\n" % v for v in rows)
+            _assert_same_text(
+                format_4ti2(ts), f"{len(rows)} 3\n" + "".join("%d %d %d\n" % v for v in rows))
+            _assert_same_text(
+                format_trades_csv(ts), "v0,v1,v2\n" + "".join("%d,%d,%d\n" % v for v in rows))
             doc = {"method": "shift", "trades": ts, "count": len(ts)}
-            assert _dumped(doc) == json.dumps({**doc, "trades": rows}, indent=2) + "\n"
+            _assert_same_text(
+                _dumped(doc), json.dumps({**doc, "trades": rows}, indent=2) + "\n")
 
 
 def _json_reference(doc):
@@ -231,10 +255,10 @@ class TestJsonListing:
         with mock.patch.object(formats, "BLOCK_ROWS", block):
             for trades in _listings(inst):
                 doc = trades_document(inst, "shift", trades)
-                assert _dumped(doc) == _json_reference(doc)
+                _assert_same_text(_dumped(doc), _json_reference(doc))
             hilbert = hilbert_shift(inst, OrthantLabel.NPP).materialize()
             doc = trades_document(inst, "shift", hilbert, orthant="npp")
-            assert _dumped(doc) == _json_reference(doc)
+            _assert_same_text(_dumped(doc), _json_reference(doc))
 
     @pytest.mark.parametrize("pieces", [
         (),
@@ -246,7 +270,7 @@ class TestJsonListing:
     def test_short_listings(self, inst19, pieces):
         # the last member closes the array, so it is split off its run
         doc = trades_document(inst19, "shift", TradeSet(pieces, TradeSetMode.CANONICAL))
-        assert _dumped(doc) == _json_reference(doc)
+        _assert_same_text(_dumped(doc), _json_reference(doc))
 
     @pytest.mark.parametrize("doc", [
         {},
@@ -254,7 +278,7 @@ class TestJsonListing:
         {"family": {"a": 1}, "rows": [{"t": 2, "ok": True}, {"t": 3, "x": None}], "s": "a\nb"},
     ], ids=["empty", "empty-list", "nested"])
     def test_documents_without_trades(self, doc):
-        assert _dumped(doc) == json.dumps(doc, indent=2) + "\n"
+        _assert_same_text(_dumped(doc), json.dumps(doc, indent=2) + "\n")
 
 
 class TestCsv:

@@ -215,6 +215,17 @@ class TestSegmentEndpoints:
         with pytest.raises(InternalConsistencyError, match="steps"):
             SegmentEndpoints((2, 4, -5), end, (3, -5, 2), count)
 
+    @pytest.mark.parametrize(
+        "step", [(0, -5, 2), (3, 0, 2), (3, -5, 0), (3, -5, -2), (-3, 5, -2)]
+    )
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_step_with_a_zero_entry_or_nonpositive_last_entry_rejected(self, step, count):
+        # a zero entry makes a coordinate no range, and step[2] <= 0 breaks
+        # the ascending order; the ends are whole steps apart
+        end = tuple(s + (count - 1) * h for s, h in zip((2, 4, -5), step))
+        with pytest.raises(InternalConsistencyError, match=r"step \("):
+            SegmentEndpoints((2, 4, -5), end, step, count)
+
     def test_members_by_index_part_and_negation(self, inst79):
         seg = negative_segment(inst79)
         assert len(seg) == 8
@@ -538,11 +549,13 @@ def _split(inst, orthant):
     return compact
 
 
-def _reversed_interior(segment):
-    """The canonical interior listed backwards: a run from its end to its
-    start, stepping by -h."""
-    run = _canonical_interior(segment)
-    return run and SegmentEndpoints(run.end, run.start, negate(run.step), run.count)
+def _swapped_interiors(inst):
+    """A stand-in for _canonical_interior at inst that gives each segment
+    the other's canonical interior: two valid runs, laid with the PPN run,
+    which lies wholly above the NPP run, first."""
+    npp, ppn = (hilbert_shift(inst, o).segment for o in (OrthantLabel.NPP, OrthantLabel.PPN))
+    swapped = {npp: _canonical_interior(ppn), ppn: _canonical_interior(npp)}
+    return swapped.__getitem__
 
 
 def _coprime_families():
@@ -613,7 +626,7 @@ class TestAssembleFromRuns:
     def test_reversed_interior_raises(self, monkeypatch):
         inst = from_generators(94157, 94159, 94162)
         parts = [hilbert_shift(inst, o) for o in OrthantLabel]
-        monkeypatch.setattr(shift, "_canonical_interior", _reversed_interior)
+        monkeypatch.setattr(shift, "_canonical_interior", _swapped_interiors(inst))
         with pytest.raises(InternalConsistencyError, match="out of order"):
             assemble_graver(*parts)
 
