@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .core import (
@@ -54,10 +55,10 @@ def valid_shifts(
     Before any row, the range is refused if (1) a covered t has
     t + reach > MAX_SHIFT or (2) it spans more than MAX_ROWS shifts, both
     checked before it is listed; if (3) it covers no shift (`name` names the
-    range then); or if (4) the oracle refuses the largest box the rows
-    walk, which is asked for first and cached for the scan.  Only oracle
-    rows walk a box, their own shift's: every row of method "oracle", and
-    the "auto" rows up to `auto_oracle_bound`.  A fast row walks none.
+    range then); or if (4) the method is "oracle" and the oracle refuses
+    the largest box the rows walk, which is asked for first and cached for
+    the scan.  An "auto" row walks its box only up to `auto_oracle_bound`,
+    where the oracle cannot refuse it, and a fast row walks none.
     """
     lo = max(t_lo, fam.d * fam.a + 1)
     past = max(lo, MAX_SHIFT - reach + 1)  # the first covered shift from here on
@@ -79,14 +80,7 @@ def valid_shifts(
         name = name or f"{t_lo}..{t_hi}"
         raise InvalidInputError(f"empty range {name}: the family covers no shift in it")
     if method == "oracle":
-        walked = [shifts[-1] + reach]
-    elif method == "auto":
-        bound = auto_oracle_bound(fam)
-        walked = [t + r for r in {0, reach} for t in shifts if t + r <= bound]
-    else:
-        walked = []
-    if walked:
-        hilbert_oracle(fam.instance(max(walked)), OrthantLabel.PNP)
+        hilbert_oracle(fam.instance(shifts[-1] + reach), OrthantLabel.PNP)
     return shifts
 
 
@@ -109,20 +103,13 @@ def count_row(inst: SemigroupInstance, method: str = "auto") -> CountRow:
     """Graver and per-orthant Hilbert cardinalities at one shift."""
     if method == "auto":
         method = "oracle" if inst.t <= auto_oracle_bound(inst.family) else "fast"
-    if method == "oracle":
-        hp = hilbert_oracle(inst, OrthantLabel.PNP)
-        hq = hilbert_oracle(inst, OrthantLabel.PPN)
-        hr = hilbert_oracle(inst, OrthantLabel.NPP)
-        graver = 2 * len(graver_oracle(inst))
-    elif method == "fast":
-        # segment lengths, not members: O(1) in t, so any supported t
-        hp = hilbert_shift(inst, OrthantLabel.PNP)
-        hq = hilbert_shift(inst, OrthantLabel.PPN)
-        hr = hilbert_shift(inst, OrthantLabel.NPP)
-        graver = 2 * graver_count(hp, hq, hr)
-    else:
+    if method not in ("oracle", "fast"):
         raise InvalidInputError(f"unknown count method {method!r}")
-    return CountRow(inst.t, graver, len(hp), len(hq), len(hr), method)
+    # fast: segment lengths, not members: O(1) in t, so any supported t
+    basis = hilbert_oracle if method == "oracle" else hilbert_shift
+    bases = [basis(inst, orthant) for orthant in OrthantLabel]
+    graver = len(graver_oracle(inst)) if method == "oracle" else graver_count(*bases)
+    return CountRow(inst.t, 2 * graver, *map(len, bases), method)
 
 
 def count_scan(fam: ShiftedFamily, t_lo: int, t_hi: int, method: str = "auto") -> CountTable:
@@ -174,21 +161,16 @@ def verify_period_law(fam: ShiftedFamily, t_lo: int, t_hi: int, method: str = "o
         name=f"{t_lo}..{t_hi} above the transport threshold {bound}",
     )
     expected = 2 * d * (a + b)
-    cache: dict[int, CountRow] = {}
 
+    @cache
     def row_at(t: int) -> CountRow:
-        if t not in cache:
-            cache[t] = count_row(fam.instance(t), method)
-        return cache[t]
+        return count_row(fam.instance(t), method)
 
     rows = []
     for t in shifts:
         now, later = row_at(t), row_at(t + fam.rho)
-        increments = (
-            later.graver - now.graver,
-            later.h_pnp - now.h_pnp,
-            later.h_ppn - now.h_ppn,
-            later.h_npp - now.h_npp,
+        increments = tuple(
+            getattr(later, f) - getattr(now, f) for f in ("graver", "h_pnp", "h_ppn", "h_npp")
         )
         ok = increments == (expected, 0, d * a, d * b)
         rows.append(PeriodLawRow(t, *increments, ok))
@@ -293,9 +275,6 @@ def differential_test(families: Sequence[ShiftedFamily], periods: int) -> Differ
     return DifferentialReport(tuple(rows))
 
 
-Weights = tuple[Fraction, Fraction, Fraction]
-
-
 def objective_value(weights: Sequence[Fraction | int], z: tuple[int, int, int]) -> Fraction:
     return Fraction(weights[0]) * z[0] + Fraction(weights[1]) * z[1] + Fraction(weights[2]) * z[2]
 
@@ -319,7 +298,7 @@ def augment(
         raise InvalidInputError(f"start must be a non-negative 3-vector, got {start}")
     if sense not in ("min", "max"):
         raise InvalidInputError(f"sense must be 'min' or 'max', got {sense!r}")
-    w: Weights = tuple(Fraction(c) for c in weights)  # type: ignore[assignment]
+    w = tuple(Fraction(c) for c in weights)
     if len(w) != 3:
         raise InvalidInputError("objective must have 3 components")
     gain = 1 if sense == "max" else -1
@@ -341,8 +320,7 @@ def exhaustive_optimum(
     inst: SemigroupInstance, n: int, weights: Sequence[Fraction | int], sense: str = "min"
 ) -> Fraction:
     """Best objective value over all factorizations of n, by full enumeration."""
-    w: Weights = tuple(Fraction(c) for c in weights)  # type: ignore[assignment]
-    values = [objective_value(w, z) for z in factorizations(inst, n)]
+    values = [objective_value(weights, z) for z in factorizations(inst, n)]
     if not values:
         raise InvalidInputError(f"{n} has no factorization in {inst.generators}")
     return min(values) if sense == "min" else max(values)

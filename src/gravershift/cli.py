@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import os
 import sys
 from typing import Callable, Iterator, TextIO
 
@@ -43,13 +44,9 @@ EXIT_INTERNAL = 2
 EXIT_VERIFICATION = 3
 
 
-class CliError(InvalidInputError):
-    """Bad flags or flag values; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
-        raise CliError(message)
+        raise InvalidInputError(message)
 
 
 def _values(n: int, kind: str, sep: str = ",") -> Callable[[str], tuple]:
@@ -75,15 +72,20 @@ def _values(n: int, kind: str, sep: str = ",") -> Callable[[str], tuple]:
 @contextlib.contextmanager
 def _opened(output: str | None) -> Iterator[TextIO]:
     """stdout, or the --output file; opened before anything is written, so
-    a path that cannot be written exits 1 with no output."""
-    if output is None:
-        yield sys.stdout
-        return
+    a path that cannot be written exits 1 with no output.  A write to
+    either that fails exits 1 with one error line."""
     try:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
+        with contextlib.nullcontext(sys.stdout) if output is None else open(
+            output, "w", encoding="utf-8", newline=""
+        ) as fh:
             yield fh
+            fh.flush()  # so a buffered write fails here, not at exit
     except OSError as exc:
-        raise CliError(f"cannot write --output {output!r}: {exc.strerror or exc}") from None
+        if output is None:  # what stays buffered goes nowhere, so the flush at exit succeeds
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        where = "stdout" if output is None else f"--output {output!r}"
+        raise InvalidInputError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -222,11 +224,11 @@ def cmd_augment(args: argparse.Namespace) -> int:
     inst = from_generators(*args.gens)
     start, element, weights = args.start, args.element, args.objective
     if (element is None) == (start is None):
-        raise CliError("provide exactly one of --element or --start")
+        raise InvalidInputError("provide exactly one of --element or --start")
     if start is None:
         start = next(iter_factorizations(inst, element), None)
         if start is None:
-            raise CliError(f"{element} is not in the semigroup {inst.generators}")
+            raise InvalidInputError(f"{element} is not in the semigroup {inst.generators}")
     else:  # analysis.augment refuses a negative start
         element = inst.evaluate(start)
     result = analysis.augment(inst, start, weights, args.sense)

@@ -524,8 +524,4 @@ def graver_shift(inst: SemigroupInstance) -> TradeSet:
     or below the transport threshold and within the first period above
     it, transported beyond.
     """
-    return assemble_graver(
-        hilbert_shift(inst, OrthantLabel.PNP),
-        hilbert_shift(inst, OrthantLabel.PPN),
-        hilbert_shift(inst, OrthantLabel.NPP),
-    )
+    return assemble_graver(*(hilbert_shift(inst, orthant) for orthant in OrthantLabel))

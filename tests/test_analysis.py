@@ -26,7 +26,7 @@ from gravershift import (
     length,
     verify_period_law,
 )
-from gravershift import analysis, oracle
+from gravershift import analysis
 from gravershift.analysis import count_row, objective_value, valid_shifts
 from gravershift.core import TradeSetMode, add, negate
 
@@ -52,15 +52,10 @@ class TestValidShifts:
 
     @pytest.mark.parametrize("a,b,d", [(1, 1, 1), (2, 3, 1), (3, 4, 2), (1, 3, 2), (2, 5, 3), (1, 1, 3)])
     def test_probes_the_largest_box_the_rows_walk(self, a, b, d, monkeypatch):
-        # brute force: only oracle rows walk a box, their own shift's: every
-        # row of method "oracle", and the auto rows at or below b_max whose
-        # box the oracle walks, at t and at t + reach.  A fast row walks
-        # none, so nothing is probed
+        # only a scan of method "oracle" is probed, at its largest box: its
+        # last shift's, counted at t + reach.  An auto row walks a box only
+        # where the oracle cannot refuse it, and a fast row walks none
         fam = ShiftedFamily(a, b, d)
-
-        def auto_oracle(s):
-            return s <= fam.b_max and (2 * (s + d * b) + 1) ** 2 <= oracle._MAX_GRID_CELLS
-
         probed = []
         monkeypatch.setattr(analysis, "hilbert_oracle", lambda inst, orthant: probed.append(inst))
         bound, rho = fam.b_max, fam.rho
@@ -74,15 +69,9 @@ class TestValidShifts:
                             shifts = valid_shifts(fam, lo, hi, reach=reach, method=method)
                         except InvalidInputError:
                             continue
-                        walked = {
-                            "oracle": [t + reach for t in shifts],
-                            "auto": [s for t in shifts for s in (t, t + reach) if auto_oracle(s)],
-                            "fast": [],
-                        }[method]
-                        expected = [max(walked)] if walked else []
+                        expected = [shifts[-1] + reach] if method == "oracle" else []
                         assert [inst.t for inst in probed] == expected, (lo, hi, reach, method)
                         probed.clear()
-
 
     @pytest.mark.parametrize(
         "lo,hi,probe", [(22990, 23030, 23018), (23019, 23100, None), (44000, 44849, None)]
@@ -90,11 +79,16 @@ class TestValidShifts:
     def test_auto_probe_stops_at_oracle_scale(self, lo, hi, probe, monkeypatch):
         # every shift here is a base case of (150,151,1) (b_max = 44,849),
         # but the box n3 = t + 151 passes the grid cap from t = 23,019 on:
-        # auto rows there take the fast route, so they are not probed
-        probed = []
-        monkeypatch.setattr(analysis, "hilbert_oracle", lambda inst, orthant: probed.append(inst.t))
-        valid_shifts(ShiftedFamily(150, 151, 1), lo, hi, method="auto")
-        assert probed == ([probe] if probe else [])
+        # an auto scan asks the oracle for each row up to `probe` once per
+        # basis, and for none past it.  A box here takes about 0.15 s to
+        # walk, so the oracle only records what it is asked
+        asked = []
+        monkeypatch.setattr(analysis, "hilbert_oracle", lambda inst, orthant: asked.append(inst.t) or ())
+        monkeypatch.setattr(analysis, "graver_oracle", lambda inst: asked.append(inst.t) or ())
+        count_scan(ShiftedFamily(150, 151, 1), lo, hi, "auto")
+        oracle_rows = range(lo, probe + 1) if probe else []
+        assert asked == [t for t in oracle_rows for _ in range(4)]
+
 
 class TestCountScan:
     def test_oracle_row_t19(self, fam231):
@@ -327,6 +321,11 @@ class TestAugment:
     def test_bad_sense_rejected(self, inst19):
         with pytest.raises(InvalidInputError):
             augment(inst19, (0, 0, 0), (1, 1, 1), "maximize")
+
+    @pytest.mark.parametrize("weights", [(1, 1), (1, 1, 1, 1)])
+    def test_objective_without_three_components_rejected(self, inst19, weights):
+        with pytest.raises(InvalidInputError, match="objective must have 3 components"):
+            augment(inst19, (3, 0, 2), weights)
 
     def test_exhaustive_on_gap_rejected(self, inst19):
         with pytest.raises(InvalidInputError):

@@ -406,13 +406,13 @@ def test_fast_verify_beyond_oracle_scale_answers(capsys, monkeypatch):
 
 
 def test_auto_count_probes_only_oracle_rows(capsys, monkeypatch):
-    # only the auto rows at or below the threshold 6 are oracle rows, so the
-    # probe is at 6 and no box past it is walked
+    # only the auto rows at or below auto_oracle_bound = b_max = 6 are
+    # oracle rows: each walks its own box once, and no box past 6 is walked
     walks = _oracle_walks(monkeypatch, 100)
     code, _, _ = run(capsys, "count", "--family", "2,3,1", "--t-range", "3..200",
                      "--method", "auto")
     assert code == 0
-    assert walks[0] == 6 and max(walks) <= 6
+    assert walks == [3, 4, 5, 6]
 
 
 class TestVerify:
@@ -601,6 +601,46 @@ class TestFlatMemoryListing:
             assert (code, err) == (0, "")
             peaks.append(peak)
         assert abs(peaks[1] - peaks[0]) < 8, peaks
+
+
+class TestFailedStdoutWrite:
+    """A write to stdout that fails exits 1 with one error line, like a
+    failed --output, whether or not stdout is buffered."""
+
+    @staticmethod
+    def _child(argv, stdout, unbuffered):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.Popen(
+            [sys.executable, "-m", "gravershift.cli", *argv],
+            env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        )
+
+    @staticmethod
+    def _assert_one_error_line(child, reason):
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 1
+        assert err.splitlines() == [f"error: cannot write stdout: {reason}"], err
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_pipe_closed_after_first_line(self, unbuffered):
+        # 200,001 trades, far more than a pipe holds, so the writer is still
+        # writing when the reader goes
+        argv = ["graver", "--gens", "199999,200000,200001", "--method", "shift"]
+        child = self._child(argv, subprocess.PIPE, unbuffered)
+        assert child.stdout.readline().endswith(" 3\n")
+        child.stdout.close()
+        self._assert_one_error_line(child, "Broken pipe")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_full_device(self, unbuffered):
+        # a few short lines: when buffered, only the flush can fail
+        with open("/dev/full", "w") as full:
+            child = self._child(["verify", "--family", "2,3,1", "--t-range", "7..12"], full, unbuffered)
+            self._assert_one_error_line(child, "No space left on device")
 
 
 class TestDifftest:

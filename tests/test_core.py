@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -64,6 +65,11 @@ class TestSemigroupInstance:
     def test_shift_too_large(self, fam231):
         with pytest.raises(InvalidInputError):
             fam231.instance(MAX_SHIFT + 1)
+
+    @pytest.mark.parametrize("t", [19.0, "19", Fraction(19)])
+    def test_non_integer_shift_rejected(self, fam231, t):
+        with pytest.raises(InvalidInputError, match="shift must be an integer"):
+            fam231.instance(t)
 
     def test_gcd_t_d_rejected(self):
         with pytest.raises(OutsideScopeError):

@@ -53,6 +53,7 @@ from gravershift.shift import (
     _cf_hilbert,
     _ordered_pieces,
     _orthant_table,
+    auto_oracle_bound,
     graver_count,
 )
 
@@ -463,6 +464,26 @@ class TestBaseDecomposition:
         # the a(d-1) term of b_minus only matters for d >= 2
         assert ShiftedFamily(5, 1, 2).b_minus == 29
         assert effective_base_bound(ShiftedFamily(5, 1, 2)) == 29
+
+    @pytest.mark.parametrize(
+        "a,b,d,bound",
+        [(2, 3, 1, 6), (3, 4, 2, 24), (2, 5, 3, 30), (150, 151, 1, 23018), (120, 151, 2, 22867)],
+    )
+    def test_auto_oracle_bound_is_the_last_box_the_oracle_walks(self, a, b, d, bound):
+        # the last covered shift at the bound is walked; the next is past
+        # b_max (the first three) or its box is refused (the last two)
+        fam = ShiftedFamily(a, b, d)
+        assert auto_oracle_bound(fam) == bound
+        covered = [t for t in range(bound - d, bound + 2 * d + 1) if math.gcd(t, d) == 1]
+        last = max(t for t in covered if t <= bound)
+        after = min(t for t in covered if t > bound)
+        assert len(hilbert_oracle(fam.instance(last), OrthantLabel.PNP)) > 0
+        if after <= fam.b_max:
+            with pytest.raises(InvalidInputError, match="beyond oracle scale"):
+                hilbert_oracle(fam.instance(after), OrthantLabel.PNP)
+            assert bound < fam.b_max
+        else:
+            assert bound == fam.b_max
 
     def test_base_always_valid(self):
         for a, b, d in DIFF_FAMILIES:
