@@ -290,7 +290,11 @@ _COMMANDS = (
         ("--format", dict(choices=["csv", "json"], default="csv")),
     )),
     ("verify", cmd_verify, "check the one-period count increments", (
-        _FAMILY, _T_RANGE, ("--method", dict(choices=["oracle", "fast", "auto"], default="oracle")),
+        _FAMILY, _T_RANGE, ("--method", dict(
+            choices=["oracle", "fast", "auto"], default="oracle",
+            help="auto is the same as fast: verify checks only shifts above b_max,"
+                 " where auto takes the fast route",
+        )),
     )),
     ("scan-bounds", cmd_scan_bounds, "empirical sharpness of the thresholds", (
         _FAMILY, ("--t-max", dict(type=int, required=True)),

@@ -5,14 +5,14 @@ Every writer is byte-deterministic for identical inputs.
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import chain, groupby
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 
 from .core import Piece, SegmentEndpoints, SemigroupInstance, Trade, TradeSet
 
-if TYPE_CHECKING:  # analysis loads only for the commands that count
+if TYPE_CHECKING:  # analysis loads only for the commands that count, json for JSON
+    import json
     from .analysis import CountTable
 
 
@@ -20,10 +20,7 @@ if TYPE_CHECKING:  # analysis loads only for the commands that count
 # few MB whatever the listing's size.
 BLOCK_ROWS = 2**16
 
-# A run's numbers are written in two parts split at the last three digits
-# (_M = 10^3): the head (sign and leading digits) holds still for about
-# _M/|step| rows at a time, and the tail repeats with period at most _M.
-_M = 1000
+_PLANE_ROWS = 256  # a plane takes up to 10*max|step| steps: it pays from 256*max|step| rows
 
 # Row layouts: the text after each of a row's three numbers.
 _SEPS_4TI2 = (" ", " ", "\n")
@@ -76,57 +73,57 @@ def _blocks(pieces: Iterable[Piece], seps: tuple[str, str, str]) -> Iterator[str
 
 def _run_text(start: Trade, step: Trade, count: int, seps: tuple[str, str, str]) -> str:
     """The rows "x seps[0] y seps[1] z seps[2]" of start + k*step, k < count,
-    byte for byte as the %-format writes them, with no int made per row:
-    each column's heads and tails are interleaved and joined once."""
-    pieces = [""] * (6 * count)
-    for c in range(3):
-        pieces[2 * c::6], pieces[2 * c + 1::6] = _column(start[c], step[c], count, seps[c])
-    return "".join(pieces)
-
-
-def _column(v: int, h: int, n: int, sep: str) -> tuple[list[str], list[str]]:
-    """Heads and tails with head + tail == f"{x}{sep}" for x = v + k*h, k < n,
-    and h != 0 (a run's step has no zero entry).
-
-    The column is split where |x| crosses _M: a stretch of |x| >= _M is
-    written by _digits with its sign, and the at most 2*_M/|h| rows between
-    two such stretches are written whole as heads, with sep as their tails.
-    """
-    heads: list[str] = []
-    tails: list[str] = []
+    byte for byte as the %-format writes them.  The run is cut where a
+    monotone column's sign or digit count changes.  A stretch of at least
+    _PLANE_ROWS*max|step| rows is its first row repeated, then one strided
+    assignment per changing digit, from the last until one holds still (so
+    do those before it); the %-format writes shorter stretches."""
+    row = "%d{}%d{}%d{}".format(*seps).encode()
+    limit = _PLANE_ROWS * max(map(abs, step))
+    out = bytearray()
     k = 0
-    while k < n:
-        x = v + k * h
-        if x >= _M:  # rows until x falls below _M
-            m = n - k if h > 0 else min(n - k, (x - _M) // -h + 1)
-            _digits(heads, tails, "", x, h, m, sep)
-        elif x <= -_M:  # rows until x rises above -_M
-            m = n - k if h < 0 else min(n - k, (-_M - x) // h + 1)
-            _digits(heads, tails, "-", -x, -h, m, sep)
-        else:  # rows until |x| reaches _M
-            m = min(n - k, (_M - x + h - 1) // h if h > 0 else (_M + x - h - 1) // -h)
-            heads += map(str, range(x, x + m * h, h))
-            tails += [sep] * m
-        k += m
-    return heads, tails
+    while k < count:
+        xs = [v + k * h for v, h in zip(start, step)]
+        n = min(count - k, *map(_width_rows, xs, step)) if count - k >= limit else count - k
+        if n < limit:
+            columns = (range(x, x + n * h, h) for x, h in zip(xs, step))
+            out += (row * n) % tuple(chain.from_iterable(zip(*columns)))
+        else:
+            texts = [str(x) for x in xs]
+            at = len(out) - 1  # + len(text): a column's last digit in the first row
+            out += "".join(chain.from_iterable(zip(texts, seps))).encode() * n
+            width = (len(out) - at - 1) // n
+            for x, h, text, sep in zip(xs, step, texts, seps):
+                u, g, unit, pos = abs(x), h if x >= 0 else -h, 1, at + len(text)
+                while (u + (n - 1) * g) // unit != u // unit:
+                    out[pos::width] = _plane(u, g, unit, n)
+                    unit, pos = unit * 10, pos - 1
+                at += len(text) + len(sep)
+        k += n
+    return out.decode("ascii")
 
 
-def _digits(heads: list[str], tails: list[str], sign: str, u: int, g: int, m: int,
-            sep: str) -> None:
-    """Append heads sign + str(y // _M) and tails f"{y % _M:03d}{sep}" for
-    y = u + j*g, j < m, every y >= _M: the tails are one period of y % _M,
-    repeated, and each stretch of rows with the same y // _M gets its head
-    by one list repetition."""
-    period = min(m, _M // math.gcd(g, _M))
-    cycle = [f"{(u + j * g) % _M:03d}{sep}" for j in range(period)]
-    tails += cycle * (m // period)
-    tails += cycle[:m % period]
-    j = 0
-    while j < m:
-        q = (u + j * g) // _M
-        nxt = min(m, ((q + 1) * _M - u + g - 1) // g if g > 0 else (u - q * _M) // -g + 1)
-        heads += [f"{sign}{q}"] * (nxt - j)
+def _width_rows(x: int, h: int) -> int:
+    """Rows of x, x + h, ... before the printed width changes: |x| leaves
+    [lo, hi] upwards when x moves away from 0, downwards when towards it."""
+    d = len(str(abs(x)))
+    lo, hi = 10 ** (d - 1) if d > 1 else int(x < 0), 10**d - 1
+    return ((hi - abs(x)) if (x >= 0) == (h > 0) else (abs(x) - lo)) // abs(h) + 1
+
+
+def _plane(u: int, g: int, unit: int, n: int) -> bytes:
+    """The digits (y // unit) % 10 of y = u + j*g >= 0, j < n: one period of
+    10*unit/gcd(g, 10*unit) rows, repeated, built one stretch of equal
+    digits (about unit/|g| rows) at a time."""
+    size = min(n, 10 * unit // math.gcd(g, 10 * unit))
+    parts, j = [], 0
+    while j < size:
+        q = (u + j * g) // unit
+        nxt = min(size, ((q + 1) * unit - u + g - 1) // g if g > 0 else (u - q * unit) // -g + 1)
+        parts.append("0123456789"[q % 10] * (nxt - j))
         j = nxt
+    period = "".join(parts).encode()
+    return period * (n // size) + period[:n % size]
 
 
 def instance_document(inst: SemigroupInstance, method: str) -> dict:
@@ -163,6 +160,8 @@ def dump_json(doc: dict, out: TextIO) -> None:
     """Write doc as json.dumps(doc, indent=2) writes it, and a final newline,
     chunk by chunk as it is encoded, so the text is never held whole.  A
     TradeSet value is written as the list of its trades would be."""
+    import json  # only JSON output pays for its import
+
     encoder = json.JSONEncoder(indent=2)
     if any(isinstance(value, TradeSet) for value in doc.values()):
         out.writelines(_json_chunks(doc, encoder))

@@ -22,9 +22,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("module", ["numpy", "gravershift.analysis", "fractions"])
+@pytest.mark.parametrize("module", ["numpy", "gravershift.analysis", "fractions", "json"])
 def test_cli_import_needs_no(module):
-    # graver, hilbert and params load neither the counting layer nor numpy
+    # graver, hilbert and params in 4ti2 load neither the counting layer,
+    # numpy nor json
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import contextlib, io, sys\n"
@@ -431,6 +432,13 @@ class TestVerify:
         monkeypatch.setattr(analysis, "verify_period_law", lambda *a, **k: fake)
         code, _, _ = run(capsys, "verify", "--family", "2,3,1", "--t-range", "7..7")
         assert code == 3
+
+    @pytest.mark.parametrize("family,t_range", [("2,3,1", "7..96"), ("150,151,1", "44850..44870")])
+    def test_auto_is_fast(self, capsys, family, t_range):
+        # verify checks only shifts above b_max, where auto takes the fast route
+        auto, fast = (run(capsys, "verify", "--family", family, "--t-range", t_range,
+                          "--method", method) for method in ("auto", "fast"))
+        assert auto[:2] == fast[:2] and fast[0] == 0
 
     @pytest.mark.parametrize(
         "family,t_range", [("2,3,1", "10..5"), ("2,3,1", "1..6"), ("3,4,2", "20..20")]

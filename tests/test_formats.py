@@ -160,6 +160,22 @@ class TestRunWriter:
         assert (positive_segment(inst).count, negative_segment(inst).count) == counts
         _assert_written_as_reference(inst)
 
+    @pytest.mark.parametrize("plane_rows", [0, formats._PLANE_ROWS])
+    @pytest.mark.parametrize("gens,t,size,step", [
+        ((500, 501, 1), 251_250_006, 1220, (501, -1001, 500)),
+        ((150, 151, 1), 6_862_506, 385, (151, -301, 150)),
+    ])
+    def test_runs_with_large_steps(self, gens, t, size, step, plane_rows):
+        # run steps of 1000 and more, and steps sharing no factor with 1000,
+        # over numbers of up to ten digits; these runs are too short for
+        # digit planes unless _PLANE_ROWS is patched to 0
+        inst = ShiftedFamily(*gens).instance(t)
+        graver = graver_shift(inst)
+        assert len(graver) == size
+        assert {p.step for p in graver.pieces if isinstance(p, SegmentEndpoints)} == {step}
+        with mock.patch.object(formats, "_PLANE_ROWS", plane_rows):
+            _assert_written_as_reference(inst)
+
     def test_runs_longer_than_a_block(self):
         # (1,1,1) at t = 132,001: both interiors are runs of about 66,000
         # members, each written in two blocks
@@ -173,21 +189,28 @@ def _members(start, step, count):
     return [tuple(s + k * h for s, h in zip(start, step)) for k in range(count)]
 
 
-# values at and around 0 and the 3- and 4-digit edges, where the writer
-# changes how it splits a number
-EDGES = (-1001, -1000, -999, -998, -1, 0, 1, 998, 999, 1000, 1001)
+# values at and around 0 and every digit-count edge up to 13 digits, where
+# the writer starts a new stretch of rows
+EDGES = (-1001, -1000, -999, -998, -1, 0, 1, 998, 999, 1000, 1001) + tuple(
+    s * v for k in range(1, 13) for v in (10**k - 1, 10**k) for s in (-1, 1))
 # the text after each number of a row: 4ti2, CSV, and a JSON trades array
 SEPS = ((" ", " ", "\n"), (",", ",", "\n"), (",\n      ", ",\n      ", "\n    ],\n    [\n      "))
 # a run's step: no zero entry, so each coordinate is a range, and a
 # positive last entry, so the members ascend (SegmentEndpoints refuses others)
-NONZERO = st.sampled_from([*range(-12, 0), *range(1, 13)])
-STEPS = st.tuples(NONZERO, NONZERO, st.sampled_from(range(1, 13)))
+# magnitudes up to 12, and some that share factors with 1000 or exceed it
+MAGNITUDES = [*range(1, 13), 125, 250, 1000, 1001, 12_345]
+NONZERO = st.sampled_from([*(-m for m in MAGNITUDES), *MAGNITUDES])
+STEPS = st.tuples(NONZERO, NONZERO, st.sampled_from(MAGNITUDES))
 
 
 class TestRunText:
-    """A run's rows are built from the periodic tails and the stretches of
-    equal heads of its coordinates; the text must be the batched %-format
-    of its members, for any start, step and length."""
+    """A run's rows are written in stretches of one byte layout, each digit
+    position from its periodic plane, or by the %-format where a stretch is
+    short for its step; the text must be the batched %-format of its
+    members, for any start, step and length.  _PLANE_ROWS is patched to 0
+    (planes for every stretch) and 1 (planes from |step| rows on) too."""
+
+    PLANE_ROWS = st.sampled_from([0, 1, formats._PLANE_ROWS])
 
     @settings(max_examples=400, deadline=None, phases=REPORT_FAST)
     @given(
@@ -199,16 +222,18 @@ class TestRunText:
             st.sampled_from(range(-10**12, 10**12 + 1)),
         )] * 3),
         seps=st.sampled_from(SEPS),
+        plane_rows=PLANE_ROWS,
         data=st.data(),
     )
-    def test_byte_identical_to_percent_format(self, step, count, middle, seps, data):
+    def test_byte_identical_to_percent_format(self, step, count, middle, seps, plane_rows, data):
         # the run passes through `middle` at a drawn row, so a middle value
         # from EDGES puts a sign change or a digit-count edge inside it
         k = data.draw(st.sampled_from(range(count)), label="row of middle")
         start = tuple(m - k * h for m, h in zip(middle, step))
         row = "%d{}%d{}%d{}".format(*seps)
         expected = (row * count) % tuple(chain.from_iterable(_members(start, step, count)))
-        _assert_same_text(formats._run_text(start, step, count, seps), expected)
+        with mock.patch.object(formats, "_PLANE_ROWS", plane_rows):
+            _assert_same_text(formats._run_text(start, step, count, seps), expected)
 
     @settings(max_examples=100, deadline=None, phases=REPORT_FAST)
     @given(
@@ -217,8 +242,10 @@ class TestRunText:
         count=st.sampled_from([1, 2, 6, 7, 8, 13, 14, 15, 64, 65, 300]),
         block=st.sampled_from([1, 7, 64, formats.BLOCK_ROWS]),
         singles=st.sampled_from([0, 1, 2, 9]),
+        plane_rows=PLANE_ROWS,
     )
-    def test_blocks_around_a_patched_block_size(self, start, step, count, block, singles):
+    def test_blocks_around_a_patched_block_size(self, start, step, count, block, singles,
+                                                plane_rows):
         # a run between stretches of single trades, in blocks of a patched
         # size that falls inside the run, at its end or beyond it
         members = _members(start, step, count)
@@ -228,7 +255,7 @@ class TestRunText:
         after = [(k, 5, 9999) for k in range(singles)]
         ts = TradeSet((*before, run, *after), TradeSetMode.FULL)
         rows = [*before, *members, *after]
-        with mock.patch.object(formats, "BLOCK_ROWS", block):
+        with mock.patch.multiple(formats, BLOCK_ROWS=block, _PLANE_ROWS=plane_rows):
             _assert_same_text(
                 format_4ti2(ts), f"{len(rows)} 3\n" + "".join("%d %d %d\n" % v for v in rows))
             _assert_same_text(
