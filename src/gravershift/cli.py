@@ -125,7 +125,7 @@ def cmd_params(args: argparse.Namespace) -> int:
         f"t0={base.t}",
         f"k={k}",
     ]
-    if k == 0:
+    if inst.t <= effective_base_bound(fam):
         lines.append("note=base case (t is at or below the transport threshold)")
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK

@@ -8,9 +8,16 @@ coordinate; the trades of extremal coordinate sum (+d in the PPN orthant,
 homogeneous trade, that is re-solved directly at the target shift and grows
 by d*a (resp. d*b) elements per period.  The three orthants differ only in
 data (strips, maps, extremal sum, growth, segment equation, threshold),
-which one table holds and one transport reads.  The base case is each
-orthant's Hirzebruch-Jung continued fraction at a shift at most one period
-above the transport threshold, so the route never enumerates a lattice:
+which one table holds and one transport reads.  Transport is affine in
+the number of periods k, so it is two steps: a plan, which depends only on
+the base basis (every member checked once, its displacement per period
+recorded, the base segment solved), and an apply step, which is
+arithmetic (v + k*delta per member, the target segment solved on its own,
+then the endpoint, extremal-image and size checks).  hilbert_shift keeps
+the plans of its continued-fraction bases in an LRU cache of 1024
+(base shift, orthant) pairs.  The base case is each orthant's
+Hirzebruch-Jung continued fraction at a shift at most one period above
+the transport threshold, so the route never enumerates a lattice:
 it yields the Graver basis at any shift, as a few single trades and the
 two segments' runs, and counting it reads the segments' lengths.  No
 segment member is written out here.  Nothing here calls the brute-force
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from types import MappingProxyType
-from typing import Collection, Iterable
+from typing import Collection, Iterable, NamedTuple
 
 from .core import (
     InternalConsistencyError,
@@ -44,7 +51,9 @@ from .core import (
     canonical_rep,
     in_orthant,
     length,
+    scale,
     sort_key,
+    sub,
 )
 from .oracle import MAX_BOX
 # unused here; the benchmark's tracer rebinds these names in this module
@@ -116,29 +125,26 @@ def _solve_segment(inst: SemigroupInstance, orthant: OrthantLabel) -> SegmentEnd
     The remaining coordinate makes the coordinate sum extremal.
     """
     row = _orthant_table(inst.family)[orthant]
-    cx, cy, rhs = row.segment
-    (x, _, _), (y, _, _) = row.strips
-    target = inst.t + rhs
+    target = inst.t + row.segment[2]
+    n = inst.generators
     endpoints = []
-    for (u, cu), (w, cw) in (((x, cx), (y, cy)), ((y, cy), (x, cx))):
-        v = [0, 0, 0]
-        v[u] = target * pow(cu, -1, cw) % cw
+    for u, w, cu, cw, inverse in row.solves:
+        v = [row.extremal_sum] * 3
+        v[u] = target * inverse % cw
         v[w] = (target - cu * v[u]) // cw
         if v[w] < 0:
             raise NoLengthTradeError(
                 f"no trade of coordinate sum {row.extremal_sum} in the "
                 f"{orthant.value} orthant at t={inst.t}"
             )
-        v[3 - u - w] = row.extremal_sum - v[u] - v[w]
-        endpoint = (v[0], v[1], v[2])
-        if inst.evaluate(endpoint) != 0:
-            raise InternalConsistencyError(f"segment endpoint {endpoint} invalid at t={inst.t}")
-        endpoints.append(endpoint)
+        v[3 - u - w] -= v[u] + v[w]
+        if n[0] * v[0] + n[1] * v[1] + n[2] * v[2]:
+            raise InternalConsistencyError(f"segment endpoint {tuple(v)} invalid at t={inst.t}")
+        endpoints.append((v[0], v[1], v[2]))
     start, end = endpoints
     h = inst.family.homogeneous_trade
     # h[2] = a >= 1; SegmentEndpoints rejects a reversed or off-step pair
-    q = (end[2] - start[2]) // h[2]
-    return SegmentEndpoints(start=start, end=end, step=h, count=q + 1)
+    return SegmentEndpoints(start, end, h, (end[2] - start[2]) // h[2] + 1)
 
 
 @dataclass(frozen=True)
@@ -148,20 +154,25 @@ class _Orthant:
     Each strip is a triple (coord, limit, maps): the orthant members v with
     v[coord] < limit, carried by period_map with indices `maps`, which fixes
     v[coord] and so maps the strip at shift t onto the strip at t + rho.
+    `units` holds each strip's map as the displacement of one period per
+    unit of coordinate sum, m*(e_i - e_j) for maps (i, j).
     A Hilbert basis member outside both strips has coordinate sum
     extremal_sum; those members form the segment, whose equation
     cx*v[x] + cy*v[y] = t + rhs is `segment` = (cx, cy, rhs) with x, y the
-    strips' bounded coordinates.  PNP has no segment: its only basis
-    member of sum 0 is the homogeneous trade, which lies in both strips.
-    One period adds `growth` members.  Transport from shift t needs
-    t > threshold.
+    strips' bounded coordinates; `solves` holds (x, y, cx, cy, cx^-1 mod cy)
+    for its start and (y, x, cy, cx, cy^-1 mod cx) for its end.  PNP has no
+    segment: its only basis member of sum 0 is the homogeneous trade, which
+    lies in both strips.  One period adds `growth` members.  Transport from
+    shift t needs t > threshold.
     """
 
     strips: tuple[tuple[int, int, tuple[int, int]], ...]
+    units: tuple[Trade, ...]
     extremal_sum: int
     growth: int
     threshold: int
     segment: tuple[int, int, int] | None
+    solves: tuple[tuple[int, int, int, int, int], ...]
 
 
 # built once per family and shared read-only, since every transport and
@@ -169,22 +180,32 @@ class _Orthant:
 @lru_cache(maxsize=64)
 def _orthant_table(fam: ShiftedFamily) -> MappingProxyType[OrthantLabel, _Orthant]:
     a, b, d = fam.a, fam.b, fam.d
+
+    def row(strips, extremal_sum, growth, threshold, segment=None) -> _Orthant:
+        # what one period adds to a trade of coordinate sum 1
+        units = tuple(sub(period_map(fam, i, j, (1, 0, 0)), (1, 0, 0)) for _, _, (i, j) in strips)
+        solves = ()
+        if segment is not None:
+            (x, _, _), (y, _, _) = strips
+            cx, cy, _ = segment
+            solves = ((x, y, cx, cy, pow(cx, -1, cy)), (y, x, cy, cx, pow(cy, -1, cx)))
+        return _Orthant(strips, units, extremal_sum, growth, threshold, segment, solves)
+
     return MappingProxyType({
-        OrthantLabel.PNP: _Orthant(
+        OrthantLabel.PNP: row(
             strips=((0, b + 1, (1, 2)), (2, a + 1, (0, 1))),
             extremal_sum=0,
             growth=0,
             threshold=fam.b_plus_minus,
-            segment=None,
         ),
-        OrthantLabel.PPN: _Orthant(
+        OrthantLabel.PPN: row(
             strips=((0, b, (1, 2)), (1, a + b, (0, 2))),
             extremal_sum=d,
             growth=d * a,
             threshold=fam.b_plus,
             segment=(a + b, b, d * b),
         ),
-        OrthantLabel.NPP: _Orthant(
+        OrthantLabel.NPP: row(
             strips=((2, a, (0, 1)), (1, a + b, (0, 2))),
             extremal_sum=-d,
             growth=d * b,
@@ -286,7 +307,8 @@ def transport(
     must have periods*growth more members than `basis`, and the target
     segment's endpoints must be the period-map images of the base
     segment's.  Only the base members and the segment ends are touched, so
-    the cost does not grow with `periods`.
+    the cost does not grow with `periods`.  This is _plan, which checks the
+    basis and needs no `periods`, then _apply.
 
     A PNP member may lie in both strips and then rides both maps.  That is
     safe: for t > d*a*b such a trade v has t*length(v) = d*(a*v0 - b*v2)
@@ -295,61 +317,102 @@ def transport(
     is a single-point segment; its two images are the two ends of the new
     segment.
     """
-    fam = base.family
-    row = _orthant_table(fam)[orthant]
     if periods < 1:
         raise InvalidInputError(f"transport needs periods >= 1, got {periods}")
+    return _apply(_plan(base, orthant, basis), periods, base.shifted(periods))
+
+
+class _Plan(NamedTuple):
+    """A base basis checked and classified for transport, for any number
+    of periods.
+
+    Each pair (v, delta) is a base trade and its displacement per period,
+    length(v) times its strip's unit, so k periods carry v to v + k*delta.
+    `moves` are the strip images listed off the target segment, `ends` the
+    strip images of extremal sum, which must be the target segment's ends,
+    and `segment` the base segment's start and end on their strips' maps.
+    """
+
+    base: SemigroupInstance
+    orthant: OrthantLabel
+    row: _Orthant
+    size: int
+    moves: tuple[tuple[Trade, Trade], ...]
+    ends: tuple[tuple[Trade, Trade], ...]
+    segment: tuple[tuple[Trade, Trade], ...]
+
+
+def _plan(base: SemigroupInstance, orthant: OrthantLabel, basis: Collection[Trade]) -> _Plan:
+    """Check each member of `basis` once (in the orthant, a trade at base.t,
+    in a strip or of extremal sum), pair it with its displacements, and
+    solve the base segment."""
+    row = _orthant_table(base.family)[orthant]
     if base.t <= row.threshold:
         raise InvalidInputError(
             f"{orthant.value} transport needs t > {row.threshold}, got t={base.t}"
         )
-    images: set[Trade] = set()
+    n0, n1, n2 = base.generators
+    strips = [(coord, limit, unit) for (coord, limit, _), unit in zip(row.strips, row.units)]
+    extremal = row.extremal_sum if row.segment is not None else None
+    moves: dict[tuple[Trade, Trade], None] = {}
+    ends: dict[tuple[Trade, Trade], None] = {}
     for v in basis:
         if not in_orthant(v, orthant):
             raise InvalidInputError(f"{v} is not in the {orthant.value} orthant")
-        if not base.is_trade(v):
+        if n0 * v[0] + n1 * v[1] + n2 * v[2]:
             raise InvalidInputError(f"{v} is not a trade at t={base.t}")
-        mapped = [
-            period_map(fam, *maps, v, periods)
-            for coord, limit, maps in row.strips
-            if v[coord] < limit
-        ]
-        if not mapped and length(v) != row.extremal_sum:
+        s = length(v)
+        pairs = ends if s == extremal else moves
+        inside = False
+        for coord, limit, unit in strips:
+            if v[coord] < limit:
+                inside = True
+                pairs[v, scale(s, unit)] = None
+        if not inside and s != row.extremal_sum:
             raise InternalConsistencyError(
                 f"{orthant.value} element {v} outside both strips has coordinate sum "
                 f"!= {row.extremal_sum} at t={base.t}"
             )
-        images.update(mapped)
+    segment: tuple[tuple[Trade, Trade], ...] = ()
+    if extremal is not None:
+        # looked up by module-global name, so a traced run can rebind them
+        before = (positive_segment if extremal > 0 else negative_segment)(base)
+        first, second = row.units
+        segment = ((before.start, scale(extremal, first)), (before.end, scale(extremal, second)))
+    return _Plan(base, orthant, row, len(basis), tuple(moves), tuple(ends), segment)
+
+
+def _carried(pairs: tuple[tuple[Trade, Trade], ...], k: int) -> list[Trade]:
+    return [(v0 + k * d0, v1 + k * d1, v2 + k * d2) for (v0, v1, v2), (d0, d1, d2) in pairs]
+
+
+def _apply(plan: _Plan, periods: int, target: SemigroupInstance) -> CompactBasis:
+    """The planned basis `periods` periods on, at `target`: the images by
+    arithmetic, the target segment solved on its own, the images of its
+    ends and of every extremal member checked against it, and the size law."""
+    orthant, row = plan.orthant, plan.row
     after = None
     if row.segment is not None:
-        # looked up by module-global name, so a traced run can rebind them
-        solve = positive_segment if row.extremal_sum > 0 else negative_segment
-        target = base.shifted(periods)
-        before, after = solve(base), solve(target)
-        (_, _, first), (_, _, second) = row.strips
-        expected = (
-            period_map(fam, *first, before.start, periods),
-            period_map(fam, *second, before.end, periods),
-        )
-        if (after.start, after.end) != expected:
+        after = (positive_segment if row.extremal_sum > 0 else negative_segment)(target)
+        expected = _carried(plan.segment, periods)
+        if [after.start, after.end] != expected:
             raise InternalConsistencyError(
                 f"{orthant.value} segment at t={target.t} "
                 f"is {after.start}..{after.end}, expected {expected[0]}..{expected[1]}"
             )
         # the segment supplies its own ends; any other image of extremal sum
         # would be a trade the segment does not contain
-        images.difference_update(expected)
-        for w in images:
-            if length(w) == row.extremal_sum:
+        for w in _carried(plan.ends, periods):
+            if w not in expected:
                 raise InternalConsistencyError(
                     f"{orthant.value} image {w} has coordinate sum {row.extremal_sum} "
                     f"but is not an end of the segment at t={target.t}"
                 )
-    result = CompactBasis(tuple(sorted(images, key=sort_key)), after)
-    if len(result) != len(basis) + periods * row.growth:
+    result = CompactBasis(tuple(sorted(set(_carried(plan.moves, periods)), key=sort_key)), after)
+    if len(result) != plan.size + periods * row.growth:
         raise InternalConsistencyError(
-            f"{orthant.value} transport at t={base.t} over {periods} periods: expected "
-            f"{len(basis) + periods * row.growth} elements, got {len(result)}"
+            f"{orthant.value} transport at t={plan.base.t} over {periods} periods: expected "
+            f"{plan.size + periods * row.growth} elements, got {len(result)}"
         )
     return result
 
@@ -413,15 +476,21 @@ def _cf_hilbert(inst: SemigroupInstance, orthant: OrthantLabel) -> tuple[Trade, 
     return tuple(sorted(out, key=sort_key))
 
 
+# each base shift's three plans, kept while a scan revisits the base (verify
+# counts at t and at t + rho, both from one base); a plan holds a few trades
+@lru_cache(maxsize=1024)
+def _cf_plan(base: SemigroupInstance, orthant: OrthantLabel) -> _Plan:
+    return _plan(base, orthant, _cf_hilbert(base, orthant))
+
+
 def hilbert_shift(inst: SemigroupInstance, orthant: OrthantLabel) -> CompactBasis:
     """Hilbert basis of one orthant, in compact form: the continued fraction
-    at the base shift, transported k periods when k > 0.  O(1) in t to
-    build and to count."""
+    at the base shift, transported k periods when k > 0 from its cached
+    plan.  O(1) in t to build and to count."""
     base, k = base_decomposition(inst)
-    members = _cf_hilbert(base, orthant)
     if not k:
-        return CompactBasis(members)
-    return transport(base, orthant, members, k)
+        return CompactBasis(_cf_hilbert(base, orthant))
+    return _apply(_cf_plan(base, orthant), k, inst)
 
 
 def graver_count(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasis) -> int:

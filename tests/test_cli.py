@@ -109,6 +109,15 @@ class TestParams:
         assert "k=0" in out.splitlines()
         assert any(line.startswith("note=") for line in out.splitlines())
 
+    def test_first_period_above_threshold_has_no_note(self, capsys):
+        # t = 20 is past b_max = 6 but within one period of it, so k = 0
+        # and t is its own base without being a base case
+        code, out, _ = run(capsys, "params", "--gens", "18,20,23")
+        assert code == 0
+        lines = out.splitlines()
+        assert {"t=20", "b_max=6", "effective_base_bound=6", "t0=20", "k=0"} <= set(lines)
+        assert not any(line.startswith("note=") for line in lines)
+
 
 class TestGraver:
     def test_golden_4ti2(self, capsys):

@@ -81,6 +81,15 @@ def _strictly_increasing(trades):
     return all(u < w for u, w in zip(keys, keys[1:]))
 
 
+@pytest.fixture
+def fresh_plans():
+    """An empty plan cache on entry and on exit, so a plan built under a
+    monkeypatch neither comes from nor leaks into another test."""
+    shift._cf_plan.cache_clear()
+    yield
+    shift._cf_plan.cache_clear()
+
+
 def _within_oracle_scale(inst):
     side = 2 * inst.generators[2] + 1
     return side * side <= oracle._MAX_GRID_CELLS
@@ -516,6 +525,68 @@ class TestHilbertShift:
                 for k in range(3):
                     basis = transport(base.shifted(k), orthant, basis, 1).materialize()
                 assert closed.trades == basis.trades, (a, b, d, t, orthant)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.integers(1, 8),
+        b=st.integers(1, 8),
+        d=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_cached_plan_equals_fresh_transport(self, a, b, d, data):
+        # several k per base, called in shuffled order from one cached plan,
+        # then again from a rebuilt one: a plan mutated by a call, or a
+        # result that depends on the order of calls, differs somewhere
+        assume(math.gcd(a, b) == 1)
+        fam = ShiftedFamily(a, b, d)
+        t0 = effective_base_bound(fam) + data.draw(st.integers(1, fam.rho), label="offset")
+        assume(math.gcd(t0, d) == 1)
+        base = fam.instance(t0)
+        ks = data.draw(st.lists(st.integers(1, 300), min_size=2, max_size=4, unique=True), label="ks")
+        calls = [(o, k) for o in OrthantLabel for k in ks]
+        calls = data.draw(st.permutations(calls), label="order")
+        shift._cf_plan.cache_clear()
+        got = {}
+        for orthant, k in calls:
+            got[orthant, k] = hilbert_shift(base.shifted(k), orthant)
+            assert got[orthant, k] == transport(base, orthant, _cf_hilbert(base, orthant), k)
+        assert shift._cf_plan.cache_info().misses == len(OrthantLabel)
+        shift._cf_plan.cache_clear()
+        for orthant, k in reversed(calls):
+            assert hilbert_shift(base.shifted(k), orthant) == got[orthant, k]
+
+    def test_one_plan_per_base_and_orthant(self, fam231, fresh_plans):
+        # 49, 79 and 169 all transport from the base shift 19
+        for t in (49, 79, 169):
+            for orthant in OrthantLabel:
+                hilbert_shift(fam231.instance(t), orthant)
+        info = shift._cf_plan.cache_info()
+        assert (info.misses, info.hits) == (3, 6)
+
+    @pytest.mark.parametrize(
+        "orthant,extra,error",
+        [
+            (OrthantLabel.PPN, (1, 0, 0), "is not a trade at t=19"),
+            (OrthantLabel.NPP, (1, 0, 0), "is not a trade at t=19"),
+            (OrthantLabel.PNP, (-1, 0, 1), "is not in the pnp orthant"),
+            (OrthantLabel.PPN, (3, -5, 2), "is not in the ppn orthant"),
+        ],
+        ids=["ppn-non-trade", "npp-non-trade", "pnp-outside", "ppn-outside"],
+    )
+    def test_cached_path_checks_the_basis(
+        self, fam231, monkeypatch, fresh_plans, orthant, extra, error
+    ):
+        # the plan runs transport's checks, so hilbert_shift raises what
+        # transport raises on the same basis
+        real = shift._cf_hilbert
+        monkeypatch.setattr(shift, "_cf_hilbert", lambda inst, o: (*real(inst, o), extra))
+        inst = fam231.instance(79)
+        base, k = base_decomposition(inst)
+        with pytest.raises(InvalidInputError, match=error) as direct:
+            transport(base, orthant, shift._cf_hilbert(base, orthant), k)
+        with pytest.raises(InvalidInputError) as cached:
+            hilbert_shift(inst, orthant)
+        assert (type(cached.value), str(cached.value)) == (type(direct.value), str(direct.value))
 
 
 class TestAssemble:
