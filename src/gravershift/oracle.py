@@ -1,11 +1,14 @@
 """Brute-force ground truth for Graver and orthant Hilbert bases.
 
-Everything here works by enumerating the trade lattice inside the box of
-radius n3 (the largest generator).  Each orthant's Hilbert basis is the
-staircase of Pareto minima of its trades, and the Graver basis is the
-union of the three; `_staircases` proves the radius and the filter
-exact.  It is deliberately free of the period-transport machinery so the
-two routes stay independent.
+Everything here works from the trade lattice inside the box of radius n3
+(the largest generator).  Each orthant's Hilbert basis is the staircase
+of Pareto minima of its trades, and the Graver basis is the union of the
+three; `_staircases` proves the radius and the filter exact.  It finds
+each staircase by one sweep of the orthant's columns that keeps only
+column minima, O(n3/g) steps for g the gcd of the two generators off the
+column's axis, and never lists the box; `enumerate_trades` lists it for
+callers that want every trade.  It is deliberately free of the
+period-transport machinery so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from types import MappingProxyType
 from typing import Iterator
 
 from .core import (
-    InternalConsistencyError,
     InvalidInputError,
     OrthantLabel,
     SemigroupInstance,
@@ -28,12 +30,22 @@ from .core import (
     sort_key,
 )
 
-# Hard cap on the box's (v0, v2) square, (2C+1)^2 cells; beyond it the
-# oracle is out of its intended desk scale, and refusing up front keeps
-# the work of every accepted box bounded.
+# Cap on the box's (v0, v2) square, (2C+1)^2 cells.  The sweep's work
+# grows only linearly in the radius, so this is a scope limit: it keeps
+# the oracle at desk scale and `enumerate_trades`, which does walk the
+# square, bounded.
 _MAX_GRID_CELLS = 2**31
 # The largest radius C within the cap.
 MAX_BOX = (math.isqrt(_MAX_GRID_CELLS) - 1) // 2
+
+
+def _check_box(box: int) -> None:
+    if box < 1:
+        raise InvalidInputError(f"enumeration box must be >= 1, got {box}")
+    if box > MAX_BOX:
+        raise InvalidInputError(
+            f"enumeration box {box} needs {(2 * box + 1) ** 2} grid cells; beyond oracle scale"
+        )
 
 
 def enumerate_trades(inst: SemigroupInstance, box: int) -> TradeSet:
@@ -42,12 +54,7 @@ def enumerate_trades(inst: SemigroupInstance, box: int) -> TradeSet:
     For each v2 the kernel condition is a congruence in v0; its solutions
     are stepped through the box and v1 is kept when it lands inside.
     """
-    if box < 1:
-        raise InvalidInputError(f"enumeration box must be >= 1, got {box}")
-    if box > MAX_BOX:
-        raise InvalidInputError(
-            f"enumeration box {box} needs {(2 * box + 1) ** 2} grid cells; beyond oracle scale"
-        )
+    _check_box(box)
     n1, t, n3 = inst.generators
     # n1*v0 + t*v1 + n3*v2 = 0 needs n1*v0 = -n3*v2 (mod t): solvable iff g
     # divides n3*v2, and then v0 is fixed modulo t/g
@@ -68,14 +75,17 @@ def enumerate_trades(inst: SemigroupInstance, box: int) -> TradeSet:
     return TradeSet(tuple(found), TradeSetMode.FULL)
 
 
-@lru_cache(maxsize=512)
+# Every caller asks for one instance's staircases only within one row (its
+# three Hilbert bases and its Graver basis), so a few entries suffice and
+# a long scan holds no more than these.
+@lru_cache(maxsize=16)
 def _staircases(inst: SemigroupInstance) -> MappingProxyType[OrthantLabel, tuple[Trade, ...]]:
     """Hilbert basis of each orthant: the Pareto minima of its box-n3 trades.
 
-    One walk of the box serves all three orthants, and only the staircases
-    are kept, each in sort_key order.  With (i, j) an orthant's
-    non-negative coordinates, its trades in the box are swept in ascending
-    (v_i, v_j) order and v is kept when v_j is below every earlier v_j.
+    Each orthant is one sweep of its columns, and only the staircases are
+    kept, each in sort_key order.  With (i, j) an orthant's non-negative
+    coordinates, its columns v_i = 0, 1, ... are swept in ascending order,
+    and a column's least v_j is kept when it is below every earlier one.
 
     The radius n3 is exact, in two steps.
 
@@ -94,7 +104,7 @@ def _staircases(inst: SemigroupInstance) -> MappingProxyType[OrthantLabel, tuple
     (ii) Filtering inside the box is exact: every conformal reducer u of a
     vector v in the box has |u_i| <= |v_i|, so it is in the box too.
 
-    The sweep is the conformal filter, in three steps.
+    The sweep is the conformal filter, in four steps.
 
     (a) In O, with k the third coordinate, n_k*v_k = -(n_i*v_i + n_j*v_j),
     so (v_i, v_j) fixes the trade, and u in O is conformally below v
@@ -108,26 +118,53 @@ def _staircases(inst: SemigroupInstance) -> MappingProxyType[OrthantLabel, tuple
     irreducible.  Conversely, any conformal reducer of a member of O lies
     in O, so an irreducible of O is a Graver element; the Graver basis is
     the union of the three orthants' minima, up to sign.
+
+    (d) In a column only its least v_j in the box can be a Pareto minimum.
+    Membership in the box is monotone in v_j: v_k falls as v_j grows, and
+    every column minimum the sweep meets has v_i, v_j <= n_k <= n3.  So if
+    a column's least v_j >= 0 fails v_k >= -n3, the column has no box
+    trade, and the record minima of the column minima are the staircase of
+    (a)-(c).  With g = gcd(n_j, n_k), which is prime to n_i since the
+    generators are coprime, a column holds trades only at v_i = x a
+    multiple of g, and its least v_j is then x/g times c modulo n_k/g, for
+    c = -n_i*(n_j/g)^-1: one addition per column.  Column 0 takes
+    v_j = n_k/g, since v_j = 0 there is the zero vector.  The first later
+    v_j = 0, at x = n_k/gcd(n_i, n_k) <= n3 with |v_k| <= n_i, is always
+    kept and ends the sweep, because no later trade in O has a lower v_j.
+    By (i) no record fails the box; checking it anyway makes the answer
+    the box's staircase by construction rather than by (i).
     """
-    box = inst.generators[2]
-    trades = enumerate_trades(inst, box).trades
+    gens = inst.generators
+    box = gens[2]
+    _check_box(box)
     staircases = {}
     for orthant in OrthantLabel:
         i, j = orthant.nonneg_coords
-        candidates = sorted(
-            (v for v in trades if v[i] >= 0 and v[j] >= 0), key=itemgetter(i, j)
-        )
+        k = 3 - i - j
+        n_i, n_j, n_k = gens[i], gens[j], gens[k]
+        g = math.gcd(n_j, n_k)
+        step = n_k // g
+        c = -n_i * pow(n_j // g, -1, step) % step
+        reach = box * n_k
         minima = []
-        least_j = box + 1
-        for v in candidates:
-            if v[j] < least_j:
-                least_j = v[j]
-                minima.append(v)
-        if not minima:
-            raise InternalConsistencyError(
-                f"no minimal {orthant.value} trades found in box {box} for {inst.generators}"
-            )
-        staircases[orthant] = tuple(sorted(minima, key=sort_key))
+        x, y, least = 0, step, step + 1
+        while True:
+            if y < least:
+                # v_k >= -box, with n_k*v_k = -(n_i*x + n_j*y)
+                weight = n_i * x + n_j * y
+                if weight <= reach:
+                    least = y
+                    minima.append((x, y, -weight // n_k))
+                if not y:
+                    break
+            x += g
+            y += c
+            if y >= step:
+                y -= step
+        # (v_i, v_j, v_k) back to coordinate order
+        place = [0, 0, 0]
+        place[i], place[j], place[k] = 0, 1, 2
+        staircases[orthant] = tuple(sorted(map(itemgetter(*place), minima), key=sort_key))
     return MappingProxyType(staircases)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import importlib
 import json
 import os
@@ -355,19 +356,21 @@ class TestRangePastMaxShift:
 
 
 def _oracle_walks(monkeypatch, limit):
-    """Record the shift of each box the oracle walks, failing past `limit`;
-    the staircase cache starts empty, so every box is walked."""
-    oracle._staircases.cache_clear()
-    real = oracle.enumerate_trades
+    """Record the shift of each box the oracle walks, failing past `limit`.
+    The walk behind the staircase cache is counted under a fresh cache of
+    the same size, so every box is walked and each is walked as often as
+    the oracle's own cache would let it be."""
+    real = oracle._staircases
     walks = []
 
-    def counted(inst, box):
+    def counted(inst):
         walks.append(inst.t)
         if len(walks) > limit:
             raise AssertionError(f"oracle walked boxes at t={walks}")
-        return real(inst, box)
+        return real.__wrapped__(inst)
 
-    monkeypatch.setattr(oracle, "enumerate_trades", counted)
+    cached = functools.lru_cache(maxsize=real.cache_info().maxsize)(counted)
+    monkeypatch.setattr(oracle, "_staircases", cached)
     return walks
 
 

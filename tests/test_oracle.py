@@ -1,4 +1,8 @@
+import ast
 import math
+import sys
+from operator import itemgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,8 +21,10 @@ from gravershift import (
     in_orthant,
     length,
 )
+from gravershift import oracle
 from gravershift.core import TradeSetMode, negate, sort_key, sub
-from gravershift.oracle import iter_factorizations
+from gravershift.oracle import MAX_BOX, iter_factorizations
+from gravershift.shift import graver_shift
 
 
 def is_conformal(u, v):
@@ -174,6 +180,77 @@ class TestStaircase:
         for orthant in OrthantLabel:
             inside = [v for v in pool if in_orthant(v, orthant)]
             assert hilbert_oracle(inst, orthant).as_set() == _minima_by_scan(inside)
+
+
+def _box_staircase(pool, orthant):
+    """Pareto minima of (v_i, v_j) over the pool's trades in the orthant,
+    by sorting them all: each is kept when its v_j is below every earlier."""
+    i, j = orthant.nonneg_coords
+    kept, least = [], math.inf
+    for v in sorted((v for v in pool if in_orthant(v, orthant)), key=itemgetter(i, j)):
+        if v[j] < least:
+            least = v[j]
+            kept.append(v)
+    return set(kept)
+
+
+def _assert_box_minima(inst):
+    # both oracle answers equal the staircases of the listed box-n3 trades
+    pool = enumerate_trades(inst, inst.generators[2]).trades
+    union = set()
+    for orthant in OrthantLabel:
+        staircase = _box_staircase(pool, orthant)
+        assert hilbert_oracle(inst, orthant).as_set() == staircase, (inst.generators, orthant)
+        union |= staircase | {negate(v) for v in staircase}
+    assert graver_oracle(inst).with_negations().as_set() == union, inst.generators
+
+
+class TestSweepAgainstBox:
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.integers(1, 9), b=st.integers(1, 9), d=st.integers(1, 4), data=st.data())
+    def test_matches_box_minima(self, a, b, d, data):
+        # any covered shift up to 2,500, drawn evenly, far past TestStaircase
+        assume(math.gcd(a, b) == 1)
+        t = data.draw(st.sampled_from(range(d * a + 1, 2501)), label="t")
+        assume(math.gcd(t, d) == 1)
+        _assert_box_minima(ShiftedFamily(a, b, d).instance(t))
+
+    # every orthant's column step g = gcd(n_j, n_k) exceeds 1, (PNP, PPN,
+    # NPP) = (2, 2, 3), (5, 5, 3), (6, 6, 7); then <2,3,4>, where n_k = 2
+    # divides n_j = 4 in NPP, and <4,6,9>, whose PNP column minimum is 0
+    # right after column 0
+    @pytest.mark.parametrize(
+        "a,b,d,t", [(1, 2, 1, 2302), (1, 5, 4, 2305), (1, 6, 1, 2304), (1, 1, 1, 3), (2, 3, 1, 6)]
+    )
+    def test_shared_factors(self, a, b, d, t):
+        _assert_box_minima(ShiftedFamily(a, b, d).instance(t))
+
+    def test_largest_box_answered(self):
+        # n3 = t + 1 = MAX_BOX; the shift route is the independent check
+        inst = ShiftedFamily(1, 1, 1).instance(MAX_BOX - 1)
+        assert graver_oracle(inst).trades == graver_shift(inst).trades
+
+    def test_box_past_the_cap_refused(self):
+        box = MAX_BOX + 1
+        inst = ShiftedFamily(1, 1, 1).instance(box - 1)
+        message = f"enumeration box {box} needs {(2 * box + 1) ** 2} grid cells; beyond oracle scale"
+        for ask in (lambda: graver_oracle(inst), lambda: hilbert_oracle(inst, OrthantLabel.PNP)):
+            with pytest.raises(InvalidInputError) as refused:
+                ask()
+            assert str(refused.value) == message
+
+
+def test_oracle_imports_only_core_and_stdlib():
+    # the oracle stays independent of the shift route: within the package
+    # it reads only the domain types
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert (node.level, node.module) == (1, "core"), ast.unparse(node)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, ast.unparse(node)
 
 
 class TestHilbertOracle:
