@@ -134,6 +134,7 @@ def cmd_params(args: argparse.Namespace) -> int:
 def _emit_trades(
     args: argparse.Namespace, inst: SemigroupInstance, method: str, trades: TradeSet, **extra
 ) -> None:
+    trades.pieces  # noqa: B018 - ordered and checked before any output is opened
     if args.format == "json":
         _emit_json(formats.trades_document(inst, method, trades, **extra), args.output)
         return
@@ -157,10 +158,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     inst = from_generators(*args.gens)
     orthant = OrthantLabel(args.orthant)
     method = _resolve_method(inst, args.method)
-    if method == "shift":
-        basis = hilbert_shift(inst, orthant).materialize()
-    else:
-        basis = hilbert_oracle(inst, orthant)
+    basis = hilbert_shift(inst, orthant) if method == "shift" else hilbert_oracle(inst, orthant)
     _emit_trades(args, inst, method, basis, orthant=orthant.value)
     return EXIT_OK
 
@@ -251,6 +249,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
 def cmd_difftest(args: argparse.Namespace) -> int:
     from . import analysis
 
+    if args.periods < 1:
+        raise InvalidInputError(f"--periods must be at least 1, got {args.periods}")
     families = [ShiftedFamily(*abc) for abc in args.family]
     report = analysis.differential_test(families, args.periods)
     table = formats.format_csv(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -177,9 +178,6 @@ class SemigroupInstance:
         n1, n2, n3 = self.generators
         return n1 * v[0] + n2 * v[1] + n3 * v[2]
 
-    def is_trade(self, v: Trade) -> bool:
-        return self.evaluate(v) == 0
-
     def shifted(self, periods: int = 1) -> SemigroupInstance:
         """The instance `periods` periods later (or earlier, if negative)."""
         return SemigroupInstance(self.family, self.t + periods * self.family.rho)
@@ -302,8 +300,52 @@ def _members(piece: Piece) -> Iterable[Trade]:
     return piece if isinstance(piece, SegmentEndpoints) else (piece,)
 
 
-def _negated(piece: Piece) -> Piece:
-    return piece.negated() if isinstance(piece, SegmentEndpoints) else negate(piece)
+def _ascending(keys: list) -> bool:
+    return all(map(operator.lt, keys, keys[1:]))
+
+
+def _ordered_pieces(
+    runs: tuple[SegmentEndpoints, ...], singles: Iterable[Trade]
+) -> tuple[Piece, ...]:
+    """The runs laid end to end with the single trades inserted in sort_key
+    order, as ordered pieces (parts of runs and single trades): nothing is
+    written out.
+
+    The runs' ends, in order, must ascend strictly, which covers each
+    run's direction and every seam between runs; the singles must be
+    distinct, and each that falls in a run's span goes in by bisect over
+    the run's arithmetic members and must land strictly between two of
+    them.  Any other input raises InternalConsistencyError.  The cost is a
+    sort of the singles, a step per run, and a bisect of a run for each
+    single inside its span.
+    """
+    # a one-member run has one end
+    ends = [v for run in runs for v in dict.fromkeys((run.start, run.end))]
+    if not _ascending(list(map(sort_key, ends))):
+        raise InternalConsistencyError(f"runs out of order: ends {ends}")
+    members = sorted(singles, key=sort_key)
+    keys = list(map(sort_key, members))
+    if not _ascending(keys):
+        raise InternalConsistencyError("a single trade is given twice")
+    pieces: list[Piece] = []
+    j = 0  # members[j:] are not laid yet
+    for run in runs:
+        first = bisect_left(keys, sort_key(run.start), j)
+        past = bisect_right(keys, sort_key(run.end), first)
+        pieces += members[j:first]
+        lo = 0  # the run from its member lo on is not laid yet
+        for v, key in zip(members[first:past], keys[first:past]):
+            k = bisect_left(run, key, lo, key=sort_key)
+            if run[k] == v:
+                raise InternalConsistencyError(f"{v} is not strictly between its neighbours")
+            if k > lo:
+                pieces.append(run.part(lo, k))
+            pieces.append(v)
+            lo = k
+        pieces.append(run.part(lo, run.count))
+        j = past
+    pieces += members[j:]
+    return tuple(pieces)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,50 +357,60 @@ class TradeSet:
     CANONICAL mode keeps one representative per {v, -v} pair.  Ordering is
     always ascending lexicographic on (v2, v1, v0).
 
-    The members are held as ordered pieces, each a single trade or a
-    SegmentEndpoints run, so a tuple of trades is a TradeSet of single
-    pieces and a transported basis of 10^9 members is a handful of
-    pieces.  `trades` writes the members out on first read; len,
-    iteration, membership, equality and with_negations work on the pieces.
+    The members are `singles`, single trades in any order, and `runs`,
+    SegmentEndpoints runs given in ascending order, so a tuple of trades
+    is a TradeSet of singles and a transported basis of 10^9 members is a
+    few singles and a run.  len, membership and with_negations read the
+    two fields, so counting orders nothing.  `pieces`, the members in
+    order as single trades and parts of runs, is built and checked on
+    first read (_ordered_pieces); iteration and equality read it, and
+    `trades` writes the members out on first read.
     """
 
-    pieces: tuple[Piece, ...]
+    singles: tuple[Trade, ...]
     mode: TradeSetMode
+    runs: tuple[SegmentEndpoints, ...] = ()
 
     @staticmethod
     def canonical(trades: Iterable[Trade]) -> TradeSet:
-        reps = {canonical_rep(v) for v in trades}
-        return TradeSet(tuple(sorted(reps, key=sort_key)), TradeSetMode.CANONICAL)
+        return TradeSet(tuple({canonical_rep(v) for v in trades}), TradeSetMode.CANONICAL)
+
+    @cached_property
+    def pieces(self) -> tuple[Piece, ...]:
+        return _ordered_pieces(self.runs, self.singles)
 
     @cached_property
     def trades(self) -> tuple[Trade, ...]:
-        """Every member, written out on first read; a TradeSet of single
-        pieces is its own listing."""
-        if not any(isinstance(p, SegmentEndpoints) for p in self.pieces):
-            return self.pieces
-        return tuple(self)
+        """Every member, written out on first read; without runs the
+        pieces are the listing."""
+        return tuple(self) if self.runs else self.pieces
 
     def with_negations(self) -> TradeSet:
-        """Every member and its negation, in sort_key order, without a sort:
-        a canonical member sorts above (0, 0, 0) and its negation below, and
-        negating the ascending pieces reversed keeps them ascending."""
+        """Every member and its negation: a canonical member sorts above
+        (0, 0, 0) and its negation below, so negating the ascending runs
+        reversed keeps them ascending."""
         if self.mode is not TradeSetMode.CANONICAL:
             raise InvalidInputError("with_negations needs a canonical TradeSet")
-        negations = map(_negated, reversed(self.pieces))
-        return TradeSet((*negations, *self.pieces), TradeSetMode.FULL)
+        negated = (run.negated() for run in reversed(self.runs))
+        return TradeSet(
+            (*map(negate, self.singles), *self.singles), TradeSetMode.FULL, (*negated, *self.runs)
+        )
 
     def as_set(self) -> frozenset[Trade]:
         return frozenset(self)
 
     def __len__(self) -> int:
-        return sum(p.count if isinstance(p, SegmentEndpoints) else 1 for p in self.pieces)
+        n = len(self.singles)
+        for run in self.runs:  # a loop: a call per run costs more on the count path
+            n += run.count
+        return n
 
     def __iter__(self) -> Iterator[Trade]:
         return chain.from_iterable(map(_members, self.pieces))
 
     def __contains__(self, v: object) -> bool:
-        """Piece by piece, so no run is written out."""
-        return any(v in p if isinstance(p, SegmentEndpoints) else v == p for p in self.pieces)
+        """By the fields, so no run is written out or ordered."""
+        return v in self.singles or any(v in run for run in self.runs)
 
     def __eq__(self, other: object) -> bool:
         """Member-wise: the same mode and the same members in order,

@@ -163,7 +163,8 @@ def dump_json(doc: dict, out: TextIO) -> None:
     import json  # only JSON output pays for its import
 
     encoder = json.JSONEncoder(indent=2)
-    if any(isinstance(value, TradeSet) for value in doc.values()):
+    # each listing is ordered and checked before the first byte is written
+    if [value.pieces for value in doc.values() if isinstance(value, TradeSet)]:
         out.writelines(_json_chunks(doc, encoder))
     else:  # one iterencode, without a Python step per chunk
         out.writelines(encoder.iterencode(doc))

@@ -17,31 +17,29 @@ then the endpoint, extremal-image and size checks).  hilbert_shift keeps
 the plans of its continued-fraction bases in an LRU cache of 1024
 (base shift, orthant) pairs.  The base case is each orthant's
 Hirzebruch-Jung continued fraction at a shift at most one period above
-the transport threshold, so the route never enumerates a lattice:
-it yields the Graver basis at any shift, as a few single trades and the
-two segments' runs, and counting it reads the segments' lengths.  No
-segment member is written out here.  Nothing here calls the brute-force
-oracle, which stays an independent check; only its scale limit is read,
-for the `auto` method's rule.
+the transport threshold, so the route never enumerates a lattice.
+Every basis it returns, orthant or Graver, at any shift, is a TradeSet
+of a few single trades and the segments' runs: counting reads those
+fields, only a listing orders them, and no segment member is written
+out here.  Nothing here calls the brute-force oracle, which stays an
+independent check; only its scale limit is read, for the `auto` method's
+rule.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from types import MappingProxyType
-from typing import Collection, Iterable, NamedTuple
+from typing import Collection, NamedTuple
 
 from .core import (
     InternalConsistencyError,
     InvalidInputError,
     NoLengthTradeError,
     OrthantLabel,
-    Piece,
     SegmentEndpoints,
     SemigroupInstance,
     ShiftedFamily,
@@ -215,88 +213,12 @@ def _orthant_table(fam: ShiftedFamily) -> MappingProxyType[OrthantLabel, _Orthan
     })
 
 
-@dataclass(frozen=True)
-class CompactBasis:
-    """An orthant Hilbert basis as its listed members plus one segment.
-
-    `rest` is sorted by sort_key and holds every member off `segment`;
-    `segment` is None for a PNP basis and for a base-case basis, which
-    lists every member.  len() reads the two sizes, so a basis of 10^9
-    members is counted in O(1); materialize() lists it in order.
-    """
-
-    rest: tuple[Trade, ...]
-    segment: SegmentEndpoints | None = None
-
-    def __len__(self) -> int:
-        return len(self.rest) + (self.segment.count if self.segment is not None else 0)
-
-    def boundary(self) -> set[Trade]:
-        """The members that may lie on a coordinate plane: rest and the segment ends."""
-        ends = (self.segment.start, self.segment.end) if self.segment is not None else ()
-        return {*self.rest, *ends}
-
-    def materialize(self) -> TradeSet:
-        """Every member in sort_key order, as pieces: the segment's run
-        with the few rest members inserted by bisect, none written out."""
-        runs = [] if self.segment is None else [self.segment]
-        return TradeSet(tuple(_ordered_pieces(runs, self.rest)), TradeSetMode.FULL)
-
-
-def _ascending(trades: list[Trade]) -> bool:
-    keys = list(map(sort_key, trades))
-    return all(map(operator.lt, keys, keys[1:]))
-
-
-def _last(piece: Piece) -> Trade:
-    return piece.end if isinstance(piece, SegmentEndpoints) else piece
-
-
-def _ordered_pieces(runs: list[SegmentEndpoints], members: Iterable[Trade]) -> list[Piece]:
-    """The runs laid end to end with `members` inserted in sort_key order,
-    as ordered pieces (parts of runs and single members): nothing is
-    written out.
-
-    The runs' ends, in order, must ascend strictly, which covers each
-    run's direction and every seam between runs.  Each member goes in by
-    bisect over the run's arithmetic members and must land strictly
-    between its neighbours, so a member already in a run, or given twice,
-    raises InternalConsistencyError.  Linear in the number of runs plus a
-    sort of the members, which are few, and logarithmic in the run lengths.
-    """
-    # a one-member run has one end
-    ends = [v for run in runs for v in dict.fromkeys((run.start, run.end))]
-    if not _ascending(ends):
-        raise InternalConsistencyError(f"runs out of order: ends {ends}")
-    pieces: list[Piece] = []
-    i = lo = 0  # runs[i] from its member lo on is not laid yet
-    for v in sorted(members, key=sort_key):
-        key = sort_key(v)
-        while i < len(runs) and sort_key(runs[i].end) < key:
-            pieces.append(runs[i].part(lo, runs[i].count))
-            i, lo = i + 1, 0
-        after = []
-        if i < len(runs):
-            hi = bisect_left(runs[i], key, lo, key=sort_key)
-            if hi > lo:
-                pieces.append(runs[i].part(lo, hi))
-                lo = hi
-            after.append(runs[i][hi])
-        before = [_last(pieces[-1])] if pieces else []
-        if not _ascending([*before, v, *after]):
-            raise InternalConsistencyError(f"{v} is not strictly between its neighbours")
-        pieces.append(v)
-    if i < len(runs):
-        pieces.append(runs[i].part(lo, runs[i].count))
-        pieces += runs[i + 1:]
-    return pieces
-
-
 def transport(
     base: SemigroupInstance, orthant: OrthantLabel, basis: Collection[Trade], periods: int
-) -> CompactBasis:
+) -> TradeSet:
     """Carry the orthant's Hilbert basis at base.t to base.t + periods*rho,
-    as the few images off the target segment plus the segment itself.
+    as a TradeSet: the few images off the target segment are its singles
+    and the segment is its run.
 
     Every member rides the period map of each strip it lies in (the maps
     fix the strip's bounded coordinate, so `periods` steps are one map with
@@ -386,12 +308,12 @@ def _carried(pairs: tuple[tuple[Trade, Trade], ...], k: int) -> list[Trade]:
     return [(v0 + k * d0, v1 + k * d1, v2 + k * d2) for (v0, v1, v2), (d0, d1, d2) in pairs]
 
 
-def _apply(plan: _Plan, periods: int, target: SemigroupInstance) -> CompactBasis:
+def _apply(plan: _Plan, periods: int, target: SemigroupInstance) -> TradeSet:
     """The planned basis `periods` periods on, at `target`: the images by
     arithmetic, the target segment solved on its own, the images of its
     ends and of every extremal member checked against it, and the size law."""
     orthant, row = plan.orthant, plan.row
-    after = None
+    runs: tuple[SegmentEndpoints, ...] = ()
     if row.segment is not None:
         after = (positive_segment if row.extremal_sum > 0 else negative_segment)(target)
         expected = _carried(plan.segment, periods)
@@ -408,7 +330,9 @@ def _apply(plan: _Plan, periods: int, target: SemigroupInstance) -> CompactBasis
                     f"{orthant.value} image {w} has coordinate sum {row.extremal_sum} "
                     f"but is not an end of the segment at t={target.t}"
                 )
-    result = CompactBasis(tuple(sorted(set(_carried(plan.moves, periods)), key=sort_key)), after)
+        runs = (after,)
+    # a set, so two strips carrying members to one image fail the size law
+    result = TradeSet(tuple(set(_carried(plan.moves, periods))), TradeSetMode.FULL, runs)
     if len(result) != plan.size + periods * row.growth:
         raise InternalConsistencyError(
             f"{orthant.value} transport at t={plan.base.t} over {periods} periods: expected "
@@ -483,23 +407,26 @@ def _cf_plan(base: SemigroupInstance, orthant: OrthantLabel) -> _Plan:
     return _plan(base, orthant, _cf_hilbert(base, orthant))
 
 
-def hilbert_shift(inst: SemigroupInstance, orthant: OrthantLabel) -> CompactBasis:
-    """Hilbert basis of one orthant, in compact form: the continued fraction
-    at the base shift, transported k periods when k > 0 from its cached
-    plan.  O(1) in t to build and to count."""
+def hilbert_shift(inst: SemigroupInstance, orthant: OrthantLabel) -> TradeSet:
+    """Hilbert basis of one orthant, FULL mode: the continued fraction at
+    the base shift, transported k periods when k > 0 from its cached plan,
+    so a few singles and at most one run.  O(1) in t to build and to
+    count; ordered only when listed."""
     base, k = base_decomposition(inst)
     if not k:
-        return CompactBasis(_cf_hilbert(base, orthant))
+        return TradeSet(_cf_hilbert(base, orthant), TradeSetMode.FULL)
     return _apply(_cf_plan(base, orthant), k, inst)
 
 
-def graver_count(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasis) -> int:
+def graver_count(h_pnp: TradeSet, h_ppn: TradeSet, h_npp: TradeSet) -> int:
     """Size of the canonical Graver basis that assemble_graver writes out,
-    read from the three compact bases.
+    read from the three orthant Hilbert bases (of either route) without
+    ordering them.
 
     The size is sum(len) - 3, and the overlap of 3 is measured, not
-    assumed, on the boundary members only: each basis's rest and its
-    segment's two ends, canonicalized.
+    assumed, on the boundary members only: each basis's singles and its
+    runs' two ends, canonicalized.  A basis's runs are its segment, of
+    extremal coordinate sum, or none.
 
     The bases share exactly three trades, one per coordinate plane.  A
     trade with no zero coordinate has exactly two coordinates of one sign,
@@ -514,7 +441,7 @@ def graver_count(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasis) 
     v0 = start0 + s*b > 0, v1 = end1 + (count-1-s)*(a+b) > 0, and v2 < 0
     because the generators are positive.  NPP mirrors this with v2 > 0,
     v1 > 0 and v0 < 0.  So no coordinate of v is zero, and v is neither a
-    segment end nor in rest, which transport keeps free of extremal-sum
+    segment end nor a single, which transport keeps free of extremal-sum
     members.  The overlap of the full bases is therefore the overlap of
     their boundaries.  Any other value than 3 means a basis is wrong, so
     it raises InternalConsistencyError.
@@ -522,12 +449,12 @@ def graver_count(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasis) 
     return _canonical_boundary(h_pnp, h_ppn, h_npp)[1]
 
 
-def _canonical_boundary(*parts: CompactBasis) -> tuple[set[Trade], int]:
+def _canonical_boundary(*parts: TradeSet) -> tuple[set[Trade], int]:
     """graver_count's measurement: the canonical boundary members of the
     three bases, and the Graver size they give."""
     if any(len(p) == 0 for p in parts):
         raise InvalidInputError("orthant Hilbert bases are never empty for a valid instance")
-    boundaries = [p.boundary() for p in parts]
+    boundaries = [{*p.singles, *[v for run in p.runs for v in (run.start, run.end)]} for p in parts]
     union = {canonical_rep(v) for v in chain.from_iterable(boundaries)}
     overlap = sum(map(len, boundaries)) - len(union)
     if overlap != 3:
@@ -537,7 +464,7 @@ def _canonical_boundary(*parts: CompactBasis) -> tuple[set[Trade], int]:
     return union, sum(map(len, parts)) - overlap
 
 
-def _canonical_interior(segment: SegmentEndpoints | None) -> SegmentEndpoints | None:
+def _canonical_interior(segment: SegmentEndpoints) -> SegmentEndpoints | None:
     """The segment's members strictly between its ends, canonicalized, as
     an ascending run; None when there are none.
 
@@ -545,16 +472,16 @@ def _canonical_interior(segment: SegmentEndpoints | None) -> SegmentEndpoints | 
     them all or negates them all, and negation keeps the step and reverses
     the run: start+h .. end-h, or -end+h .. -start-h.
     """
-    if segment is None or segment.count < 3:
+    if segment.count < 3:
         return None
     interior = segment.part(1, segment.count - 1)
     return interior if canonical_rep(interior.start) == interior.start else interior.negated()
 
 
-def assemble_graver(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasis) -> TradeSet:
+def assemble_graver(h_pnp: TradeSet, h_ppn: TradeSet, h_npp: TradeSet) -> TradeSet:
     """Union of the three Hilbert bases and their negations, canonicalized,
-    in sort_key order without a sort, as ordered pieces: no member of a
-    segment interior is written out.
+    ordered and checked here, without a sort or a write-out of the
+    segment interiors.
 
     Almost every member lies inside the PPN or the NPP segment, and each
     canonical interior is one arithmetic run of step h = (b, -(a+b), a);
@@ -565,21 +492,22 @@ def assemble_graver(h_pnp: CompactBasis, h_ppn: CompactBasis, h_npp: CompactBasi
     canonical rep -u has v2 = (t - d*a + a*u1)/(a+b) > (t - d*a)/(a+b),
     because u1 > 0.  sort_key compares v2 first, so the NPP run lies wholly
     below the PPN run, and their concatenation ascends.  The boundary
-    members (canonical reps of every rest and segment end, graver_count's
+    members (canonical reps of every single and run end, graver_count's
     set) are few above the threshold, and all members when there is no
-    segment; each goes in by bisect.
+    segment; they are the result's singles.
 
     Strict order is checked where pieces meet: the ends of both runs, in
-    order, cover each run's direction and the seam; each inserted member
-    must lie strictly between its neighbours.  Inside a run the order
-    holds by construction, so the whole listing ascends strictly.  Its
-    size must be graver_count's, which measures the overlap; any other
-    size or order raises InternalConsistencyError.
+    order, cover each run's direction and the seam; each single inside a
+    run's span must lie strictly between two of its members.  Inside a run
+    the order holds by construction, so the whole listing ascends
+    strictly.  Its size must be graver_count's, which measures the
+    overlap; any other size or order raises InternalConsistencyError.
     """
     boundary, expected = _canonical_boundary(h_pnp, h_ppn, h_npp)
-    interiors = map(_canonical_interior, (h_npp.segment, h_ppn.segment))
-    runs = [run for run in interiors if run is not None]
-    merged = TradeSet(tuple(_ordered_pieces(runs, boundary)), TradeSetMode.CANONICAL)
+    interiors = map(_canonical_interior, (*h_npp.runs, *h_ppn.runs))
+    runs = tuple(run for run in interiors if run is not None)
+    merged = TradeSet(tuple(boundary), TradeSetMode.CANONICAL, runs)
+    merged.pieces  # noqa: B018 - ordered and checked now, not when first listed
     if len(merged) != expected:
         raise InternalConsistencyError(
             f"merged {len(merged)} canonical trades, expected {expected}"

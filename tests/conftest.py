@@ -107,14 +107,14 @@ def inst19_from_gens():
 
 @pytest.fixture
 def no_materialize(monkeypatch):
-    """Make listing a basis, iterating a segment, or assembling a Graver
+    """Make ordering a basis, iterating a segment, or assembling a Graver
     basis raise, so a count near MAX_SHIFT that tries to list trades fails
     at once instead of exhausting memory."""
-    from gravershift import shift
+    from gravershift import core, shift
 
     def refuse(*args, **kwargs):
         raise AssertionError("a count path materialized trades")
 
-    monkeypatch.setattr(shift.CompactBasis, "materialize", refuse)
+    monkeypatch.setattr(core, "_ordered_pieces", refuse)
     monkeypatch.setattr(shift.SegmentEndpoints, "__iter__", refuse)
     monkeypatch.setattr(shift, "assemble_graver", refuse)

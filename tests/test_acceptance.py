@@ -99,7 +99,7 @@ def test_criterion_3_large_shift_m94159(criterion):
             (-18833, 1, 18831),
             9416,
         )
-        central = hilbert_shift(inst, OrthantLabel.PNP).materialize()
+        central = hilbert_shift(inst, OrthantLabel.PNP)
         assert central.as_set() == H94159_PNP
         assert (3, -5, 2) in central
         assert (47081, -47081, 1) in central

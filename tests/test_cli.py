@@ -9,12 +9,20 @@ from pathlib import Path
 
 import pytest
 
-from gravershift import OrthantLabel, ShiftedFamily, analysis, from_generators, oracle, shift
+from gravershift import (
+    OrthantLabel,
+    ShiftedFamily,
+    TradeSet,
+    analysis,
+    cli,
+    from_generators,
+    oracle,
+    shift,
+)
 from gravershift.analysis import DifferentialReport, DifferentialRow
 from gravershift.cli import build_parser, main
-from gravershift.shift import CompactBasis
 from test_formats import GOLDEN_4TI2_M19
-from test_shift import _swapped_interiors
+from test_shift import _swapped_interiors, _with_inner_single
 
 
 def run(capsys, *argv):
@@ -306,7 +314,7 @@ class TestCountsNearMaxShift:
             basis = real(inst, orthant)
             if orthant is not OrthantLabel.NPP:
                 return basis
-            return CompactBasis(tuple(v for v in basis.rest if v[2] != 0), basis.segment)
+            return TradeSet(tuple(v for v in basis.singles if v[2] != 0), basis.mode, basis.runs)
 
         monkeypatch.setattr(analysis, "hilbert_shift", without_v2_plane_trade)
         code, out, err = run(
@@ -314,6 +322,38 @@ class TestCountsNearMaxShift:
         )
         assert (code, out) == (2, "")
         assert "measured 2" in err
+
+
+class TestInconsistentListingWritesNothing:
+    """A listing whose order check fails exits 2 before its first byte:
+    the NPP basis at t = 79 with a segment member also among its singles."""
+
+    @pytest.mark.parametrize("fmt", ["4ti2", "csv", "json"])
+    def test_hilbert(self, capsys, monkeypatch, tmp_path, fmt):
+        real = cli.hilbert_shift
+        monkeypatch.setattr(cli, "hilbert_shift", lambda inst, o: _with_inner_single(real(inst, o)))
+        argv = ["hilbert", "--gens", "77,79,82", "--orthant", "npp", "--method", "shift",
+                "--format", fmt]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "strictly between" in err
+        # nor is the --output file created
+        path = tmp_path / "basis"
+        assert run(capsys, *argv, "--output", str(path))[0] == 2
+        assert not path.exists()
+
+    def test_graver_json(self, capsys, monkeypatch):
+        real = shift.hilbert_shift
+
+        def with_inner_npp_single(inst, orthant):
+            basis = real(inst, orthant)
+            return _with_inner_single(basis) if orthant is OrthantLabel.NPP else basis
+
+        monkeypatch.setattr(shift, "hilbert_shift", with_inner_npp_single)
+        code, out, err = run(capsys, "graver", "--gens", "77,79,82", "--method", "shift",
+                             "--format", "json")
+        assert (code, out) == (2, "")
+        assert "strictly between" in err
 
 
 class TestRangePastMaxShift:
@@ -675,9 +715,10 @@ class TestDifftest:
 
     @pytest.mark.parametrize("periods", ["0", "-1"])
     def test_nonpositive_periods_exit_1(self, capsys, periods):
-        code, out, err = run(capsys, "difftest", "--family", "1,1,1", "--periods", periods)
+        # refused before any family is read, with one line naming the flag
+        code, out, err = run(capsys, "difftest", "--family", "2,4,1", "--periods", periods)
         assert (code, out) == (1, "")
-        assert "periods" in err
+        assert err == f"error: --periods must be at least 1, got {periods}\n"
 
     def test_beyond_oracle_scale_refused_at_once(self, capsys, monkeypatch):
         # each window's largest shift is walked first: (1,1,1)'s at t = 2,001

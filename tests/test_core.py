@@ -258,7 +258,7 @@ class TestTradeSet:
     LISTED = ((11, -11, 1), (-8, 6, 1), (-5, 1, 3), (-2, -4, 5), (0, -22, 19))
 
     def test_runs_count_and_compare_member_wise(self):
-        ts = TradeSet(((11, -11, 1), self.RUN, (0, -22, 19)), TradeSetMode.CANONICAL)
+        ts = TradeSet(((11, -11, 1), (0, -22, 19)), TradeSetMode.CANONICAL, (self.RUN,))
         assert len(ts) == 5 and tuple(ts) == self.LISTED
         # equality ignores how the members are split into pieces
         assert ts == TradeSet(self.LISTED, TradeSetMode.CANONICAL)
@@ -269,7 +269,7 @@ class TestTradeSet:
     def test_membership_by_arithmetic(self):
         # every vector near the run answers as the listing does, and
         # none of them writes the listing out
-        ts = TradeSet(((11, -11, 1), self.RUN, (0, -22, 19)), TradeSetMode.CANONICAL)
+        ts = TradeSet(((11, -11, 1), (0, -22, 19)), TradeSetMode.CANONICAL, (self.RUN,))
         near = [(x, y, z) for x in range(-12, 13) for y in range(-24, 13) for z in range(-1, 21)]
         assert [v in ts for v in near] == [v in self.LISTED for v in near]
         assert "trades" not in vars(ts)
@@ -280,16 +280,16 @@ class TestTradeSet:
         assert [-5, 1, 3] not in ts and (-5, 1) not in ts
 
     def test_trades_written_out_on_first_read_only(self):
-        ts = TradeSet(((11, -11, 1), self.RUN, (0, -22, 19)), TradeSetMode.CANONICAL)
+        ts = TradeSet(((11, -11, 1), (0, -22, 19)), TradeSetMode.CANONICAL, (self.RUN,))
         len(ts), list(ts), ts.with_negations()
         assert "trades" not in vars(ts)
         assert ts.trades == self.LISTED and "trades" in vars(ts)
-        # a tuple of trades is its own listing
-        listed = TradeSet(self.LISTED, TradeSetMode.CANONICAL)
-        assert listed.trades is self.LISTED
+        # without runs the ordered singles are the listing
+        listed = TradeSet(self.LISTED[::-1], TradeSetMode.CANONICAL)
+        assert listed.trades == listed.pieces == self.LISTED
 
     def test_with_negations_reverses_runs(self):
-        ts = TradeSet(((11, -11, 1), self.RUN, (0, -22, 19)), TradeSetMode.CANONICAL)
+        ts = TradeSet(((11, -11, 1), (0, -22, 19)), TradeSetMode.CANONICAL, (self.RUN,))
         both = ts.with_negations()
         assert both.pieces == (
             (0, 22, -19),

@@ -9,6 +9,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from gravershift import (
+    InternalConsistencyError,
     OrthantLabel,
     SegmentEndpoints,
     ShiftedFamily,
@@ -82,7 +83,7 @@ def _listings(inst):
     signs, and each orthant's Hilbert basis."""
     graver = graver_shift(inst)
     return [graver, graver.with_negations(),
-            *(hilbert_shift(inst, o).materialize() for o in OrthantLabel)]
+            *(hilbert_shift(inst, o) for o in OrthantLabel)]
 
 
 # Hypothesis without its explain phase, which reruns a failing example
@@ -247,13 +248,14 @@ class TestRunText:
     def test_blocks_around_a_patched_block_size(self, start, step, count, block, singles,
                                                 plane_rows):
         # a run between stretches of single trades, in blocks of a patched
-        # size that falls inside the run, at its end or beyond it
+        # size that falls inside the run, at its end or beyond it; the
+        # singles' v2 lies below and above the run's, so they sort around it
         members = _members(start, step, count)
         end = members[-1]
         run = SegmentEndpoints(start, end, step, count)
-        before = [(-7, k, -3) for k in range(singles)]
-        after = [(k, 5, 9999) for k in range(singles)]
-        ts = TradeSet((*before, run, *after), TradeSetMode.FULL)
+        before = [(-7, k, start[2] - 1) for k in range(singles)]
+        after = [(k, 5, end[2] + 1) for k in range(singles)]
+        ts = TradeSet((*before, *after), TradeSetMode.FULL, (run,))
         rows = [*before, *members, *after]
         with mock.patch.multiple(formats, BLOCK_ROWS=block, _PLANE_ROWS=plane_rows):
             _assert_same_text(
@@ -283,21 +285,30 @@ class TestJsonListing:
             for trades in _listings(inst):
                 doc = trades_document(inst, "shift", trades)
                 _assert_same_text(_dumped(doc), _json_reference(doc))
-            hilbert = hilbert_shift(inst, OrthantLabel.NPP).materialize()
+            hilbert = hilbert_shift(inst, OrthantLabel.NPP)
             doc = trades_document(inst, "shift", hilbert, orthant="npp")
             _assert_same_text(_dumped(doc), _json_reference(doc))
 
-    @pytest.mark.parametrize("pieces", [
-        (),
-        ((3, -5, 2),),
-        (SegmentEndpoints((-8, 6, 1), (-8, 6, 1), (3, -5, 2), 1),),
-        (SegmentEndpoints((-8, 6, 1), (-5, 1, 3), (3, -5, 2), 2),),
-        ((11, -11, 1), SegmentEndpoints((-8, 6, 1), (-2, -4, 5), (3, -5, 2), 3)),
+    @pytest.mark.parametrize("singles,runs", [
+        ((), ()),
+        (((3, -5, 2),), ()),
+        ((), (SegmentEndpoints((-8, 6, 1), (-8, 6, 1), (3, -5, 2), 1),)),
+        ((), (SegmentEndpoints((-8, 6, 1), (-5, 1, 3), (3, -5, 2), 2),)),
+        (((11, -11, 1),), (SegmentEndpoints((-8, 6, 1), (-2, -4, 5), (3, -5, 2), 3),)),
     ], ids=["empty", "one-trade", "one-member-run", "two-member-run", "ending-in-a-run"])
-    def test_short_listings(self, inst19, pieces):
+    def test_short_listings(self, inst19, singles, runs):
         # the last member closes the array, so it is split off its run
-        doc = trades_document(inst19, "shift", TradeSet(pieces, TradeSetMode.CANONICAL))
+        doc = trades_document(inst19, "shift", TradeSet(singles, TradeSetMode.CANONICAL, runs))
         _assert_same_text(_dumped(doc), _json_reference(doc))
+
+    def test_inconsistent_listing_writes_nothing(self, inst19):
+        # a single that is also a member of the run fails the order check
+        run = SegmentEndpoints((-8, 6, 1), (-2, -4, 5), (3, -5, 2), 3)
+        broken = TradeSet(((-5, 1, 3),), TradeSetMode.FULL, (run,))
+        out = io.StringIO()
+        with pytest.raises(InternalConsistencyError, match="strictly between"):
+            dump_json(trades_document(inst19, "shift", broken), out)
+        assert out.getvalue() == ""
 
     @pytest.mark.parametrize("doc", [
         {},

@@ -45,13 +45,19 @@ from gravershift import (
     transport,
 )
 from gravershift import oracle, shift
-from gravershift.core import TradeSetMode, add, canonical_rep, negate, sort_key, sub
+from gravershift.core import (
+    TradeSetMode,
+    _ordered_pieces,
+    add,
+    canonical_rep,
+    negate,
+    sort_key,
+    sub,
+)
 from gravershift.analysis import count_row
 from gravershift.shift import (
-    CompactBasis,
     _canonical_interior,
     _cf_hilbert,
-    _ordered_pieces,
     _orthant_table,
     auto_oracle_bound,
     graver_count,
@@ -69,11 +75,6 @@ def _valid_shift_above(fam, t):
 def _full(trades):
     """A FULL-mode TradeSet of `trades`, deduplicated, in sort_key order."""
     return TradeSet(tuple(sorted(set(trades), key=sort_key)), TradeSetMode.FULL)
-
-
-def _listed(trades):
-    """A compact basis that lists every member, as an oracle basis does."""
-    return CompactBasis(_full(trades).trades)
 
 
 def _strictly_increasing(trades):
@@ -282,32 +283,32 @@ class TestAdvance:
     def test_pnp_two_steps_reach_t79(self, fam231, inst19):
         basis = _full(H19_PNP)
         step1 = transport(inst19, OrthantLabel.PNP, basis, 1)
-        step2 = transport(fam231.instance(49), OrthantLabel.PNP, step1.materialize(), 1)
-        assert step2.materialize().as_set() == H79_PNP
+        step2 = transport(fam231.instance(49), OrthantLabel.PNP, step1, 1)
+        assert step2.as_set() == H79_PNP
         assert len(step1) == len(step2) == 5
 
     def test_ppn_growth(self, fam231, inst19):
         basis = _full(H19_PPN)
         step1 = transport(inst19, OrthantLabel.PPN, basis, 1)
-        step2 = transport(fam231.instance(49), OrthantLabel.PPN, step1.materialize(), 1)
+        step2 = transport(fam231.instance(49), OrthantLabel.PPN, step1, 1)
         assert (len(basis), len(step1), len(step2)) == (7, 9, 11)
         assert (
-            step2.materialize().as_set()
+            step2.as_set()
             == hilbert_oracle(fam231.instance(79), OrthantLabel.PPN).as_set()
         )
 
     def test_single_point_segment_triples(self, fam231, inst19):
         # alpha = beta at t=19 seeds a 3-trade segment one period later
         step1 = transport(inst19, OrthantLabel.PPN, _full(H19_PPN), 1)
-        assert {(2, 14, -15), (5, 9, -13), (8, 4, -11)} <= step1.materialize().as_set()
+        assert {(2, 14, -15), (5, 9, -13), (8, 4, -11)} <= step1.as_set()
 
     def test_npp_growth(self, fam231, inst19):
         basis = _full(H19_NPP)
         step1 = transport(inst19, OrthantLabel.NPP, basis, 1)
-        step2 = transport(fam231.instance(49), OrthantLabel.NPP, step1.materialize(), 1)
+        step2 = transport(fam231.instance(49), OrthantLabel.NPP, step1, 1)
         assert (len(basis), len(step1), len(step2)) == (4, 7, 10)
         assert (
-            step2.materialize().as_set()
+            step2.as_set()
             == hilbert_oracle(fam231.instance(79), OrthantLabel.NPP).as_set()
         )
 
@@ -403,7 +404,7 @@ class TestAdvance:
     def _check_one_period(base, orthant):
         """transport one period from the oracle's base against the continued
         fraction at the target, and against the oracle within its scale."""
-        got = transport(base, orthant, hilbert_oracle(base, orthant), 1).materialize().trades
+        got = transport(base, orthant, hilbert_oracle(base, orthant), 1).trades
         target = base.shifted()
         assert got == _cf_hilbert(target, orthant)
         if _within_oracle_scale(target):
@@ -425,13 +426,12 @@ class TestAdvance:
         offset %= fam.rho
         for orthant in OrthantLabel:
             base = _valid_shift_above(fam, _orthant_table(fam)[orthant].threshold + offset)
-            got = transport(base, orthant, hilbert_oracle(base, orthant), periods).materialize()
+            got = transport(base, orthant, hilbert_oracle(base, orthant), periods)
             assert got == _full(set(got.trades))
             assert _strictly_increasing(got)
         base = _valid_shift_above(fam, effective_base_bound(fam) + offset)
         parts = [transport(base, o, hilbert_oracle(base, o), periods) for o in OrthantLabel]
-        written = [p.materialize() for p in parts]
-        assert assemble_graver(*parts) == TradeSet.canonical(chain.from_iterable(written))
+        assert assemble_graver(*parts) == TradeSet.canonical(chain.from_iterable(parts))
 
 
 class TestSegmentGrowthIdentity:
@@ -508,7 +508,7 @@ class TestBaseDecomposition:
 class TestHilbertShift:
     def test_large_pnp(self, fam231):
         got = hilbert_shift(fam231.instance(94159), OrthantLabel.PNP)
-        assert got.materialize().as_set() == H94159_PNP
+        assert got.as_set() == H94159_PNP
 
     @pytest.mark.parametrize("a,b,d", DIFF_FAMILIES)
     def test_closed_equals_iterative(self, a, b, d):
@@ -521,9 +521,9 @@ class TestHilbertShift:
             base = fam.instance(t)
             for orthant in OrthantLabel:
                 basis = hilbert_oracle(base, orthant)
-                closed = transport(base, orthant, basis, 3).materialize()
+                closed = transport(base, orthant, basis, 3)
                 for k in range(3):
-                    basis = transport(base.shifted(k), orthant, basis, 1).materialize()
+                    basis = transport(base.shifted(k), orthant, basis, 1)
                 assert closed.trades == basis.trades, (a, b, d, t, orthant)
 
     @settings(max_examples=60, deadline=None)
@@ -591,28 +591,28 @@ class TestHilbertShift:
 
 class TestAssemble:
     def test_t19_counts(self, inst19):
-        merged = assemble_graver(_listed(H19_PNP), _listed(H19_PPN), _listed(H19_NPP))
+        merged = assemble_graver(_full(H19_PNP), _full(H19_PPN), _full(H19_NPP))
         assert len(merged) == 13
         assert len(merged.with_negations()) == 26
 
     def test_overlap_is_three_boundary_trades(self, inst79):
-        parts = [CompactBasis(hilbert_oracle(inst79, o).trades) for o in OrthantLabel]
+        parts = [hilbert_oracle(inst79, o) for o in OrthantLabel]
         merged = assemble_graver(*parts)
         assert sum(len(p) for p in parts) - len(merged) == 3
 
     def test_missing_plane_trade_raises(self):
-        npp = _listed(H19_NPP - {(-19, 17, 0)})
+        npp = _full(H19_NPP - {(-19, 17, 0)})
         with pytest.raises(InternalConsistencyError):
-            assemble_graver(_listed(H19_PNP), _listed(H19_PPN), npp)
+            assemble_graver(_full(H19_PNP), _full(H19_PPN), npp)
 
     def test_zero_vector_rejected(self):
-        pnp = _listed(H19_PNP | {(0, 0, 0)})
+        pnp = _full(H19_PNP | {(0, 0, 0)})
         with pytest.raises(InvalidInputError, match="zero vector"):
-            assemble_graver(pnp, _listed(H19_PPN), _listed(H19_NPP))
+            assemble_graver(pnp, _full(H19_PPN), _full(H19_NPP))
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):
-            assemble_graver(_listed([]), _listed(H19_PPN), _listed(H19_NPP))
+            assemble_graver(_full([]), _full(H19_PPN), _full(H19_NPP))
 
     def test_written_out_size_mismatch_raises(self, inst79, monkeypatch):
         # the merge must have graver_count's size: segments written out one
@@ -628,15 +628,15 @@ class TestAssemble:
 
 
 def _split(inst, orthant):
-    """The oracle basis at inst as a compact one: its segment solved at
-    inst, every other member listed.  Near the threshold the segments have
-    one or two members, which transported bases never have."""
+    """The oracle basis at inst with its segment, solved at inst, as a
+    run and every other member a single.  Near the threshold the segments
+    have one or two members, which transported bases never have."""
     basis = hilbert_oracle(inst, orthant)
     if orthant is OrthantLabel.PNP:
-        return CompactBasis(basis.trades)
+        return basis
     segment = (positive_segment if orthant is OrthantLabel.PPN else negative_segment)(inst)
     on_segment = set(segment)
-    compact = CompactBasis(tuple(v for v in basis if v not in on_segment), segment)
+    compact = TradeSet(tuple(v for v in basis if v not in on_segment), basis.mode, (segment,))
     assert len(compact) == len(basis)
     return compact
 
@@ -645,9 +645,15 @@ def _swapped_interiors(inst):
     """A stand-in for _canonical_interior at inst that gives each segment
     the other's canonical interior: two valid runs, laid with the PPN run,
     which lies wholly above the NPP run, first."""
-    npp, ppn = (hilbert_shift(inst, o).segment for o in (OrthantLabel.NPP, OrthantLabel.PPN))
+    npp, ppn = (hilbert_shift(inst, o).runs[0] for o in (OrthantLabel.NPP, OrthantLabel.PPN))
     swapped = {npp: _canonical_interior(ppn), ppn: _canonical_interior(npp)}
     return swapped.__getitem__
+
+
+def _with_inner_single(basis):
+    """basis with its run's second member listed again as a single: an
+    inconsistent listing that only ordering its members can catch."""
+    return TradeSet((*basis.singles, basis.runs[0][1]), basis.mode, basis.runs)
 
 
 def _coprime_families():
@@ -660,7 +666,7 @@ def _coprime_families():
 
 @functools.lru_cache(maxsize=1)
 def _assembly_sweep():
-    """(instance, compact bases) over coprime a, b <= 6 and d <= 3: bases
+    """(instance, orthant bases) over coprime a, b <= 6 and d <= 3: bases
     listed whole (no segment), split from the oracle at the first three
     covered shifts above b_max and half a period on, and transported
     over one or two periods."""
@@ -685,12 +691,11 @@ class TestAssembleFromRuns:
     def test_equals_sorted_canonical_union(self):
         seen = set()
         for inst, parts in _assembly_sweep():
-            written = [p.materialize() for p in parts]
             got = assemble_graver(*parts)
-            assert got == TradeSet.canonical(chain.from_iterable(written)), inst
+            assert got == TradeSet.canonical(chain.from_iterable(parts)), inst
             assert _strictly_increasing(got)
             for p in parts[1:]:
-                seen.add(min(p.segment.count, 3) if p.segment else None)
+                seen.add(min(p.runs[0].count, 3) if p.runs else None)
             seen.add(base_decomposition(inst)[1] >= 1)
         # no segment; segments of one and two members (no interior); longer
         # ones; and transported bases (k >= 1)
@@ -708,8 +713,8 @@ class TestAssembleFromRuns:
         for inst, (_, ppn, npp) in _assembly_sweep():
             fam = inst.family
             cut = inst.t - fam.d * fam.a
-            npp_v2 = [v[2] for v in list(npp.segment)[1:-1]] if npp.segment else []
-            ppn_v2 = [canonical_rep(v)[2] for v in list(ppn.segment)[1:-1]] if ppn.segment else []
+            npp_v2 = [v[2] for run in npp.runs for v in list(run)[1:-1]]
+            ppn_v2 = [canonical_rep(v)[2] for run in ppn.runs for v in list(run)[1:-1]]
             assert all(v2 * (fam.a + fam.b) < cut for v2 in npp_v2), inst
             assert all(v2 * (fam.a + fam.b) > cut for v2 in ppn_v2), inst
             both += bool(npp_v2 and ppn_v2)
@@ -729,34 +734,34 @@ class TestAssembleFromRuns:
         low = SegmentEndpoints((-8, 6, 1), (-2, -4, 5), h, 3)
         high = SegmentEndpoints((1, -9, 7), (7, -19, 11), h, 3)
         first, last = (11, -11, 1), (0, -22, 19)
-        assert _ordered_pieces([low, high], [first]) == [first, low, high]
-        assert _ordered_pieces([low, high], [last]) == [low, high, last]
-        pieces = _ordered_pieces([low, high], [last, (-5, 2, 3), first])
-        assert pieces == [first, low.part(0, 2), (-5, 2, 3), low.part(2, 3), high, last]
+        assert _ordered_pieces((low, high), [first]) == (first, low, high)
+        assert _ordered_pieces((low, high), [last]) == (low, high, last)
+        pieces = _ordered_pieces((low, high), [last, (-5, 2, 3), first])
+        assert pieces == (first, low.part(0, 2), (-5, 2, 3), low.part(2, 3), high, last)
 
     def test_swapped_segments_fail_at_the_seam(self, inst79):
         # the PPN interior listed first lies wholly above the NPP one
         pnp, ppn, npp = (hilbert_shift(inst79, o) for o in OrthantLabel)
-        swapped_ppn = CompactBasis(ppn.rest, npp.segment)
-        swapped_npp = CompactBasis(npp.rest, ppn.segment)
+        swapped_ppn = TradeSet(ppn.singles, ppn.mode, npp.runs)
+        swapped_npp = TradeSet(npp.singles, npp.mode, ppn.runs)
         with pytest.raises(InternalConsistencyError, match="out of order"):
             assemble_graver(pnp, swapped_ppn, swapped_npp)
 
     def test_duplicated_boundary_member_raises(self, inst79):
-        # an interior member also listed in rest passes the overlap check
-        # (it is not shared between bases) but not the order check
+        # an interior member also listed among the singles passes the
+        # overlap check (it is not shared between bases) but not the order
+        # check
         pnp, ppn, npp = (hilbert_shift(inst79, o) for o in OrthantLabel)
-        inner = npp.segment[1]
-        npp = CompactBasis(tuple(sorted((*npp.rest, inner), key=sort_key)), npp.segment)
+        npp = _with_inner_single(npp)
         assert graver_count(pnp, ppn, npp) == 24
         with pytest.raises(InternalConsistencyError, match="strictly between"):
             assemble_graver(pnp, ppn, npp)
         with pytest.raises(InternalConsistencyError, match="strictly between"):
-            npp.materialize()
+            npp.pieces
 
 
 class TestCompact:
-    """The compact bases fast counts read, against their written-out form."""
+    """The orthant bases fast counts read, against their written-out form."""
 
     @settings(max_examples=50, deadline=None)
     @given(a=st.integers(1, 8), b=st.integers(1, 8), d=st.integers(1, 3), data=st.data())
@@ -770,9 +775,8 @@ class TestCompact:
         assume(math.gcd(t, d) == 1)
         for inst in (fam.instance(t), _valid_shift_above(fam, 99_999)):
             compact = [hilbert_shift(inst, o) for o in OrthantLabel]
-            full = [c.materialize() for c in compact]
-            assert [len(c) for c in compact] == [len(f) for f in full]
-            assert all(_strictly_increasing(f) for f in full)
+            assert [len(c) for c in compact] == [len(c.trades) for c in compact]
+            assert all(_strictly_increasing(c) for c in compact)
             assert graver_count(*compact) == len(assemble_graver(*compact))
 
     def test_plane_trade_at_segment_end(self, fam231):
@@ -780,22 +784,22 @@ class TestCompact:
         # trade (0, (t + d*b)/b, -t/b), which the PNP basis shares
         inst = fam231.instance(81)
         parts = [hilbert_shift(inst, o) for o in OrthantLabel]
-        assert parts[1].segment.start == (0, 28, -27)
-        assert (0, -28, 27) in parts[0].rest
+        assert parts[1].runs[0].start == (0, 28, -27)
+        assert (0, -28, 27) in parts[0].singles
         assert graver_count(*parts) == len(assemble_graver(*parts))
 
     def test_missing_plane_trade_raises(self, inst79):
         # the count-path twin of TestAssemble's: the boundary check sees it
         pnp, ppn, npp = (hilbert_shift(inst79, o) for o in OrthantLabel)
-        assert (-79, 77, 0) in npp.rest
-        npp = CompactBasis(tuple(v for v in npp.rest if v != (-79, 77, 0)), npp.segment)
+        assert (-79, 77, 0) in npp.singles
+        npp = TradeSet(tuple(v for v in npp.singles if v != (-79, 77, 0)), npp.mode, npp.runs)
         with pytest.raises(InternalConsistencyError, match="measured 2"):
             graver_count(pnp, ppn, npp)
 
     def test_empty_input_rejected(self, inst79):
         pnp, ppn, _ = (hilbert_shift(inst79, o) for o in OrthantLabel)
         with pytest.raises(InvalidInputError):
-            graver_count(pnp, ppn, CompactBasis(()))
+            graver_count(pnp, ppn, TradeSet((), TradeSetMode.FULL))
 
     def test_orthant_table_built_once_read_only(self, fam231):
         table = _orthant_table(fam231)
@@ -850,8 +854,7 @@ class TestSegmentIsTheLongestStepStretch:
         longest = max(map(len, stretches))
         found = [sorted(s, key=sort_key) for s in stretches if len(s) == longest]
         assert found == [list(segment)], (a, b, d, t, orthant)
-        transported = hilbert_shift(inst, orthant).segment
-        assert transported in (None, segment)
+        assert hilbert_shift(inst, orthant).runs in ((), (segment,))
 
     def test_sort_order_splits_the_segment(self):
         # in sort_key order the plane trade (5, 0, -3) falls between the
@@ -860,7 +863,7 @@ class TestSegmentIsTheLongestStepStretch:
         inst = ShiftedFamily(1, 1, 1).instance(4)
         basis = hilbert_shift(inst, OrthantLabel.PPN)
         assert list(positive_segment(inst)) == [(0, 5, -4), (1, 3, -3), (2, 1, -2)]
-        assert basis.materialize().pieces == (
+        assert basis.pieces == (
             SegmentEndpoints((0, 5, -4), (0, 5, -4), (1, -2, 1), 1),
             (5, 0, -3),
             SegmentEndpoints((1, 3, -3), (2, 1, -2), (1, -2, 1), 2),
@@ -982,7 +985,7 @@ class TestBeyondOracleScale:
         base, k = base_decomposition(inst)
         assert k >= 1 and not _within_oracle_scale(base)
         for orthant in OrthantLabel:
-            assert hilbert_shift(inst, orthant).materialize().trades == _cf_hilbert(inst, orthant)
+            assert hilbert_shift(inst, orthant).trades == _cf_hilbert(inst, orthant)
         row, at_base = count_row(inst, "fast"), count_row(base, "fast")
         assert row.graver == graver == at_base.graver + k * 2 * d * (a + b)
         assert (row.h_pnp, row.h_ppn, row.h_npp) == (
