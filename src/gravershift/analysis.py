@@ -56,9 +56,11 @@ def valid_shifts(
     t + reach > MAX_SHIFT or (2) it spans more than MAX_ROWS shifts, both
     checked before it is listed; if (3) it covers no shift (`name` names the
     range then); or if (4) the method is "oracle" and the oracle refuses
-    the largest box the rows walk, which is asked for first and cached for
-    the scan.  An "auto" row walks its box only up to `auto_oracle_bound`,
-    where the oracle cannot refuse it, and a fast row walks none.
+    the largest box the rows walk, which is asked for first.  The probe is
+    not kept for the scan: the oracle caches only its last few instances,
+    so a scan of more rows walks that box again at its row.  An "auto" row
+    walks its box only up to `auto_oracle_bound`, where the oracle cannot
+    refuse it, and a fast row walks none.
     """
     lo = max(t_lo, fam.d * fam.a + 1)
     past = max(lo, MAX_SHIFT - reach + 1)  # the first covered shift from here on
@@ -153,7 +155,16 @@ class PeriodLawReport:
 def verify_period_law(fam: ShiftedFamily, t_lo: int, t_hi: int, method: str = "oracle") -> PeriodLawReport:
     """Check the one-period count increments for every covered shift in range
     above the transport threshold; each row also counts at t + rho, even
-    beyond t_hi."""
+    beyond t_hi.
+
+    With method "fast" (or "auto", which is the same above the threshold)
+    no row can fail: both counts come from one base basis, listed or
+    carried by its plan, transport enforces the size law on every carried
+    count and graver_count the overlap of 3, so a row is ok or
+    InternalConsistencyError is raised, even when the base basis is
+    wrong.  The independent checks are method "oracle" and
+    differential_test.
+    """
     a, b, d = fam.a, fam.b, fam.d
     bound = effective_base_bound(fam)
     shifts = valid_shifts(

@@ -7,18 +7,19 @@ coordinate; the trades of extremal coordinate sum (+d in the PPN orthant,
 -d in the NPP orthant) instead form a line segment, stepped by the
 homogeneous trade, that is re-solved directly at the target shift and grows
 by d*a (resp. d*b) elements per period.  The three orthants differ only in
-data (strips, maps, extremal sum, growth, segment equation, threshold),
-which one table holds and one transport reads.  Transport is affine in
-the number of periods k, so it is two steps: a plan, which depends only on
-the base basis (every member checked once, its displacement per period
-recorded, the base segment solved), and an apply step, which is
+data (strips with their displacements per period, extremal sum, growth,
+segment equation, threshold), which one table holds and one transport
+reads.  Transport is affine in the number of periods k, so it is two
+steps: a plan, which depends only on the base basis and holds every check
+on it (the base segment solved, every member checked once, each extremal
+member in a strip matched to the segment end that strip carries, each
+displacement per period recorded), and an apply step, which is
 arithmetic (v + k*delta per member, the target segment solved on its own,
-then the endpoint, extremal-image and size checks).  hilbert_shift keeps
-the plans of its continued-fraction bases in an LRU cache of 1024
-(base shift, orthant) pairs.  The base case is each orthant's
-Hirzebruch-Jung continued fraction at a shift at most one period above
-the transport threshold, so the route never enumerates a lattice.
-Every basis it returns, orthant or Graver, at any shift, is a TradeSet
+then the endpoint and size checks).  hilbert_shift keeps the plans of its
+continued-fraction bases in an LRU cache of 1024 (base shift, orthant)
+pairs.  The base case is each orthant's Hirzebruch-Jung continued
+fraction at a shift at most one period above the transport threshold, so
+the route never enumerates a lattice.  Every basis it returns, orthant or Graver, at any shift, is a TradeSet
 of a few single trades and the segments' runs: counting reads those
 fields, only a listing orders them, and no segment member is written
 out here.  Nothing here calls the brute-force oracle, which stays an
@@ -123,7 +124,7 @@ def _solve_segment(inst: SemigroupInstance, orthant: OrthantLabel) -> SegmentEnd
     The remaining coordinate makes the coordinate sum extremal.
     """
     row = _orthant_table(inst.family)[orthant]
-    target = inst.t + row.segment[2]
+    target = inst.t + row.rhs
     n = inst.generators
     endpoints = []
     for u, w, cu, cw, inverse in row.solves:
@@ -149,27 +150,26 @@ def _solve_segment(inst: SemigroupInstance, orthant: OrthantLabel) -> SegmentEnd
 class _Orthant:
     """One orthant's row of the transport table.
 
-    Each strip is a triple (coord, limit, maps): the orthant members v with
-    v[coord] < limit, carried by period_map with indices `maps`, which fixes
-    v[coord] and so maps the strip at shift t onto the strip at t + rho.
-    `units` holds each strip's map as the displacement of one period per
-    unit of coordinate sum, m*(e_i - e_j) for maps (i, j).
+    Each strip is a triple (coord, limit, unit): the orthant members v with
+    v[coord] < limit, carried by the period map that fixes v[coord] and so
+    maps the strip at shift t onto the strip at t + rho.  `unit` is that
+    map's displacement of one period per unit of coordinate sum,
+    m*(e_i - e_j) for the other two coordinates i, j.
     A Hilbert basis member outside both strips has coordinate sum
-    extremal_sum; those members form the segment, whose equation
-    cx*v[x] + cy*v[y] = t + rhs is `segment` = (cx, cy, rhs) with x, y the
-    strips' bounded coordinates; `solves` holds (x, y, cx, cy, cx^-1 mod cy)
-    for its start and (y, x, cy, cx, cy^-1 mod cx) for its end.  PNP has no
-    segment: its only basis member of sum 0 is the homogeneous trade, which
-    lies in both strips.  One period adds `growth` members.  Transport from
-    shift t needs t > threshold.
+    extremal_sum; those members form the segment, whose equation is
+    cx*v[x] + cy*v[y] = t + rhs with x, y the strips' bounded coordinates;
+    `solves` holds (x, y, cx, cy, cx^-1 mod cy) for its start and
+    (y, x, cy, cx, cy^-1 mod cx) for its end.  PNP has no segment, so its
+    `solves` is empty: its only basis member of sum 0 is the homogeneous
+    trade, which lies in both strips.  One period adds `growth` members.
+    Transport from shift t needs t > threshold.
     """
 
-    strips: tuple[tuple[int, int, tuple[int, int]], ...]
-    units: tuple[Trade, ...]
+    strips: tuple[tuple[int, int, Trade], ...]
     extremal_sum: int
     growth: int
     threshold: int
-    segment: tuple[int, int, int] | None
+    rhs: int
     solves: tuple[tuple[int, int, int, int, int], ...]
 
 
@@ -179,36 +179,39 @@ class _Orthant:
 def _orthant_table(fam: ShiftedFamily) -> MappingProxyType[OrthantLabel, _Orthant]:
     a, b, d = fam.a, fam.b, fam.d
 
-    def row(strips, extremal_sum, growth, threshold, segment=None) -> _Orthant:
-        # what one period adds to a trade of coordinate sum 1
-        units = tuple(sub(period_map(fam, i, j, (1, 0, 0)), (1, 0, 0)) for _, _, (i, j) in strips)
+    def strip(coord: int, limit: int) -> tuple[int, int, Trade]:
+        # what one period adds to a trade of coordinate sum 1 on the map
+        # that moves the other two coordinates
+        i, j = (c for c in range(3) if c != coord)
+        return coord, limit, sub(period_map(fam, i, j, (1, 0, 0)), (1, 0, 0))
+
+    def row(strips, extremal_sum, growth, threshold, cx=0, cy=0, rhs=0) -> _Orthant:
         solves = ()
-        if segment is not None:
+        if cx:
             (x, _, _), (y, _, _) = strips
-            cx, cy, _ = segment
             solves = ((x, y, cx, cy, pow(cx, -1, cy)), (y, x, cy, cx, pow(cy, -1, cx)))
-        return _Orthant(strips, units, extremal_sum, growth, threshold, segment, solves)
+        return _Orthant(strips, extremal_sum, growth, threshold, rhs, solves)
 
     return MappingProxyType({
         OrthantLabel.PNP: row(
-            strips=((0, b + 1, (1, 2)), (2, a + 1, (0, 1))),
+            strips=(strip(0, b + 1), strip(2, a + 1)),
             extremal_sum=0,
             growth=0,
             threshold=fam.b_plus_minus,
         ),
         OrthantLabel.PPN: row(
-            strips=((0, b, (1, 2)), (1, a + b, (0, 2))),
+            strips=(strip(0, b), strip(1, a + b)),
             extremal_sum=d,
             growth=d * a,
             threshold=fam.b_plus,
-            segment=(a + b, b, d * b),
+            cx=a + b, cy=b, rhs=d * b,
         ),
         OrthantLabel.NPP: row(
-            strips=((2, a, (0, 1)), (1, a + b, (0, 2))),
+            strips=(strip(2, a), strip(1, a + b)),
             extremal_sum=-d,
             growth=d * b,
             threshold=fam.b_minus,
-            segment=(a + b, a, -d * a),
+            cx=a + b, cy=a, rhs=-d * a,
         ),
     })
 
@@ -225,12 +228,16 @@ def transport(
     a `periods`-fold correction); the members outside both strips have the
     extremal coordinate sum and form the segment, which is re-solved at the
     target shift.  `basis` is a listing (a tuple of trades or a TradeSet),
-    and every member must be a trade at base.t in the orthant.  The result
-    must have periods*growth more members than `basis`, and the target
-    segment's endpoints must be the period-map images of the base
-    segment's.  Only the base members and the segment ends are touched, so
-    the cost does not grow with `periods`.  This is _plan, which checks the
-    basis and needs no `periods`, then _apply.
+    and every member must be a trade at base.t in the orthant.  A member of
+    extremal sum in a strip must be the base segment's end that the strip's
+    map carries (its start for the first strip, its end for the second);
+    the target segment's endpoints must be the images of the base
+    segment's, so such a member's image is a target end for every number
+    of periods.  The result must have periods*growth more members than
+    `basis`.  Only the base members and the segment ends are touched, so
+    the cost does not grow with `periods`.  This is _plan, which holds
+    every check on the basis and needs no `periods`, then _apply, which
+    checks the target.
 
     A PNP member may lie in both strips and then rides both maps.  That is
     safe: for t > d*a*b such a trade v has t*length(v) = d*(a*v0 - b*v2)
@@ -250,9 +257,10 @@ class _Plan(NamedTuple):
 
     Each pair (v, delta) is a base trade and its displacement per period,
     length(v) times its strip's unit, so k periods carry v to v + k*delta.
-    `moves` are the strip images listed off the target segment, `ends` the
-    strip images of extremal sum, which must be the target segment's ends,
-    and `segment` the base segment's start and end on their strips' maps.
+    `moves` are the strip images listed off the target segment, and
+    `segment` the base segment's start and end on their strips' maps,
+    empty for PNP.  The base members of extremal sum are not kept: each
+    is one of those ends, which the target segment supplies.
     """
 
     base: SemigroupInstance
@@ -260,48 +268,53 @@ class _Plan(NamedTuple):
     row: _Orthant
     size: int
     moves: tuple[tuple[Trade, Trade], ...]
-    ends: tuple[tuple[Trade, Trade], ...]
     segment: tuple[tuple[Trade, Trade], ...]
 
 
 def _plan(base: SemigroupInstance, orthant: OrthantLabel, basis: Collection[Trade]) -> _Plan:
-    """Check each member of `basis` once (in the orthant, a trade at base.t,
-    in a strip or of extremal sum), pair it with its displacements, and
-    solve the base segment."""
+    """Solve the base segment, then check each member of `basis` once (in
+    the orthant, a trade at base.t, in a strip or on the segment, and if
+    both, the segment end that its strip carries) and pair it with its
+    displacements."""
     row = _orthant_table(base.family)[orthant]
     if base.t <= row.threshold:
         raise InvalidInputError(
             f"{orthant.value} transport needs t > {row.threshold}, got t={base.t}"
         )
+    ends: tuple[Trade, ...] = ()
+    if row.solves:
+        # looked up by module-global name, so a traced run can rebind them
+        before = (positive_segment if row.extremal_sum > 0 else negative_segment)(base)
+        ends = (before.start, before.end)
     n0, n1, n2 = base.generators
-    strips = [(coord, limit, unit) for (coord, limit, _), unit in zip(row.strips, row.units)]
-    extremal = row.extremal_sum if row.segment is not None else None
     moves: dict[tuple[Trade, Trade], None] = {}
-    ends: dict[tuple[Trade, Trade], None] = {}
     for v in basis:
         if not in_orthant(v, orthant):
             raise InvalidInputError(f"{v} is not in the {orthant.value} orthant")
         if n0 * v[0] + n1 * v[1] + n2 * v[2]:
             raise InvalidInputError(f"{v} is not a trade at t={base.t}")
         s = length(v)
-        pairs = ends if s == extremal else moves
+        on_segment = bool(ends) and s == row.extremal_sum
         inside = False
-        for coord, limit, unit in strips:
+        for i, (coord, limit, unit) in enumerate(row.strips):
             if v[coord] < limit:
                 inside = True
-                pairs[v, scale(s, unit)] = None
-        if not inside and s != row.extremal_sum:
+                if not on_segment:
+                    moves[v, scale(s, unit)] = None
+                elif v != ends[i]:
+                    raise InternalConsistencyError(
+                        f"{orthant.value} element {v} has coordinate sum {s} "
+                        f"but is not an end of the segment at t={base.t}"
+                    )
+        if not inside and not on_segment:
             raise InternalConsistencyError(
-                f"{orthant.value} element {v} outside both strips has coordinate sum "
-                f"!= {row.extremal_sum} at t={base.t}"
+                f"{orthant.value} element {v} lies outside both strips and off the "
+                f"segment at t={base.t}"
             )
-    segment: tuple[tuple[Trade, Trade], ...] = ()
-    if extremal is not None:
-        # looked up by module-global name, so a traced run can rebind them
-        before = (positive_segment if extremal > 0 else negative_segment)(base)
-        first, second = row.units
-        segment = ((before.start, scale(extremal, first)), (before.end, scale(extremal, second)))
-    return _Plan(base, orthant, row, len(basis), tuple(moves), tuple(ends), segment)
+    segment = tuple(
+        (end, scale(row.extremal_sum, unit)) for end, (_, _, unit) in zip(ends, row.strips)
+    )
+    return _Plan(base, orthant, row, len(basis), tuple(moves), segment)
 
 
 def _carried(pairs: tuple[tuple[Trade, Trade], ...], k: int) -> list[Trade]:
@@ -310,11 +323,11 @@ def _carried(pairs: tuple[tuple[Trade, Trade], ...], k: int) -> list[Trade]:
 
 def _apply(plan: _Plan, periods: int, target: SemigroupInstance) -> TradeSet:
     """The planned basis `periods` periods on, at `target`: the images by
-    arithmetic, the target segment solved on its own, the images of its
-    ends and of every extremal member checked against it, and the size law."""
+    arithmetic, the target segment solved on its own and its ends checked
+    against the images of the base ends, and the size law."""
     orthant, row = plan.orthant, plan.row
     runs: tuple[SegmentEndpoints, ...] = ()
-    if row.segment is not None:
+    if plan.segment:
         after = (positive_segment if row.extremal_sum > 0 else negative_segment)(target)
         expected = _carried(plan.segment, periods)
         if [after.start, after.end] != expected:
@@ -322,14 +335,6 @@ def _apply(plan: _Plan, periods: int, target: SemigroupInstance) -> TradeSet:
                 f"{orthant.value} segment at t={target.t} "
                 f"is {after.start}..{after.end}, expected {expected[0]}..{expected[1]}"
             )
-        # the segment supplies its own ends; any other image of extremal sum
-        # would be a trade the segment does not contain
-        for w in _carried(plan.ends, periods):
-            if w not in expected:
-                raise InternalConsistencyError(
-                    f"{orthant.value} image {w} has coordinate sum {row.extremal_sum} "
-                    f"but is not an end of the segment at t={target.t}"
-                )
         runs = (after,)
     # a set, so two strips carrying members to one image fail the size law
     result = TradeSet(tuple(set(_carried(plan.moves, periods))), TradeSetMode.FULL, runs)

@@ -26,7 +26,7 @@ from gravershift import (
     length,
     verify_period_law,
 )
-from gravershift import analysis
+from gravershift import analysis, shift
 from gravershift.analysis import count_row, objective_value, valid_shifts
 from gravershift.core import TradeSetMode, add, negate
 
@@ -265,6 +265,31 @@ class TestDifferential:
         report = differential_test([ShiftedFamily(1, 2, 1)], 1)
         assert report.rows and not report.ok
         assert all(r.fast_count == r.oracle_count and not r.equal for r in report.rows)
+
+    def test_a_wrong_base_is_a_mismatch(self, monkeypatch):
+        # a base PNP basis one member short meets every check of the shift
+        # route (transport's size law counts the basis it is given), so only
+        # the oracle can see it: each row whose base had such a member
+        # differs, by that one canonical trade
+        real = shift._cf_hilbert
+        h = ShiftedFamily(2, 3, 1).homogeneous_trade
+
+        def one_pnp_member_dropped(inst, orthant):
+            basis = real(inst, orthant)
+            inner = [v for v in basis if all(v) and v != h]
+            if orthant is not OrthantLabel.PNP or not inner:
+                return basis
+            return tuple(v for v in basis if v != inner[0])
+
+        monkeypatch.setattr(shift, "_cf_hilbert", one_pnp_member_dropped)
+        shift._cf_plan.cache_clear()
+        try:
+            report = differential_test([ShiftedFamily(2, 3, 1)], 1)
+        finally:
+            shift._cf_plan.cache_clear()
+        assert len(report.rows) == 30 and report.mismatches
+        for row in report.rows:
+            assert row.fast_count == row.oracle_count - (not row.equal)
 
     def test_empty_family_list(self):
         report = differential_test([], 2)

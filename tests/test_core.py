@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gravershift import (
+    InternalConsistencyError,
     InvalidInputError,
     OrthantLabel,
     OutsideScopeError,
@@ -221,12 +222,12 @@ class TestStrips:
 
     def test_strip_orthants(self, inst19):
         # each strip bounds a coordinate that is non-negative in its orthant,
-        # and its period map fixes that coordinate
+        # and its period map fixes that coordinate and moves the other two
         for orthant in OrthantLabel:
             strips = self.strips(inst19, orthant)
             assert {coord for coord, _, _ in strips} == set(orthant.nonneg_coords)
-            for coord, _, maps in strips:
-                assert set(maps) == {0, 1, 2} - {coord}
+            for coord, _, unit in strips:
+                assert [c for c in range(3) if unit[c] == 0] == [coord]
 
 
 class TestTradeSet:
@@ -247,6 +248,11 @@ class TestTradeSet:
         ts = TradeSet.canonical([(3, -5, 2)]).with_negations()
         with pytest.raises(InvalidInputError, match="canonical"):
             ts.with_negations()
+
+    def test_single_given_twice_rejected(self):
+        ts = TradeSet(((3, -5, 2), (3, -5, 2)), TradeSetMode.FULL)
+        with pytest.raises(InternalConsistencyError, match="a single trade is given twice"):
+            ts.pieces  # noqa: B018 - ordered and checked on first read
 
     def test_membership_and_iteration(self):
         ts = TradeSet(((1, 0, 0),), TradeSetMode.FULL)

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import time
 from itertools import chain
 
@@ -51,6 +52,7 @@ from gravershift.core import (
     add,
     canonical_rep,
     negate,
+    scale,
     sort_key,
     sub,
 )
@@ -59,6 +61,7 @@ from gravershift.shift import (
     _canonical_interior,
     _cf_hilbert,
     _orthant_table,
+    _plan,
     auto_oracle_bound,
     graver_count,
 )
@@ -350,9 +353,10 @@ class TestAdvance:
             transport(inst19, OrthantLabel.PPN, _full(H19_PPN), 1)
 
     def test_extremal_image_off_segment_detected(self, fam231, monkeypatch):
-        # a solver that drops the first member at every shift still passes
+        # a solver that drops the first member at every shift would pass
         # the endpoint check (the map commutes with adding h), but the
-        # image of the dropped base member is then off the target segment
+        # dropped base member is then no end of the base segment, and the
+        # plan alone finds it, before any period is applied
         real = shift.positive_segment
 
         def without_first(inst):
@@ -364,6 +368,23 @@ class TestAdvance:
         monkeypatch.setattr(shift, "positive_segment", without_first)
         with pytest.raises(InternalConsistencyError, match="not an end of the segment"):
             transport(base, OrthantLabel.PPN, basis, 1)
+        with pytest.raises(InternalConsistencyError, match="not an end of the segment"):
+            _plan(base, OrthantLabel.PPN, basis)
+
+    def test_pnp_member_outside_both_strips_detected(self, fam231, inst19):
+        # 2h has coordinate sum 0 but lies in neither PNP strip; the plan
+        # names it rather than dropping it
+        twice_h = scale(2, fam231.homogeneous_trade)
+        basis = (*hilbert_oracle(inst19, OrthantLabel.PNP).trades, twice_h)
+        with pytest.raises(InternalConsistencyError, match=re.escape(f"{twice_h} lies outside")):
+            transport(inst19, OrthantLabel.PNP, basis, 1)
+
+    def test_size_law_detected(self, inst19):
+        # an off-segment member listed twice rides its map once
+        basis = hilbert_oracle(inst19, OrthantLabel.PPN).trades
+        message = "ppn transport at t=19 over 1 periods: expected 10 elements, got 9"
+        with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+            transport(inst19, OrthantLabel.PPN, (*basis, (0, 22, -19)), 1)
 
     @pytest.mark.parametrize("t", [13, 15, 17])
     def test_npp_threshold_is_existence_bound(self, t):
