@@ -310,7 +310,8 @@ _COMMANDS = (
     )),
     ("difftest", cmd_difftest, "transported vs oracle Graver bases", (
         ("--family", {**_FAMILY[1], "action": "append", "help": "a,b,d (repeatable)"}),
-        ("--periods", dict(type=int, default=1)),
+        ("--periods", dict(type=int, default=1, help="periods above b_max to compare; the"
+                           " first is the base case, so transport is compared from 2 on")),
     )),
 )
 

@@ -39,7 +39,9 @@ _MAX_GRID_CELLS = 2**31
 MAX_BOX = (math.isqrt(_MAX_GRID_CELLS) - 1) // 2
 
 
-def _check_box(box: int) -> None:
+def check_box(box: int) -> None:
+    """Refuse a box radius the oracle does not serve: below 1, or past
+    MAX_BOX.  Arithmetic only; no box is walked."""
     if box < 1:
         raise InvalidInputError(f"enumeration box must be >= 1, got {box}")
     if box > MAX_BOX:
@@ -54,7 +56,7 @@ def enumerate_trades(inst: SemigroupInstance, box: int) -> TradeSet:
     For each v2 the kernel condition is a congruence in v0; its solutions
     are stepped through the box and v1 is kept when it lands inside.
     """
-    _check_box(box)
+    check_box(box)
     n1, t, n3 = inst.generators
     # n1*v0 + t*v1 + n3*v2 = 0 needs n1*v0 = -n3*v2 (mod t): solvable iff g
     # divides n3*v2, and then v0 is fixed modulo t/g
@@ -136,7 +138,7 @@ def _staircases(inst: SemigroupInstance) -> MappingProxyType[OrthantLabel, tuple
     """
     gens = inst.generators
     box = gens[2]
-    _check_box(box)
+    check_box(box)
     staircases = {}
     for orthant in OrthantLabel:
         i, j = orthant.nonneg_coords

@@ -6,14 +6,18 @@ Hilbert basis is carried along by the map that fixes its strip's bounded
 coordinate; the trades of extremal coordinate sum (+d in the PPN orthant,
 -d in the NPP orthant) instead form a line segment, stepped by the
 homogeneous trade, that is re-solved directly at the target shift and grows
-by d*a (resp. d*b) elements per period.  The three orthants differ only in
-data (strips with their displacements per period, extremal sum, growth,
-segment equation, threshold), which one table holds and one transport
-reads.  Transport is affine in the number of periods k, so it is two
-steps: a plan, which depends only on the base basis and holds every check
-on it (the base segment solved, every member checked once, each extremal
-member in a strip matched to the segment end that strip carries, each
-displacement per period recorded), and an apply step, which is
+by d*a (resp. d*b) elements per period.  The segment is the non-negative
+solutions of one two-variable congruence whose coefficients are the
+strips' limits, since each end lies in its own strip; it is solved once,
+for the start, and the end is whole steps of h on.  The three orthants
+differ only in data (strips with their displacements per period, extremal
+sum, growth, the segment equation's right-hand side and inverse,
+threshold), which one table holds and one transport reads.  Transport is
+affine in the number of periods k, so it is two steps: a plan, which
+depends only on the base basis and holds every check on it (the base
+segment solved, every member checked once, each extremal member in a
+strip matched to the segment end that strip carries, each displacement
+per period recorded), and an apply step, which is
 arithmetic (v + k*delta per member, the target segment solved on its own,
 then the endpoint and size checks).  hilbert_shift keeps the plans of its
 continued-fraction bases in an LRU cache of 1024 (base shift, orthant)
@@ -47,6 +51,7 @@ from .core import (
     Trade,
     TradeSet,
     TradeSetMode,
+    add,
     canonical_rep,
     in_orthant,
     length,
@@ -98,9 +103,11 @@ def positive_segment(inst: SemigroupInstance) -> SegmentEndpoints:
 
     Both endpoints solve b*v1 + (a+b)*v0 = t + d*b over non-negative
     integers: the start minimizes v0 (so v0 < b), the end minimizes v1
-    (so v1 < a+b).  Raises NoLengthTradeError when the equation has no
-    non-negative solution, which is guaranteed not to happen above the
-    b_plus threshold and guaranteed to happen at it.
+    (so v1 < a+b).  Only the start is solved for; the end is the start
+    plus v1 // (a+b) steps of h = (b, -(a+b), a).  Raises
+    NoLengthTradeError when the equation has no non-negative solution,
+    which is guaranteed not to happen above the b_plus threshold and
+    guaranteed to happen at it.
     """
     return _solve_segment(inst, OrthantLabel.PPN)
 
@@ -109,8 +116,9 @@ def negative_segment(inst: SemigroupInstance) -> SegmentEndpoints:
     """Endpoints of the line of coordinate-sum-(-d) trades in the NPP orthant.
 
     Mirror of positive_segment: solve a*v1 + (a+b)*v2 = t - d*a, the start
-    minimizing v2 (so v2 < a), the end minimizing v1 (so v1 < a+b); the
-    trade is (-(v1+v2+d), v1, v2).
+    minimizing v2 (so v2 < a), the end minimizing v1 (so v1 < a+b) and
+    v1 // (a+b) steps of h past the start; the trade is
+    (-(v1+v2+d), v1, v2).
     """
     return _solve_segment(inst, OrthantLabel.NPP)
 
@@ -118,32 +126,33 @@ def negative_segment(inst: SemigroupInstance) -> SegmentEndpoints:
 def _solve_segment(inst: SemigroupInstance, orthant: OrthantLabel) -> SegmentEndpoints:
     """Solve the orthant's segment equation cx*v[x] + cy*v[y] = t + rhs.
 
-    x and y are the bounded coordinates of the orthant's two strips; the
-    start is the solution with least v[x] (so v[x] < cy, in the first
-    strip), the end the one with least v[y] (so v[y] < cx, in the second).
-    The remaining coordinate makes the coordinate sum extremal.
+    x and y are the bounded coordinates of the orthant's two strips, and
+    each end lies in its own strip, so cy is the first strip's limit and
+    cx the second's.  The start is the solution with least v[x] (so
+    v[x] < cy, in the first strip), and the only congruence solved.  Each
+    step of h adds cy to v[x] and takes cx from v[y], so the end, the
+    solution with least v[y] (v[y] < cx, in the second strip), is
+    v[y] // cx steps on.  The remaining coordinate makes the coordinate
+    sum extremal.  The start is checked to be a trade; h is one at every
+    shift, so the end is too.
     """
     row = _orthant_table(inst.family)[orthant]
+    (x, cy, _), (y, cx, _) = row.strips
     target = inst.t + row.rhs
-    n = inst.generators
-    endpoints = []
-    for u, w, cu, cw, inverse in row.solves:
-        v = [row.extremal_sum] * 3
-        v[u] = target * inverse % cw
-        v[w] = (target - cu * v[u]) // cw
-        if v[w] < 0:
-            raise NoLengthTradeError(
-                f"no trade of coordinate sum {row.extremal_sum} in the "
-                f"{orthant.value} orthant at t={inst.t}"
-            )
-        v[3 - u - w] -= v[u] + v[w]
-        if n[0] * v[0] + n[1] * v[1] + n[2] * v[2]:
-            raise InternalConsistencyError(f"segment endpoint {tuple(v)} invalid at t={inst.t}")
-        endpoints.append((v[0], v[1], v[2]))
-    start, end = endpoints
-    h = inst.family.homogeneous_trade
-    # h[2] = a >= 1; SegmentEndpoints rejects a reversed or off-step pair
-    return SegmentEndpoints(start, end, h, (end[2] - start[2]) // h[2] + 1)
+    v = [row.extremal_sum] * 3
+    v[x] = target * row.inverse % cy
+    v[y] = (target - cx * v[x]) // cy
+    if v[y] < 0:
+        raise NoLengthTradeError(
+            f"no trade of coordinate sum {row.extremal_sum} in the "
+            f"{orthant.value} orthant at t={inst.t}"
+        )
+    v[3 - x - y] -= v[x] + v[y]
+    start = (v[0], v[1], v[2])
+    if inst.evaluate(start):
+        raise InternalConsistencyError(f"segment endpoint {start} invalid at t={inst.t}")
+    steps, h = v[y] // cx, inst.family.homogeneous_trade
+    return SegmentEndpoints(start, add(start, scale(steps, h)), h, steps + 1)
 
 
 @dataclass(frozen=True)
@@ -157,10 +166,10 @@ class _Orthant:
     m*(e_i - e_j) for the other two coordinates i, j.
     A Hilbert basis member outside both strips has coordinate sum
     extremal_sum; those members form the segment, whose equation is
-    cx*v[x] + cy*v[y] = t + rhs with x, y the strips' bounded coordinates;
-    `solves` holds (x, y, cx, cy, cx^-1 mod cy) for its start and
-    (y, x, cy, cx, cy^-1 mod cx) for its end.  PNP has no segment, so its
-    `solves` is empty: its only basis member of sum 0 is the homogeneous
+    cx*v[x] + cy*v[y] = t + rhs with x, y the strips' bounded coordinates
+    and cy, cx their limits; `inverse` is cx^-1 mod cy, all the start's
+    solve needs.  PNP has no segment, so its extremal_sum is 0 (and rhs
+    and inverse unused): its only basis member of sum 0 is the homogeneous
     trade, which lies in both strips.  One period adds `growth` members.
     Transport from shift t needs t > threshold.
     """
@@ -169,8 +178,8 @@ class _Orthant:
     extremal_sum: int
     growth: int
     threshold: int
-    rhs: int
-    solves: tuple[tuple[int, int, int, int, int], ...]
+    rhs: int = 0
+    inverse: int = 0
 
 
 # built once per family and shared read-only, since every transport and
@@ -185,33 +194,31 @@ def _orthant_table(fam: ShiftedFamily) -> MappingProxyType[OrthantLabel, _Orthan
         i, j = (c for c in range(3) if c != coord)
         return coord, limit, sub(period_map(fam, i, j, (1, 0, 0)), (1, 0, 0))
 
-    def row(strips, extremal_sum, growth, threshold, cx=0, cy=0, rhs=0) -> _Orthant:
-        solves = ()
-        if cx:
-            (x, _, _), (y, _, _) = strips
-            solves = ((x, y, cx, cy, pow(cx, -1, cy)), (y, x, cy, cx, pow(cy, -1, cx)))
-        return _Orthant(strips, extremal_sum, growth, threshold, rhs, solves)
+    def segment(strips, extremal_sum, growth, threshold, rhs) -> _Orthant:
+        # cx^-1 mod cy, for cy the first strip's limit and cx the second's
+        (_, cy, _), (_, cx, _) = strips
+        return _Orthant(strips, extremal_sum, growth, threshold, rhs, pow(cx, -1, cy))
 
     return MappingProxyType({
-        OrthantLabel.PNP: row(
+        OrthantLabel.PNP: _Orthant(
             strips=(strip(0, b + 1), strip(2, a + 1)),
             extremal_sum=0,
             growth=0,
             threshold=fam.b_plus_minus,
         ),
-        OrthantLabel.PPN: row(
+        OrthantLabel.PPN: segment(
             strips=(strip(0, b), strip(1, a + b)),
             extremal_sum=d,
             growth=d * a,
             threshold=fam.b_plus,
-            cx=a + b, cy=b, rhs=d * b,
+            rhs=d * b,
         ),
-        OrthantLabel.NPP: row(
+        OrthantLabel.NPP: segment(
             strips=(strip(2, a), strip(1, a + b)),
             extremal_sum=-d,
             growth=d * b,
             threshold=fam.b_minus,
-            cx=a + b, cy=a, rhs=-d * a,
+            rhs=-d * a,
         ),
     })
 
@@ -282,7 +289,7 @@ def _plan(base: SemigroupInstance, orthant: OrthantLabel, basis: Collection[Trad
             f"{orthant.value} transport needs t > {row.threshold}, got t={base.t}"
         )
     ends: tuple[Trade, ...] = ()
-    if row.solves:
+    if row.extremal_sum:
         # looked up by module-global name, so a traced run can rebind them
         before = (positive_segment if row.extremal_sum > 0 else negative_segment)(base)
         ends = (before.start, before.end)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import DIFF_FAMILIES
 from gravershift import (
     InvalidInputError,
     OrthantLabel,
@@ -53,11 +54,12 @@ class TestValidShifts:
     @pytest.mark.parametrize("a,b,d", [(1, 1, 1), (2, 3, 1), (3, 4, 2), (1, 3, 2), (2, 5, 3), (1, 1, 3)])
     def test_probes_the_largest_box_the_rows_walk(self, a, b, d, monkeypatch):
         # only a scan of method "oracle" is probed, at its largest box: its
-        # last shift's, counted at t + reach.  An auto row walks a box only
-        # where the oracle cannot refuse it, and a fast row walks none
+        # last shift's, counted at t + reach, of radius n3 = t + reach + d*b,
+        # checked by arithmetic.  An auto row walks a box only where the
+        # oracle cannot refuse it, and a fast row walks none
         fam = ShiftedFamily(a, b, d)
         probed = []
-        monkeypatch.setattr(analysis, "hilbert_oracle", lambda inst, orthant: probed.append(inst))
+        monkeypatch.setattr(analysis, "check_box", probed.append)
         bound, rho = fam.b_max, fam.rho
         edges = sorted({1, d * a + 2, bound - 1, bound, bound + 1, bound + rho // 3,
                         bound + rho - 1, bound + rho, bound + rho + 1, bound + 2 * rho + 5})
@@ -69,8 +71,8 @@ class TestValidShifts:
                             shifts = valid_shifts(fam, lo, hi, reach=reach, method=method)
                         except InvalidInputError:
                             continue
-                        expected = [shifts[-1] + reach] if method == "oracle" else []
-                        assert [inst.t for inst in probed] == expected, (lo, hi, reach, method)
+                        expected = [shifts[-1] + reach + d * b] if method == "oracle" else []
+                        assert probed == expected, (lo, hi, reach, method)
                         probed.clear()
 
     @pytest.mark.parametrize(
@@ -254,6 +256,18 @@ class TestDifferential:
         assert report.ok
         assert len(report.rows) == 8
         assert all(row.fast_count == row.oracle_count for row in report.rows)
+
+    def test_only_a_second_period_is_transported(self):
+        # the window (b_max, b_max + periods*rho] starts with the first
+        # period above the threshold, where every shift is its own base case
+        # (k = 0): over the criterion-5 families one period compares no
+        # transported basis, and two periods transport half the rows
+        families = [ShiftedFamily(a, b, d) for a, b, d in DIFF_FAMILIES]
+        for periods, rows, transported in ((1, 274, 0), (2, 548, 274)):
+            report = differential_test(families, periods)
+            ks = [base_decomposition(row.family.instance(row.t))[1] for row in report.rows]
+            assert (len(ks), sum(k > 0 for k in ks)) == (rows, transported)
+            assert report.ok
 
     def test_a_changed_member_is_a_mismatch(self, monkeypatch):
         # the routes are compared member by member, not by their counts

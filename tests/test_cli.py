@@ -425,12 +425,13 @@ def _oracle_walks(monkeypatch, limit):
 def test_oracle_scan_beyond_scale_refused_at_once(capsys, monkeypatch, argv, walked):
     # the default oracle rows would walk every box from t = 23,100 up before
     # the grid cap refuses t >= 23,167; the largest box (at t + rho = 23,230
-    # for verify) is asked for first; its box is n3 = t + d*b = t + 3
+    # for verify), n3 = t + d*b = t + 3, is checked first by arithmetic,
+    # so no box is walked
     walks = _oracle_walks(monkeypatch, 1)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert f"enumeration box {walked + 3} " in err and "beyond oracle scale" in err
-    assert walks == [walked]
+    assert walks == []
 
 
 def test_fast_count_beyond_oracle_scale_answers(capsys, monkeypatch):
@@ -517,12 +518,13 @@ class TestScanBounds:
         assert doc["homogeneous_reducible_at_dab"] is True
 
     def test_beyond_oracle_scale_refused_at_once(self, capsys, monkeypatch):
-        # boxes of t >= 23,167 exceed the oracle's grid cap for (2,3,1)
+        # boxes of t >= 23,167 exceed the oracle's grid cap for (2,3,1);
+        # the largest, at t = 30,000, is refused before any box is walked
         walks = _oracle_walks(monkeypatch, 1)
         code, out, err = run(capsys, "scan-bounds", "--family", "2,3,1", "--t-max", "30000")
         assert (code, out) == (1, "")
         assert "beyond oracle scale" in err
-        assert walks == [30000]
+        assert walks == []
 
     @pytest.mark.parametrize("t_max", ["6", "-5"])
     def test_no_covered_shift_exit_1(self, capsys, t_max):
@@ -721,14 +723,15 @@ class TestDifftest:
         assert err == f"error: --periods must be at least 1, got {periods}\n"
 
     def test_beyond_oracle_scale_refused_at_once(self, capsys, monkeypatch):
-        # each window's largest shift is walked first: (1,1,1)'s at t = 2,001
-        # fits, and (2,3,1)'s at t = 30,006 is refused
+        # each window's largest box is checked by arithmetic before any row:
+        # (1,1,1)'s at t = 2,001 fits, and (2,3,1)'s at t = 30,006 is
+        # refused, so no box is walked
         walks = _oracle_walks(monkeypatch, 2)
         code, out, err = run(capsys, "difftest", "--family", "1,1,1", "--family", "2,3,1",
                              "--periods", "1000")
         assert (code, out) == (1, "")
         assert "beyond oracle scale" in err
-        assert walks == [2001, 30006]
+        assert walks == []
 
     def test_mismatch_exit_3(self, capsys, monkeypatch):
         fam = ShiftedFamily(1, 1, 1)

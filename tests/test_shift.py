@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 import re
 import time
 from itertools import chain
@@ -47,6 +48,7 @@ from gravershift import (
 )
 from gravershift import oracle, shift
 from gravershift.core import (
+    MAX_SHIFT,
     TradeSetMode,
     _ordered_pieces,
     add,
@@ -278,6 +280,59 @@ class TestNegativeSegment:
             assert inst79.evaluate(v) == 0
             assert length(v) == -1
             assert in_orthant(v, OrthantLabel.NPP)
+
+
+def _two_solve_segment(inst, orthant):
+    """(start, end, count) of the orthant's segment with each end solved by
+    its own congruence and its own inverse, or None when an end has no
+    non-negative solution.  PPN: (a+b)*v0 + b*v1 = t + d*b, the start
+    least in v0 and the end least in v1; NPP: (a+b)*v2 + a*v1 = t - d*a,
+    the start least in v2 and the end least in v1."""
+    a, b, d = inst.family.a, inst.family.b, inst.family.d
+    if orthant is OrthantLabel.PPN:
+        x, cx, cy, rhs, s = 0, a + b, b, d * b, d
+    else:
+        x, cx, cy, rhs, s = 2, a + b, a, -d * a, -d
+    target = inst.t + rhs
+    ends = []
+    for u, w, cu, cw in ((x, 1, cx, cy), (1, x, cy, cx)):
+        v = [s, s, s]
+        v[u] = target * pow(cu, -1, cw) % cw
+        v[w] = (target - cu * v[u]) // cw
+        if v[w] < 0:
+            return None
+        v[3 - u - w] -= v[u] + v[w]
+        ends.append(tuple(v))
+    start, end = ends
+    return start, end, (end[2] - start[2]) // a + 1
+
+
+class TestSegmentAgainstTwoSolves:
+    def test_same_ends_counts_and_refusals(self):
+        # the solver derives the end from the start; the reference solves
+        # both, over seeded coprime a, b <= 20, d <= 6 and t up to
+        # MAX_SHIFT, small t included so that refusals occur (a = 1 and
+        # b = 1 make one inverse modulo 1)
+        rng = random.Random(28)
+        solvers = {OrthantLabel.PPN: positive_segment, OrthantLabel.NPP: negative_segment}
+        checked = refused = 0
+        while checked < 10_000:
+            a, b, d = rng.randint(1, 20), rng.randint(1, 20), rng.randint(1, 6)
+            t = rng.choice((rng.randint(1, 300), rng.randint(1, MAX_SHIFT)))
+            if math.gcd(a, b) != 1 or t <= d * a or math.gcd(t, d) != 1:
+                continue
+            inst = ShiftedFamily(a, b, d).instance(t)
+            for orthant, solver in solvers.items():
+                expected = _two_solve_segment(inst, orthant)
+                if expected is None:
+                    refused += 1
+                    with pytest.raises(NoLengthTradeError, match=f"{orthant.value} orthant at t={t}$"):
+                        solver(inst)
+                else:
+                    seg = solver(inst)
+                    assert (seg.start, seg.end, seg.count) == expected, (a, b, d, t, orthant)
+            checked += 1
+        assert refused > 100
 
 
 class TestAdvance:
