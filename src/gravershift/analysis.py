@@ -310,8 +310,9 @@ def augment(
     sorted order, each trade followed by its negation.  A move g changes the
     objective by w.g wherever it is taken, so the improving moves are kept
     once; w.(-g) = -(w.g), so of g and -g at most one improves, and w.g is
-    evaluated once per trade to keep g or -g by its sign.  Each step takes
-    the first kept move that keeps all coordinates non-negative.
+    evaluated once per trade, in integers, to keep g or -g by its sign.
+    Each step takes the first kept move that keeps all coordinates
+    non-negative.
     For linear objectives the terminal point is a global optimum regardless
     of pivot order, so the fixed order is only for determinism.
     """
@@ -322,8 +323,11 @@ def augment(
     w = tuple(Fraction(c) for c in weights)
     if len(w) != 3:
         raise InvalidInputError("objective must have 3 components")
-    gain = 1 if sense == "max" else -1
-    signed = ((g, gain * (w[0] * g[0] + w[1] * g[1] + w[2] * g[2])) for g in graver_shift(inst))
+    # only the sign of w.g is read, so the weights are scaled to integers
+    # once, by the lcm of their denominators, with the sense's sign folded in
+    unit = math.lcm(*(c.denominator for c in w)) * (1 if sense == "max" else -1)
+    w0, w1, w2 = (int(c * unit) for c in w)
+    signed = ((g, w0 * g[0] + w1 * g[1] + w2 * g[2]) for g in graver_shift(inst))
     moves = [g if value > 0 else negate(g) for g, value in signed if value]
     current = (int(start[0]), int(start[1]), int(start[2]))
     while True:

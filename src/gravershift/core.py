@@ -103,11 +103,6 @@ class ShiftedFamily:
             raise InvalidInputError(f"a={self.a} and b={self.b} must be coprime")
 
     @property
-    def offsets(self) -> Trade:
-        """Generator offsets relative to the shift: (-a, 0, b) before scaling by d."""
-        return (-self.a, 0, self.b)
-
-    @property
     def rho(self) -> int:
         """Period of the shift recursion: d*a*b*(a+b)."""
         return self.d * self.a * self.b * (self.a + self.b)

@@ -64,29 +64,26 @@ from .oracle import MAX_BOX
 from .oracle import graver_oracle, hilbert_oracle  # noqa: F401
 
 
-def period_multiplier(fam: ShiftedFamily, i: int, j: int) -> int:
-    """Signed coefficient m such that one period adds m * length(v) * (e_i - e_j).
-
-    Concretely m = rho / (d * (r_j - r_i)) for offsets r = (-a, 0, b):
-    b*(a+b) for (0,1), a*b for (0,2), a*(a+b) for (1,2); negated when the
-    indices are swapped.
-    """
-    if i == j or not {i, j} <= {0, 1, 2}:
-        raise InvalidInputError(f"indices must be distinct and in {{0,1,2}}, got ({i}, {j})")
-    r = fam.offsets
-    den = fam.d * (r[j] - r[i])
-    m, rem = divmod(fam.rho, den)
-    if rem:
-        raise InternalConsistencyError(f"period {fam.rho} not divisible by {den}")
-    return m
-
-
 def period_map(fam: ShiftedFamily, i: int, j: int, v: Trade, periods: int = 1) -> Trade:
     """Transport v from the lattice at shift t to the one at t + periods*rho.
 
-    Length-preserving and bijective; trades of length 0 are fixed.
+    One period adds m * length(v) * (e_i - e_j), where
+    m = rho / (d * (r_j - r_i)) for offsets r = (-a, 0, b); rho = d*a*b*(a+b)
+    is a multiple of d*a, d*b and d*(a+b), so the division is exact:
+
+        (i, j)   m
+        (0, 1)   b*(a+b)
+        (0, 2)   a*b
+        (1, 2)   a*(a+b)
+
+    Swapping the indices negates m and swaps the coordinates it moves, so
+    the (j, i) map is the (i, j) map.  Length-preserving and bijective;
+    trades of length 0 are fixed.
     """
-    delta = periods * period_multiplier(fam, i, j) * length(v)
+    if i == j or not {i, j} <= {0, 1, 2}:
+        raise InvalidInputError(f"indices must be distinct and in {{0,1,2}}, got ({i}, {j})")
+    r = (-fam.a, 0, fam.b)
+    delta = periods * (fam.rho // (fam.d * (r[j] - r[i]))) * length(v)
     w = list(v)
     w[i] += delta
     w[j] -= delta
@@ -464,7 +461,8 @@ def graver_count(h_pnp: TradeSet, h_ppn: TradeSet, h_npp: TradeSet) -> int:
 def _canonical_boundary(*parts: TradeSet) -> tuple[set[Trade], int]:
     """graver_count's measurement: the canonical boundary members of the
     three bases, and the Graver size they give."""
-    if any(len(p) == 0 for p in parts):
+    sizes = [len(p) for p in parts]
+    if 0 in sizes:
         raise InvalidInputError("orthant Hilbert bases are never empty for a valid instance")
     boundaries = [{*p.singles, *[v for run in p.runs for v in (run.start, run.end)]} for p in parts]
     union = {canonical_rep(v) for v in chain.from_iterable(boundaries)}
@@ -473,7 +471,7 @@ def _canonical_boundary(*parts: TradeSet) -> tuple[set[Trade], int]:
         raise InternalConsistencyError(
             f"expected 3 shared boundary trades, measured {overlap}"
         )
-    return union, sum(map(len, parts)) - overlap
+    return union, sum(sizes) - overlap
 
 
 def _canonical_interior(segment: SegmentEndpoints) -> SegmentEndpoints | None:

@@ -51,6 +51,21 @@ class TestValidShifts:
         with pytest.raises(InvalidInputError, match="at most 5"):
             count_scan(fam, 7, 12, "fast")
 
+    @pytest.mark.parametrize(
+        "family,lo,hi,first",
+        [
+            ((1, 1, 1), 999_999_999, 10**12, 1_000_000_001),
+            # 10^9 + 1 = 7 * 142,857,143 is not covered when d = 7
+            ((1, 1, 7), 999_999_990, 10**9 + 10, 1_000_000_002),
+        ],
+    )
+    def test_refuses_the_first_covered_shift_past_max_shift(self, family, lo, hi, first):
+        # a scan without `reach` names the first covered shift past
+        # MAX_SHIFT, before any row is listed or counted
+        message = rf"^shift t={first} exceeds the supported bound 1000000000$"
+        with pytest.raises(InvalidInputError, match=message):
+            count_scan(ShiftedFamily(*family), lo, hi)
+
     @pytest.mark.parametrize("a,b,d", [(1, 1, 1), (2, 3, 1), (3, 4, 2), (1, 3, 2), (2, 5, 3), (1, 1, 3)])
     def test_probes_the_largest_box_the_rows_walk(self, a, b, d, monkeypatch):
         # only a scan of method "oracle" is probed, at its largest box: its

@@ -70,7 +70,7 @@ EXPORTS = {
     "shift": [
         "assemble_graver", "base_decomposition", "effective_base_bound",
         "graver_shift", "hilbert_shift", "negative_segment", "period_map", "period_map_inverse",
-        "period_multiplier", "positive_segment", "transport",
+        "positive_segment", "transport",
     ],
 }
 

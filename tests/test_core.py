@@ -28,7 +28,6 @@ class TestShiftedFamily:
         fam = ShiftedFamily(2, 3, 1)
         assert fam.rho == 30
         assert fam.homogeneous_trade == (3, -5, 2)
-        assert fam.offsets == (-2, 0, 3)
 
     @pytest.mark.parametrize("a,b,d", [(2, 4, 1), (3, 6, 2), (2, 2, 1)])
     def test_non_coprime_rejected(self, a, b, d):

@@ -42,7 +42,6 @@ from gravershift import (
     negative_segment,
     period_map,
     period_map_inverse,
-    period_multiplier,
     positive_segment,
     transport,
 )
@@ -118,17 +117,48 @@ class TestContinuedFractionReference:
 
 
 class TestPeriodMultiplier:
+    """The m of one period, v + m*length(v)*(e_i - e_j), read off period_map
+    at (1, 0, 0), a trade of length 1."""
+
     def test_concrete_values(self, fam231):
-        assert period_multiplier(fam231, 0, 1) == 15  # b(a+b)
-        assert period_multiplier(fam231, 1, 2) == 10  # a(a+b)
-        assert period_multiplier(fam231, 0, 2) == 6  # ab
+        assert period_map(fam231, 0, 1, (1, 0, 0)) == (1 + 15, -15, 0)  # b(a+b)
+        assert period_map(fam231, 1, 2, (1, 0, 0)) == (1, 10, -10)  # a(a+b)
+        assert period_map(fam231, 0, 2, (1, 0, 0)) == (1 + 6, 0, -6)  # ab
 
     def test_swapped_indices_negate(self, fam231):
-        assert period_multiplier(fam231, 1, 0) == -15
+        # m = -15 on e_1 - e_0 is +15 on e_0 - e_1: the (1, 0) map is the (0, 1) map
+        assert period_map(fam231, 1, 0, (1, 0, 0)) == (1 + 15, -15, 0)
+        assert period_map(fam231, 1, 0, (1, 0, 0)) == period_map(fam231, 0, 1, (1, 0, 0))
 
     def test_equal_indices_rejected(self, fam231):
-        with pytest.raises(InvalidInputError):
-            period_multiplier(fam231, 1, 1)
+        message = re.escape("indices must be distinct and in {0,1,2}, got (1, 1)")
+        with pytest.raises(InvalidInputError, match=message):
+            period_map(fam231, 1, 1, (1, 0, 0))
+
+    @pytest.mark.parametrize("i,j", [(0, 3), (-1, 2), (2, 5)])
+    def test_outside_indices_rejected(self, fam231, i, j):
+        message = re.escape(f"indices must be distinct and in {{0,1,2}}, got ({i}, {j})")
+        with pytest.raises(InvalidInputError, match=message):
+            period_map(fam231, i, j, (1, 0, 0))
+
+    def test_closed_form_over_families(self):
+        # every ordered pair against m = rho / (d*(r_j - r_i)), r = (-a, 0, b),
+        # on a seeded sample of families with a, b <= 12 and d <= 6
+        rng = random.Random(20221)
+        families = [(a, b, d) for a in range(1, 13) for b in range(1, 13) for d in range(1, 7)
+                    if math.gcd(a, b) == 1]
+        sample = rng.sample(families, 240)
+        for a, b, d in sample:
+            fam = ShiftedFamily(a, b, d)
+            m = {(0, 1): b * (a + b), (0, 2): a * b, (1, 2): a * (a + b)}
+            v = (rng.randint(-50, 50), rng.randint(-50, 50), rng.randint(-50, 50))
+            periods = rng.choice((-3, -2, -1, 1, 2, 3))
+            for (i, j), mij in m.items():
+                expected = list(v)
+                expected[i] += periods * mij * length(v)
+                expected[j] -= periods * mij * length(v)
+                assert period_map(fam, i, j, v, periods) == tuple(expected)
+                assert period_map(fam, j, i, v, periods) == tuple(expected)
 
 
 class TestPeriodMap:
