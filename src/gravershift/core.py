@@ -73,11 +73,11 @@ def canonical_rep(v: Trade) -> Trade:
     Idempotent, and canonical_rep(v) == canonical_rep(-v).  This matches the
     usual one-column-per-sign-pair listing convention for Graver matrices.
     """
-    for x in (v[2], v[1], v[0]):
-        if x > 0:
-            return v
-        if x < 0:
-            return negate(v)
+    x = v[2] or v[1] or v[0]  # the last nonzero coordinate, if any
+    if x > 0:
+        return v
+    if x < 0:
+        return negate(v)
     raise InvalidInputError("the zero vector has no canonical representative")
 
 
@@ -206,6 +206,10 @@ class OrthantLabel(enum.Enum):
     PPN = "ppn"
     NPP = "npp"
 
+    # each label is a singleton compared by identity, so it hashes by
+    # identity too, in C: every cache and table keyed by a label hashes it
+    __hash__ = object.__hash__
+
     @property
     def nonneg_coords(self) -> tuple[int, int]:
         return _NONNEG[self]
@@ -228,7 +232,7 @@ class TradeSetMode(enum.Enum):
     CANONICAL = "canonical"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SegmentEndpoints:
     """An arithmetic run of trades: start, start+step, ..., end.
 
@@ -245,18 +249,25 @@ class SegmentEndpoints:
     step: Trade
     count: int
 
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise InternalConsistencyError(f"segment count must be >= 1, got {self.count}")
-        if 0 in self.step or self.step[2] < 0:  # a zero step[2] is a zero entry
+    def __init__(self, start: Trade, end: Trade, step: Trade, count: int) -> None:
+        if count < 1:
+            raise InternalConsistencyError(f"segment count must be >= 1, got {count}")
+        h0, h1, h2 = step
+        if not (h0 and h1 and h2 > 0):
             raise InternalConsistencyError(
-                f"segment step {self.step} needs nonzero entries and step[2] > 0"
+                f"segment step {step} needs nonzero entries and step[2] > 0"
             )
-        if sub(self.end, self.start) != scale(self.count - 1, self.step):
+        n = count - 1
+        if (end[0] - start[0], end[1] - start[1], end[2] - start[2]) != (n * h0, n * h1, n * h2):
             raise InternalConsistencyError(
-                f"segment endpoints {self.start}..{self.end} do not differ by "
-                f"{self.count - 1} steps of {self.step}"
+                f"segment endpoints {start}..{end} do not differ by "
+                f"{count - 1} steps of {step}"
             )
+        # frozen, so the fields go into the instance dict directly: the
+        # generated __init__'s object.__setattr__ per field and __post_init__
+        # call cost three times as much, and the count path builds a run per
+        # segment solve
+        self.__dict__.update(start=start, end=end, step=step, count=count)
 
     def __len__(self) -> int:
         return self.count

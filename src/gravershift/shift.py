@@ -17,18 +17,22 @@ affine in the number of periods k, so it is two steps: a plan, which
 depends only on the base basis and holds every check on it (the base
 segment solved, every member checked once, each extremal member in a
 strip matched to the segment end that strip carries, each displacement
-per period recorded), and an apply step, which is
-arithmetic (v + k*delta per member, the target segment solved on its own,
-then the endpoint and size checks).  hilbert_shift keeps the plans of its
-continued-fraction bases in an LRU cache of 1024 (base shift, orthant)
-pairs.  The base case is each orthant's Hirzebruch-Jung continued
+per period recorded), and a carry, which is arithmetic (v + k*delta per
+member, the target segment solved on its own, then the endpoint and size
+checks).  The base case is each orthant's Hirzebruch-Jung continued
 fraction at a shift at most one period above the transport threshold, so
-the route never enumerates a lattice.  Every basis it returns, orthant or Graver, at any shift, is a TradeSet
-of a few single trades and the segments' runs: counting reads those
-fields, only a listing orders them, and no segment member is written
-out here.  Nothing here calls the brute-force oracle, which stays an
-independent check; only its scale limit is read, for the `auto` method's
-rule.
+the route never enumerates a lattice.  An LRU cache of 341 base shifts
+holds each one's three plans, built together and only for a transport
+(k > 0); a base case itself (k = 0) is listed afresh, uncached.
+hilbert_shift, graver_shift and count_shift each decompose t once and
+read the plans at most once.  Every basis they list, orthant or Graver,
+at any shift, is a TradeSet of a few single trades and the segments'
+runs: counting reads those fields, only a listing orders them, and no
+segment member is written out here.  count_shift builds no basis at all:
+it reads the sizes and boundaries that each carry returns, with every
+check the listing makes.  Nothing here calls the brute-force oracle,
+which stays an independent check; only its scale limit is read, for the
+`auto` method's rule.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from types import MappingProxyType
-from typing import Collection, NamedTuple
+from typing import Collection, NamedTuple, Sequence
 
 from .core import (
     InternalConsistencyError,
@@ -51,9 +55,7 @@ from .core import (
     Trade,
     TradeSet,
     TradeSetMode,
-    add,
     canonical_rep,
-    in_orthant,
     length,
     scale,
     sort_key,
@@ -145,11 +147,13 @@ def _solve_segment(inst: SemigroupInstance, orthant: OrthantLabel) -> SegmentEnd
             f"{orthant.value} orthant at t={inst.t}"
         )
     v[3 - x - y] -= v[x] + v[y]
-    start = (v[0], v[1], v[2])
-    if inst.evaluate(start):
+    v0, v1, v2 = start = tuple(v)
+    n0, n1, n2 = inst.generators
+    if n0 * v0 + n1 * v1 + n2 * v2:  # inst.evaluate(start), inlined
         raise InternalConsistencyError(f"segment endpoint {start} invalid at t={inst.t}")
     steps, h = v[y] // cx, inst.family.homogeneous_trade
-    return SegmentEndpoints(start, add(start, scale(steps, h)), h, steps + 1)
+    end = (v0 + steps * h[0], v1 + steps * h[1], v2 + steps * h[2])
+    return SegmentEndpoints(start, end, h, steps + 1)
 
 
 @dataclass(frozen=True)
@@ -220,41 +224,6 @@ def _orthant_table(fam: ShiftedFamily) -> MappingProxyType[OrthantLabel, _Orthan
     })
 
 
-def transport(
-    base: SemigroupInstance, orthant: OrthantLabel, basis: Collection[Trade], periods: int
-) -> TradeSet:
-    """Carry the orthant's Hilbert basis at base.t to base.t + periods*rho,
-    as a TradeSet: the few images off the target segment are its singles
-    and the segment is its run.
-
-    Every member rides the period map of each strip it lies in (the maps
-    fix the strip's bounded coordinate, so `periods` steps are one map with
-    a `periods`-fold correction); the members outside both strips have the
-    extremal coordinate sum and form the segment, which is re-solved at the
-    target shift.  `basis` is a listing (a tuple of trades or a TradeSet),
-    and every member must be a trade at base.t in the orthant.  A member of
-    extremal sum in a strip must be the base segment's end that the strip's
-    map carries (its start for the first strip, its end for the second);
-    the target segment's endpoints must be the images of the base
-    segment's, so such a member's image is a target end for every number
-    of periods.  The result must have periods*growth more members than
-    `basis`.  Only the base members and the segment ends are touched, so
-    the cost does not grow with `periods`.  This is _plan, which holds
-    every check on the basis and needs no `periods`, then _apply, which
-    checks the target.
-
-    A PNP member may lie in both strips and then rides both maps.  That is
-    safe: for t > d*a*b such a trade v has t*length(v) = d*(a*v0 - b*v2)
-    with 0 <= v0 <= b and 0 <= v2 <= a, so |t*length(v)| <= d*a*b < t, its
-    length is 0 and both maps fix it.  A PPN or NPP member in both strips
-    is a single-point segment; its two images are the two ends of the new
-    segment.
-    """
-    if periods < 1:
-        raise InvalidInputError(f"transport needs periods >= 1, got {periods}")
-    return _apply(_plan(base, orthant, basis), periods, base.shifted(periods))
-
-
 class _Plan(NamedTuple):
     """A base basis checked and classified for transport, for any number
     of periods.
@@ -279,7 +248,26 @@ def _plan(base: SemigroupInstance, orthant: OrthantLabel, basis: Collection[Trad
     """Solve the base segment, then check each member of `basis` once (in
     the orthant, a trade at base.t, in a strip or on the segment, and if
     both, the segment end that its strip carries) and pair it with its
-    displacements."""
+    displacements.
+
+    Every member rides the period map of each strip it lies in (the maps
+    fix the strip's bounded coordinate, so k periods are one map with a
+    k-fold correction); the members outside both strips have the extremal
+    coordinate sum and form the segment, which is re-solved at the target
+    shift.  A member of extremal sum in a strip must be the base segment's
+    end that the strip's map carries (its start for the first strip, its
+    end for the second); _carry requires the target segment's ends to be
+    the images of the base segment's, so such a member's image is a
+    target end for every number of periods.  Only the base members and
+    the segment ends are touched, so no step grows with k.
+
+    A PNP member may lie in both strips and then rides both maps.  That is
+    safe: for t > d*a*b such a trade v has t*length(v) = d*(a*v0 - b*v2)
+    with 0 <= v0 <= b and 0 <= v2 <= a, so |t*length(v)| <= d*a*b < t, its
+    length is 0 and both maps fix it.  A PPN or NPP member in both strips
+    is a single-point segment; its two images are the two ends of the new
+    segment.
+    """
     row = _orthant_table(base.family)[orthant]
     if base.t <= row.threshold:
         raise InvalidInputError(
@@ -291,63 +279,83 @@ def _plan(base: SemigroupInstance, orthant: OrthantLabel, basis: Collection[Trad
         before = (positive_segment if row.extremal_sum > 0 else negative_segment)(base)
         ends = (before.start, before.end)
     n0, n1, n2 = base.generators
+    i, j = orthant.nonneg_coords
+    on_line = row.extremal_sum if ends else None  # the segment's coordinate sum
+    (c0, limit0, (p0, p1, p2)), (c1, limit1, (q0, q1, q2)) = row.strips
     moves: dict[tuple[Trade, Trade], None] = {}
     for v in basis:
-        if not in_orthant(v, orthant):
+        v0, v1, v2 = v
+        if v[i] < 0 or v[j] < 0:  # in_orthant, inlined
             raise InvalidInputError(f"{v} is not in the {orthant.value} orthant")
-        if n0 * v[0] + n1 * v[1] + n2 * v[2]:
+        if n0 * v0 + n1 * v1 + n2 * v2:
             raise InvalidInputError(f"{v} is not a trade at t={base.t}")
-        s = length(v)
-        on_segment = bool(ends) and s == row.extremal_sum
-        inside = False
-        for i, (coord, limit, unit) in enumerate(row.strips):
-            if v[coord] < limit:
-                inside = True
-                if not on_segment:
-                    moves[v, scale(s, unit)] = None
-                elif v != ends[i]:
-                    raise InternalConsistencyError(
-                        f"{orthant.value} element {v} has coordinate sum {s} "
-                        f"but is not an end of the segment at t={base.t}"
-                    )
-        if not inside and not on_segment:
+        s = v0 + v1 + v2
+        first, second = v[c0] < limit0, v[c1] < limit1
+        if s == on_line:
+            if (first and v != ends[0]) or (second and v != ends[1]):
+                raise InternalConsistencyError(
+                    f"{orthant.value} element {v} has coordinate sum {s} "
+                    f"but is not an end of the segment at t={base.t}"
+                )
+        elif not (first or second):
             raise InternalConsistencyError(
                 f"{orthant.value} element {v} lies outside both strips and off the "
                 f"segment at t={base.t}"
             )
+        else:
+            # displaced per period by s times the unit of each strip it lies in
+            if first:
+                moves[v, (s * p0, s * p1, s * p2)] = None
+            if second:
+                moves[v, (s * q0, s * q1, s * q2)] = None
     segment = tuple(
         (end, scale(row.extremal_sum, unit)) for end, (_, _, unit) in zip(ends, row.strips)
     )
     return _Plan(base, orthant, row, len(basis), tuple(moves), segment)
 
 
-def _carried(pairs: tuple[tuple[Trade, Trade], ...], k: int) -> list[Trade]:
-    return [(v0 + k * d0, v1 + k * d1, v2 + k * d2) for (v0, v1, v2), (d0, d1, d2) in pairs]
+def _carry(
+    plan: _Plan, periods: int, target: SemigroupInstance
+) -> tuple[set[Trade], SegmentEndpoints | None, int]:
+    """The planned basis `periods` periods on, at `target`, checked: the
+    images off the segment by arithmetic, the target segment solved on its
+    own and its ends checked against the images of the base ends, and the
+    size law, periods*growth members more than the base basis.  Returns
+    the images, the segment (None for PNP) and the size."""
+    if periods < 1:
+        raise InvalidInputError(f"transport needs periods >= 1, got {periods}")
+    orthant, row = plan.orthant, plan.row
+    run = None
+    if plan.segment:
+        run = (positive_segment if row.extremal_sum > 0 else negative_segment)(target)
+        expected = [
+            (v0 + periods * d0, v1 + periods * d1, v2 + periods * d2)
+            for (v0, v1, v2), (d0, d1, d2) in plan.segment
+        ]
+        if [run.start, run.end] != expected:
+            raise InternalConsistencyError(
+                f"{orthant.value} segment at t={target.t} "
+                f"is {run.start}..{run.end}, expected {expected[0]}..{expected[1]}"
+            )
+    # a set, so two strips carrying members to one image fail the size law
+    images = {
+        (v0 + periods * d0, v1 + periods * d1, v2 + periods * d2)
+        for (v0, v1, v2), (d0, d1, d2) in plan.moves
+    }
+    size = len(images) + (run.count if run else 0)
+    if size != plan.size + periods * row.growth:
+        raise InternalConsistencyError(
+            f"{orthant.value} transport at t={plan.base.t} over {periods} periods: expected "
+            f"{plan.size + periods * row.growth} elements, got {size}"
+        )
+    return images, run, size
 
 
 def _apply(plan: _Plan, periods: int, target: SemigroupInstance) -> TradeSet:
-    """The planned basis `periods` periods on, at `target`: the images by
-    arithmetic, the target segment solved on its own and its ends checked
-    against the images of the base ends, and the size law."""
-    orthant, row = plan.orthant, plan.row
-    runs: tuple[SegmentEndpoints, ...] = ()
-    if plan.segment:
-        after = (positive_segment if row.extremal_sum > 0 else negative_segment)(target)
-        expected = _carried(plan.segment, periods)
-        if [after.start, after.end] != expected:
-            raise InternalConsistencyError(
-                f"{orthant.value} segment at t={target.t} "
-                f"is {after.start}..{after.end}, expected {expected[0]}..{expected[1]}"
-            )
-        runs = (after,)
-    # a set, so two strips carrying members to one image fail the size law
-    result = TradeSet(tuple(set(_carried(plan.moves, periods))), TradeSetMode.FULL, runs)
-    if len(result) != plan.size + periods * row.growth:
-        raise InternalConsistencyError(
-            f"{orthant.value} transport at t={plan.base.t} over {periods} periods: expected "
-            f"{plan.size + periods * row.growth} elements, got {len(result)}"
-        )
-    return result
+    """_carry's basis as a TradeSet: the images are its singles and the
+    segment its run."""
+    images, run, _ = _carry(plan, periods, target)
+    return TradeSet(tuple(images), TradeSetMode.FULL, (run,) if run else ())
 
 
 def effective_base_bound(fam: ShiftedFamily) -> int:
@@ -410,29 +418,68 @@ def _cf_hilbert(inst: SemigroupInstance, orthant: OrthantLabel) -> tuple[Trade, 
 
 
 # each base shift's three plans, kept while a scan revisits the base (verify
-# counts at t and at t + rho, both from one base); a plan holds a few trades
-@lru_cache(maxsize=1024)
-def _cf_plan(base: SemigroupInstance, orthant: OrthantLabel) -> _Plan:
-    return _plan(base, orthant, _cf_hilbert(base, orthant))
+# counts at t and at t + rho, both from one base).  A plan keeps the base
+# basis's strip members, at most one per value of a strip's bounded
+# coordinate, and its segment's two ends, never the segment's interior, so
+# it holds at most 2*(a+b) + 2 trades, whatever t.  341 base shifts are
+# 1,023 plans; a scan over consecutive t, each of its own base, fills it.
+@lru_cache(maxsize=341)
+def _plans(base: SemigroupInstance) -> dict[OrthantLabel, _Plan]:
+    """The checked plans of the three continued-fraction bases at a base
+    shift above the transport threshold, keyed in OrthantLabel order."""
+    return {orthant: _plan(base, orthant, _cf_hilbert(base, orthant)) for orthant in OrthantLabel}
 
 
 def hilbert_shift(inst: SemigroupInstance, orthant: OrthantLabel) -> TradeSet:
     """Hilbert basis of one orthant, FULL mode: the continued fraction at
-    the base shift, transported k periods when k > 0 from its cached plan,
-    so a few singles and at most one run.  O(1) in t to build and to
-    count; ordered only when listed."""
+    the base shift, carried k periods when k > 0 by the base's cached
+    plan, so a few singles and at most one run.  O(1) in t to build and
+    to count; ordered only when listed.  The base's three plans are built
+    together, so a base basis that fails its plan's checks in any orthant
+    fails every orthant's transport from that base."""
     base, k = base_decomposition(inst)
     if not k:
         return TradeSet(_cf_hilbert(base, orthant), TradeSetMode.FULL)
-    return _apply(_cf_plan(base, orthant), k, inst)
+    return _apply(_plans(base)[orthant], k, inst)
 
 
-def graver_count(h_pnp: TradeSet, h_ppn: TradeSet, h_npp: TradeSet) -> int:
-    """Size of the canonical Graver basis that assemble_graver writes out,
-    read from the three orthant Hilbert bases (of either route) without
-    ordering them.
+def count_shift(inst: SemigroupInstance) -> tuple[int, int, int, int]:
+    """The canonical Graver count and the PNP, PPN and NPP Hilbert counts
+    at inst: len(graver_shift(inst)) and len(hilbert_shift(inst, o)), with
+    no basis built or ordered.  t is decomposed once; when k > 0 the base's
+    cached plans are read once and each carried k periods by _carry, with
+    every check of a listing (the target segment against the carried base
+    ends, the size law), and the overlap of 3 is measured on the
+    boundaries, as assemble_graver measures it."""
+    base, k = base_decomposition(inst)
+    if not k:
+        bases = [_cf_hilbert(base, orthant) for orthant in OrthantLabel]
+        sizes, boundaries = [*map(len, bases)], [*map(set, bases)]
+    else:
+        sizes, boundaries = [], []
+        for plan in _plans(base).values():
+            images, run, size = _carry(plan, k, inst)
+            if run:
+                images.update((run.start, run.end))
+            sizes.append(size)
+            boundaries.append(images)
+    return (_canonical_boundary(sizes, boundaries)[1], *sizes)
 
-    The size is sum(len) - 3, and the overlap of 3 is measured, not
+
+def _boundary(basis: TradeSet) -> set[Trade]:
+    """A basis's singles and its runs' ends."""
+    return {*basis.singles, *[v for run in basis.runs for v in (run.start, run.end)]}
+
+
+def _canonical_boundary(
+    sizes: Sequence[int], boundaries: Sequence[set[Trade]]
+) -> tuple[set[Trade], int]:
+    """The canonical boundary members of three orthant Hilbert bases, of
+    either route, given by their sizes and boundaries (_boundary), and the
+    size of the canonical Graver basis they give, read without ordering
+    them.
+
+    The size is sum(sizes) - 3, and the overlap of 3 is measured, not
     assumed, on the boundary members only: each basis's singles and its
     runs' two ends, canonicalized.  A basis's runs are its segment, of
     extremal coordinate sum, or none.
@@ -455,17 +502,9 @@ def graver_count(h_pnp: TradeSet, h_ppn: TradeSet, h_npp: TradeSet) -> int:
     their boundaries.  Any other value than 3 means a basis is wrong, so
     it raises InternalConsistencyError.
     """
-    return _canonical_boundary(h_pnp, h_ppn, h_npp)[1]
-
-
-def _canonical_boundary(*parts: TradeSet) -> tuple[set[Trade], int]:
-    """graver_count's measurement: the canonical boundary members of the
-    three bases, and the Graver size they give."""
-    sizes = [len(p) for p in parts]
     if 0 in sizes:
         raise InvalidInputError("orthant Hilbert bases are never empty for a valid instance")
-    boundaries = [{*p.singles, *[v for run in p.runs for v in (run.start, run.end)]} for p in parts]
-    union = {canonical_rep(v) for v in chain.from_iterable(boundaries)}
+    union = set(map(canonical_rep, chain.from_iterable(boundaries)))
     overlap = sum(map(len, boundaries)) - len(union)
     if overlap != 3:
         raise InternalConsistencyError(
@@ -478,9 +517,9 @@ def _canonical_interior(segment: SegmentEndpoints) -> SegmentEndpoints | None:
     """The segment's members strictly between its ends, canonicalized, as
     an ascending run; None when there are none.
 
-    They share one sign pattern (graver_count), so canonicalizing keeps
-    them all or negates them all, and negation keeps the step and reverses
-    the run: start+h .. end-h, or -end+h .. -start-h.
+    They share one sign pattern (_canonical_boundary), so canonicalizing
+    keeps them all or negates them all, and negation keeps the step and
+    reverses the run: start+h .. end-h, or -end+h .. -start-h.
     """
     if segment.count < 3:
         return None
@@ -498,22 +537,23 @@ def assemble_graver(h_pnp: TradeSet, h_ppn: TradeSet, h_npp: TradeSet) -> TradeS
     h2 = a > 0, so each run ascends strictly.  The runs do not interleave.
     An NPP interior member v has coordinate sum -d and pairs to 0 with the
     generators, so v2 = (t - d*a - a*v1)/(a+b) < (t - d*a)/(a+b), because
-    v1 > 0 (graver_count).  A PPN interior member u has sum d, and its
+    v1 > 0 (_canonical_boundary).  A PPN interior member u has sum d, and its
     canonical rep -u has v2 = (t - d*a + a*u1)/(a+b) > (t - d*a)/(a+b),
     because u1 > 0.  sort_key compares v2 first, so the NPP run lies wholly
     below the PPN run, and their concatenation ascends.  The boundary
-    members (canonical reps of every single and run end, graver_count's
-    set) are few above the threshold, and all members when there is no
-    segment; they are the result's singles.
+    members (canonical reps of every single and run end,
+    _canonical_boundary's set) are few above the threshold, and all
+    members when there is no segment; they are the result's singles.
 
     Strict order is checked where pieces meet: the ends of both runs, in
     order, cover each run's direction and the seam; each single inside a
     run's span must lie strictly between two of its members.  Inside a run
     the order holds by construction, so the whole listing ascends
-    strictly.  Its size must be graver_count's, which measures the
+    strictly.  Its size must be _canonical_boundary's, which measures the
     overlap; any other size or order raises InternalConsistencyError.
     """
-    boundary, expected = _canonical_boundary(h_pnp, h_ppn, h_npp)
+    parts = (h_pnp, h_ppn, h_npp)
+    boundary, expected = _canonical_boundary([len(p) for p in parts], [*map(_boundary, parts)])
     interiors = map(_canonical_interior, (*h_npp.runs, *h_ppn.runs))
     runs = tuple(run for run in interiors if run is not None)
     merged = TradeSet(tuple(boundary), TradeSetMode.CANONICAL, runs)
@@ -527,8 +567,14 @@ def assemble_graver(h_pnp: TradeSet, h_ppn: TradeSet, h_npp: TradeSet) -> TradeS
 
 def graver_shift(inst: SemigroupInstance) -> TradeSet:
     """Graver basis of inst, canonical mode, assembled from the three
-    orthant Hilbert bases of hilbert_shift at every shift: listed whole at
-    or below the transport threshold and within the first period above
-    it, transported beyond.
+    orthant Hilbert bases that hilbert_shift gives, from one decomposition
+    of t and at most one read of the base's plans: listed whole at or below
+    the transport threshold and within the first period above it,
+    transported beyond.
     """
-    return assemble_graver(*(hilbert_shift(inst, orthant) for orthant in OrthantLabel))
+    base, k = base_decomposition(inst)
+    if not k:
+        parts = [TradeSet(_cf_hilbert(base, orthant), TradeSetMode.FULL) for orthant in OrthantLabel]
+    else:
+        parts = [_apply(plan, k, inst) for plan in _plans(base).values()]
+    return assemble_graver(*parts)

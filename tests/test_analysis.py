@@ -163,18 +163,33 @@ class TestCountsWithoutTrades:
         assert report.ok and len(report.rows) == 90
 
     def test_fast_row_reads_three_hilbert_shifts(self, fam231, monkeypatch, no_materialize):
-        # the count path is hilbert_shift per orthant, then graver_count
-        calls = []
-        real = analysis.hilbert_shift
+        # the count path decomposes t once and reads the base's plans once,
+        # then carries its three plans, one per orthant, without hilbert_shift
+        shift._plans.cache_clear()
+        decomposed, carried = [], []
+        real_decomposition, real_carry = shift.base_decomposition, shift._carry
 
-        def counted(inst, orthant):
-            calls.append(orthant)
-            return real(inst, orthant)
+        def decomposition(inst):
+            decomposed.append(inst.t)
+            return real_decomposition(inst)
 
-        monkeypatch.setattr(analysis, "hilbert_shift", counted)
+        def carry(plan, periods, target):
+            carried.append((plan.base.t, plan.orthant, periods))
+            return real_carry(plan, periods, target)
+
+        def refuse(inst, orthant):
+            raise AssertionError("the count path listed a basis")
+
+        monkeypatch.setattr(shift, "base_decomposition", decomposition)
+        monkeypatch.setattr(shift, "_carry", carry)
+        monkeypatch.setattr(shift, "hilbert_shift", refuse)
+        monkeypatch.setattr(analysis, "hilbert_shift", refuse)
         row = count_row(fam231.instance(79), "fast")
-        assert calls == [OrthantLabel.PNP, OrthantLabel.PPN, OrthantLabel.NPP]
+        assert decomposed == [79]
+        assert carried == [(19, orthant, 2) for orthant in OrthantLabel]
+        assert shift._plans.cache_info().misses == 1
         assert (row.graver, row.h_pnp, row.h_ppn, row.h_npp) == (46, 5, 11, 10)
+        shift._plans.cache_clear()
 
     def test_near_max_shift_follows_period_law(self, no_materialize):
         # (1,1,1) has about 10^9 canonical trades here
@@ -311,11 +326,11 @@ class TestDifferential:
             return tuple(v for v in basis if v != inner[0])
 
         monkeypatch.setattr(shift, "_cf_hilbert", one_pnp_member_dropped)
-        shift._cf_plan.cache_clear()
+        shift._plans.cache_clear()
         try:
             report = differential_test([ShiftedFamily(2, 3, 1)], 1)
         finally:
-            shift._cf_plan.cache_clear()
+            shift._plans.cache_clear()
         assert len(report.rows) == 30 and report.mismatches
         for row in report.rows:
             assert row.fast_count == row.oracle_count - (not row.equal)

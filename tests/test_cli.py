@@ -11,6 +11,7 @@ import pytest
 
 from gravershift import (
     OrthantLabel,
+    SegmentEndpoints,
     ShiftedFamily,
     TradeSet,
     analysis,
@@ -70,7 +71,7 @@ EXPORTS = {
     "shift": [
         "assemble_graver", "base_decomposition", "effective_base_bound",
         "graver_shift", "hilbert_shift", "negative_segment", "period_map", "period_map_inverse",
-        "positive_segment", "transport",
+        "positive_segment",
     ],
 }
 
@@ -308,20 +309,83 @@ class TestCountsNearMaxShift:
         assert "t + rho <= 1000000000" in err
 
     def test_missing_plane_trade_exit_2(self, capsys, monkeypatch):
-        real = analysis.hilbert_shift
+        # the base NPP basis at t = 19 without its v2-plane trade, which
+        # every check of the base's plans passes, so the count at
+        # t = 79 = 19 + 2*rho meets it only in the overlap
+        real = shift._cf_hilbert
 
         def without_v2_plane_trade(inst, orthant):
             basis = real(inst, orthant)
             if orthant is not OrthantLabel.NPP:
                 return basis
-            return TradeSet(tuple(v for v in basis.singles if v[2] != 0), basis.mode, basis.runs)
+            return tuple(v for v in basis if v[2] != 0)
 
-        monkeypatch.setattr(analysis, "hilbert_shift", without_v2_plane_trade)
-        code, out, err = run(
-            capsys, "count", "--family", "2,3,1", "--t-range", "79..79", "--method", "fast"
-        )
+        monkeypatch.setattr(shift, "_cf_hilbert", without_v2_plane_trade)
+        shift._plans.cache_clear()
+        try:
+            code, out, err = run(
+                capsys, "count", "--family", "2,3,1", "--t-range", "79..79", "--method", "fast"
+            )
+        finally:
+            shift._plans.cache_clear()
         assert (code, out) == (2, "")
         assert "measured 2" in err
+
+
+class TestCountPathChecks:
+    """Each check of a transported fast count fails on its own mutant: the
+    run exits 2, names what failed and prints no row.  t = 79 is k = 2
+    periods above its base shift 19 for (2,3,1)."""
+
+    @staticmethod
+    def _count_at_79(capsys):
+        shift._plans.cache_clear()
+        try:
+            return run(capsys, "count", "--family", "2,3,1", "--t-range", "79..79",
+                       "--method", "fast")
+        finally:
+            shift._plans.cache_clear()
+
+    def _with_base_basis(self, monkeypatch, orthant, change):
+        real = shift._cf_hilbert
+
+        def changed(inst, o):
+            basis = real(inst, o)
+            return change(basis) if o is orthant else basis
+
+        monkeypatch.setattr(shift, "_cf_hilbert", changed)
+
+    def test_segment_end(self, capsys, monkeypatch):
+        # the PPN segment solved one member short above the base
+        real = shift.positive_segment
+
+        def shortened_after_base(inst):
+            seg = real(inst)
+            if inst.t == 19:
+                return seg
+            return SegmentEndpoints(seg.start, seg[seg.count - 2], seg.step, seg.count - 1)
+
+        monkeypatch.setattr(shift, "positive_segment", shortened_after_base)
+        code, out, err = self._count_at_79(capsys)
+        assert (code, out) == (2, "")
+        assert "ppn segment at t=79 is (2, 24, -25)..(11, 9, -19)" in err
+
+    def test_size_law(self, capsys, monkeypatch):
+        # the base PPN basis lists its v0-plane trade twice: the plan counts
+        # 8 members but carries 7
+        self._with_base_basis(monkeypatch, OrthantLabel.PPN, lambda basis: (*basis, (0, 22, -19)))
+        code, out, err = self._count_at_79(capsys)
+        assert (code, out) == (2, "")
+        assert "ppn transport at t=19 over 2 periods: expected 12 elements, got 11" in err
+
+    def test_overlap(self, capsys, monkeypatch):
+        # the base PNP basis without its v0-plane trade, which PPN shares
+        self._with_base_basis(
+            monkeypatch, OrthantLabel.PNP, lambda basis: tuple(v for v in basis if v[0])
+        )
+        code, out, err = self._count_at_79(capsys)
+        assert (code, out) == (2, "")
+        assert "expected 3 shared boundary trades, measured 2" in err
 
 
 class TestInconsistentListingWritesNothing:
@@ -343,13 +407,14 @@ class TestInconsistentListingWritesNothing:
         assert not path.exists()
 
     def test_graver_json(self, capsys, monkeypatch):
-        real = shift.hilbert_shift
+        # graver_shift carries each orthant's basis from the base's plans
+        real = shift._apply
 
-        def with_inner_npp_single(inst, orthant):
-            basis = real(inst, orthant)
-            return _with_inner_single(basis) if orthant is OrthantLabel.NPP else basis
+        def with_inner_npp_single(plan, periods, target):
+            basis = real(plan, periods, target)
+            return _with_inner_single(basis) if plan.orthant is OrthantLabel.NPP else basis
 
-        monkeypatch.setattr(shift, "hilbert_shift", with_inner_npp_single)
+        monkeypatch.setattr(shift, "_apply", with_inner_npp_single)
         code, out, err = run(capsys, "graver", "--gens", "77,79,82", "--method", "shift",
                              "--format", "json")
         assert (code, out) == (2, "")

@@ -20,7 +20,7 @@ from gravershift import (
 )
 from gravershift.core import MAX_SHIFT, TradeSetMode, negate, sort_key
 from gravershift.oracle import enumerate_trades
-from gravershift.shift import _orthant_table, transport
+from gravershift.shift import _orthant_table, _plan
 
 
 class TestShiftedFamily:
@@ -217,7 +217,7 @@ class TestStrips:
 
     def test_wrong_orthant_rejected(self, inst19):
         with pytest.raises(InvalidInputError):
-            transport(inst19, OrthantLabel.PNP, [(2, 4, -5)], 1)
+            _plan(inst19, OrthantLabel.PNP, [(2, 4, -5)])
 
     def test_strip_orthants(self, inst19):
         # each strip bounds a coordinate that is non-negative in its orthant,

@@ -43,7 +43,6 @@ from gravershift import (
     period_map,
     period_map_inverse,
     positive_segment,
-    transport,
 )
 from gravershift import oracle, shift
 from gravershift.core import (
@@ -59,12 +58,15 @@ from gravershift.core import (
 )
 from gravershift.analysis import count_row
 from gravershift.shift import (
+    _apply,
+    _boundary,
+    _canonical_boundary,
     _canonical_interior,
     _cf_hilbert,
     _orthant_table,
     _plan,
     auto_oracle_bound,
-    graver_count,
+    count_shift,
 )
 
 
@@ -74,6 +76,18 @@ def _valid_shift_above(fam, t):
     while math.gcd(t, fam.d) != 1:
         t += 1
     return fam.instance(t)
+
+
+def _transport(base, orthant, basis, periods):
+    """The orthant's Hilbert basis `basis` at base.t carried `periods`
+    periods on: planned, then applied."""
+    return _apply(_plan(base, orthant, basis), periods, base.shifted(periods))
+
+
+def _graver_count(*parts):
+    """The canonical Graver size that the boundaries of three orthant bases
+    give, with the overlap of 3 measured."""
+    return _canonical_boundary([len(p) for p in parts], [_boundary(p) for p in parts])[1]
 
 
 def _full(trades):
@@ -88,11 +102,11 @@ def _strictly_increasing(trades):
 
 @pytest.fixture
 def fresh_plans():
-    """An empty plan cache on entry and on exit, so a plan built under a
-    monkeypatch neither comes from nor leaks into another test."""
-    shift._cf_plan.cache_clear()
+    """An empty plan cache on entry and on exit, so plans built under a
+    monkeypatch neither come from nor leak into another test."""
+    shift._plans.cache_clear()
     yield
-    shift._cf_plan.cache_clear()
+    shift._plans.cache_clear()
 
 
 def _within_oracle_scale(inst):
@@ -370,15 +384,15 @@ class TestAdvance:
 
     def test_pnp_two_steps_reach_t79(self, fam231, inst19):
         basis = _full(H19_PNP)
-        step1 = transport(inst19, OrthantLabel.PNP, basis, 1)
-        step2 = transport(fam231.instance(49), OrthantLabel.PNP, step1, 1)
+        step1 = _transport(inst19, OrthantLabel.PNP, basis, 1)
+        step2 = _transport(fam231.instance(49), OrthantLabel.PNP, step1, 1)
         assert step2.as_set() == H79_PNP
         assert len(step1) == len(step2) == 5
 
     def test_ppn_growth(self, fam231, inst19):
         basis = _full(H19_PPN)
-        step1 = transport(inst19, OrthantLabel.PPN, basis, 1)
-        step2 = transport(fam231.instance(49), OrthantLabel.PPN, step1, 1)
+        step1 = _transport(inst19, OrthantLabel.PPN, basis, 1)
+        step2 = _transport(fam231.instance(49), OrthantLabel.PPN, step1, 1)
         assert (len(basis), len(step1), len(step2)) == (7, 9, 11)
         assert (
             step2.as_set()
@@ -387,13 +401,13 @@ class TestAdvance:
 
     def test_single_point_segment_triples(self, fam231, inst19):
         # alpha = beta at t=19 seeds a 3-trade segment one period later
-        step1 = transport(inst19, OrthantLabel.PPN, _full(H19_PPN), 1)
+        step1 = _transport(inst19, OrthantLabel.PPN, _full(H19_PPN), 1)
         assert {(2, 14, -15), (5, 9, -13), (8, 4, -11)} <= step1.as_set()
 
     def test_npp_growth(self, fam231, inst19):
         basis = _full(H19_NPP)
-        step1 = transport(inst19, OrthantLabel.NPP, basis, 1)
-        step2 = transport(fam231.instance(49), OrthantLabel.NPP, step1, 1)
+        step1 = _transport(inst19, OrthantLabel.NPP, basis, 1)
+        step2 = _transport(fam231.instance(49), OrthantLabel.NPP, step1, 1)
         assert (len(basis), len(step1), len(step2)) == (4, 7, 10)
         assert (
             step2.as_set()
@@ -403,18 +417,18 @@ class TestAdvance:
     def test_below_threshold_rejected(self, fam231):
         inst6 = fam231.instance(6)
         with pytest.raises(InvalidInputError):
-            transport(inst6, OrthantLabel.PNP, _full(H19_PNP), 1)
+            _transport(inst6, OrthantLabel.PNP, _full(H19_PNP), 1)
 
     def test_nonpositive_periods_rejected(self, inst19):
         with pytest.raises(InvalidInputError):
-            transport(inst19, OrthantLabel.PNP, _full(H19_PNP), 0)
+            _transport(inst19, OrthantLabel.PNP, _full(H19_PNP), 0)
 
     def test_foreign_basis_detected(self, inst19):
         # a genuine trade, (2,4,-5) + (7,3,-8), outside both strips with
         # coordinate sum != d: the accounting must fail
         wrong = _full([(9, 7, -13)])
         with pytest.raises(InternalConsistencyError):
-            transport(inst19, OrthantLabel.PPN, wrong, 1)
+            _transport(inst19, OrthantLabel.PPN, wrong, 1)
 
     def test_non_trade_member_rejected(self, fam231):
         # (0, 5, -4) has coordinate sum d and lies in the first strip, so the
@@ -422,7 +436,7 @@ class TestAdvance:
         base = fam231.instance(7)
         basis = hilbert_oracle(base, OrthantLabel.PPN).as_set() | {(0, 5, -4)}
         with pytest.raises(InvalidInputError, match="not a trade"):
-            transport(base, OrthantLabel.PPN, _full(basis), 1)
+            _transport(base, OrthantLabel.PPN, _full(basis), 1)
 
     def test_segment_endpoint_mismatch_detected(self, inst19, monkeypatch):
         real = shift.positive_segment
@@ -435,7 +449,7 @@ class TestAdvance:
 
         monkeypatch.setattr(shift, "positive_segment", shortened_later)
         with pytest.raises(InternalConsistencyError):
-            transport(inst19, OrthantLabel.PPN, _full(H19_PPN), 1)
+            _transport(inst19, OrthantLabel.PPN, _full(H19_PPN), 1)
 
     def test_extremal_image_off_segment_detected(self, fam231, monkeypatch):
         # a solver that drops the first member at every shift would pass
@@ -452,7 +466,7 @@ class TestAdvance:
         basis = hilbert_oracle(base, OrthantLabel.PPN)
         monkeypatch.setattr(shift, "positive_segment", without_first)
         with pytest.raises(InternalConsistencyError, match="not an end of the segment"):
-            transport(base, OrthantLabel.PPN, basis, 1)
+            _transport(base, OrthantLabel.PPN, basis, 1)
         with pytest.raises(InternalConsistencyError, match="not an end of the segment"):
             _plan(base, OrthantLabel.PPN, basis)
 
@@ -462,14 +476,14 @@ class TestAdvance:
         twice_h = scale(2, fam231.homogeneous_trade)
         basis = (*hilbert_oracle(inst19, OrthantLabel.PNP).trades, twice_h)
         with pytest.raises(InternalConsistencyError, match=re.escape(f"{twice_h} lies outside")):
-            transport(inst19, OrthantLabel.PNP, basis, 1)
+            _transport(inst19, OrthantLabel.PNP, basis, 1)
 
     def test_size_law_detected(self, inst19):
         # an off-segment member listed twice rides its map once
         basis = hilbert_oracle(inst19, OrthantLabel.PPN).trades
         message = "ppn transport at t=19 over 1 periods: expected 10 elements, got 9"
         with pytest.raises(InternalConsistencyError, match=re.escape(message)):
-            transport(inst19, OrthantLabel.PPN, (*basis, (0, 22, -19)), 1)
+            _transport(inst19, OrthantLabel.PPN, (*basis, (0, 22, -19)), 1)
 
     @pytest.mark.parametrize("t", [13, 15, 17])
     def test_npp_threshold_is_existence_bound(self, t):
@@ -478,7 +492,7 @@ class TestAdvance:
         inst = fam.instance(t)
         basis = hilbert_oracle(inst, OrthantLabel.NPP)
         with pytest.raises(InvalidInputError):
-            transport(inst, OrthantLabel.NPP, basis, 1)
+            _transport(inst, OrthantLabel.NPP, basis, 1)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -510,7 +524,7 @@ class TestAdvance:
     def _check_one_period(base, orthant):
         """transport one period from the oracle's base against the continued
         fraction at the target, and against the oracle within its scale."""
-        got = transport(base, orthant, hilbert_oracle(base, orthant), 1).trades
+        got = _transport(base, orthant, hilbert_oracle(base, orthant), 1).trades
         target = base.shifted()
         assert got == _cf_hilbert(target, orthant)
         if _within_oracle_scale(target):
@@ -532,11 +546,11 @@ class TestAdvance:
         offset %= fam.rho
         for orthant in OrthantLabel:
             base = _valid_shift_above(fam, _orthant_table(fam)[orthant].threshold + offset)
-            got = transport(base, orthant, hilbert_oracle(base, orthant), periods)
+            got = _transport(base, orthant, hilbert_oracle(base, orthant), periods)
             assert got == _full(set(got.trades))
             assert _strictly_increasing(got)
         base = _valid_shift_above(fam, effective_base_bound(fam) + offset)
-        parts = [transport(base, o, hilbert_oracle(base, o), periods) for o in OrthantLabel]
+        parts = [_transport(base, o, hilbert_oracle(base, o), periods) for o in OrthantLabel]
         assert assemble_graver(*parts) == TradeSet.canonical(chain.from_iterable(parts))
 
 
@@ -627,9 +641,9 @@ class TestHilbertShift:
             base = fam.instance(t)
             for orthant in OrthantLabel:
                 basis = hilbert_oracle(base, orthant)
-                closed = transport(base, orthant, basis, 3)
+                closed = _transport(base, orthant, basis, 3)
                 for k in range(3):
-                    basis = transport(base.shifted(k), orthant, basis, 1)
+                    basis = _transport(base.shifted(k), orthant, basis, 1)
                 assert closed.trades == basis.trades, (a, b, d, t, orthant)
 
     @settings(max_examples=60, deadline=None)
@@ -651,23 +665,73 @@ class TestHilbertShift:
         ks = data.draw(st.lists(st.integers(1, 300), min_size=2, max_size=4, unique=True), label="ks")
         calls = [(o, k) for o in OrthantLabel for k in ks]
         calls = data.draw(st.permutations(calls), label="order")
-        shift._cf_plan.cache_clear()
+        shift._plans.cache_clear()
         got = {}
         for orthant, k in calls:
             got[orthant, k] = hilbert_shift(base.shifted(k), orthant)
-            assert got[orthant, k] == transport(base, orthant, _cf_hilbert(base, orthant), k)
-        assert shift._cf_plan.cache_info().misses == len(OrthantLabel)
-        shift._cf_plan.cache_clear()
+            assert got[orthant, k] == _transport(base, orthant, _cf_hilbert(base, orthant), k)
+        assert shift._plans.cache_info().misses == 1
+        shift._plans.cache_clear()
         for orthant, k in reversed(calls):
             assert hilbert_shift(base.shifted(k), orthant) == got[orthant, k]
 
     def test_one_plan_per_base_and_orthant(self, fam231, fresh_plans):
-        # 49, 79 and 169 all transport from the base shift 19
+        # 49, 79 and 169 all transport from the base shift 19, whose one
+        # cache entry holds a plan per orthant
         for t in (49, 79, 169):
             for orthant in OrthantLabel:
                 hilbert_shift(fam231.instance(t), orthant)
-        info = shift._cf_plan.cache_info()
-        assert (info.misses, info.hits) == (3, 6)
+        info = shift._plans.cache_info()
+        assert (info.misses, info.hits) == (1, 8)
+        assert list(shift._plans(fam231.instance(19))) == list(OrthantLabel)
+
+    def test_base_cases_are_not_cached(self, fam231, fresh_plans):
+        # k = 0 at and below b_max = 6 and within a period above it
+        for t in (5, 6, 19, 36):
+            inst = fam231.instance(t)
+            assert base_decomposition(inst)[1] == 0
+            graver_shift(inst)
+            count_shift(inst)
+            for orthant in OrthantLabel:
+                hilbert_shift(inst, orthant)
+        assert shift._plans.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("a,b,d", [(1, 200, 1), (3, 40, 2)])
+    def test_cached_plans_hold_no_segment_interior(self, a, b, d, fresh_plans):
+        # a plan keeps only its base segment's two ends and the strip
+        # members off the segment, all of them members of the base basis:
+        # at most one per value of a strip's bounded coordinate, whatever t
+        fam = ShiftedFamily(a, b, d)
+        inst = fam.instance(next(t for t in range(fam.b_max + fam.rho + 1, 10**9)
+                                 if math.gcd(t, d) == 1))
+        base, k = base_decomposition(inst)
+        assert k == 1
+        for orthant, plan in shift._plans(base).items():
+            basis = set(shift._cf_hilbert(base, orthant))
+            ends = {end for end, _ in plan.segment}
+            held = {v for v, _ in plan.moves} | ends
+            assert held <= basis
+            if ends:
+                assert all(v in ends or sum(v) != plan.row.extremal_sum for v in held)
+            assert len(plan.moves) <= sum(limit for _, limit, _ in plan.row.strips)
+        # there is an interior to leave out: 196 members for (1,200,1)
+        assert negative_segment(base).count > 10
+
+    def test_bad_base_basis_fails_every_orthant(self, fam231, monkeypatch, fresh_plans):
+        # the three plans of a base are built together, so a non-trade in
+        # the PNP base basis stops the PPN transport from that base too
+        real = shift._cf_hilbert
+
+        def with_extra(inst, o):
+            basis = real(inst, o)
+            return (*basis, (1, 0, 0)) if o is OrthantLabel.PNP else basis
+
+        monkeypatch.setattr(shift, "_cf_hilbert", with_extra)
+        with pytest.raises(InvalidInputError, match=r"\(1, 0, 0\) is not a trade at t=19"):
+            hilbert_shift(fam231.instance(79), OrthantLabel.PPN)
+        # a base case lists its one orthant and checks no plan
+        base = fam231.instance(19)
+        assert hilbert_shift(base, OrthantLabel.PPN) == _full(real(base, OrthantLabel.PPN))
 
     @pytest.mark.parametrize(
         "orthant,extra,error",
@@ -682,14 +746,19 @@ class TestHilbertShift:
     def test_cached_path_checks_the_basis(
         self, fam231, monkeypatch, fresh_plans, orthant, extra, error
     ):
-        # the plan runs transport's checks, so hilbert_shift raises what
-        # transport raises on the same basis
+        # the record's plan runs transport's checks, so hilbert_shift
+        # raises what transport raises on the same basis
         real = shift._cf_hilbert
-        monkeypatch.setattr(shift, "_cf_hilbert", lambda inst, o: (*real(inst, o), extra))
+
+        def with_extra(inst, o):
+            basis = real(inst, o)
+            return (*basis, extra) if o is orthant else basis
+
+        monkeypatch.setattr(shift, "_cf_hilbert", with_extra)
         inst = fam231.instance(79)
         base, k = base_decomposition(inst)
         with pytest.raises(InvalidInputError, match=error) as direct:
-            transport(base, orthant, shift._cf_hilbert(base, orthant), k)
+            _transport(base, orthant, shift._cf_hilbert(base, orthant), k)
         with pytest.raises(InvalidInputError) as cached:
             hilbert_shift(inst, orthant)
         assert (type(cached.value), str(cached.value)) == (type(direct.value), str(direct.value))
@@ -721,7 +790,7 @@ class TestAssemble:
             assemble_graver(_full([]), _full(H19_PPN), _full(H19_NPP))
 
     def test_written_out_size_mismatch_raises(self, inst79, monkeypatch):
-        # the merge must have graver_count's size: segments written out one
+        # the merge must have the size the boundaries give: segments written out one
         # member short pass the boundary check but not this one
         parts = [hilbert_shift(inst79, o) for o in OrthantLabel]
         def without_first(segment):
@@ -859,7 +928,7 @@ class TestAssembleFromRuns:
         # check
         pnp, ppn, npp = (hilbert_shift(inst79, o) for o in OrthantLabel)
         npp = _with_inner_single(npp)
-        assert graver_count(pnp, ppn, npp) == 24
+        assert _graver_count(pnp, ppn, npp) == 24
         with pytest.raises(InternalConsistencyError, match="strictly between"):
             assemble_graver(pnp, ppn, npp)
         with pytest.raises(InternalConsistencyError, match="strictly between"):
@@ -883,7 +952,8 @@ class TestCompact:
             compact = [hilbert_shift(inst, o) for o in OrthantLabel]
             assert [len(c) for c in compact] == [len(c.trades) for c in compact]
             assert all(_strictly_increasing(c) for c in compact)
-            assert graver_count(*compact) == len(assemble_graver(*compact))
+            assert _graver_count(*compact) == len(assemble_graver(*compact))
+            assert count_shift(inst) == (len(assemble_graver(*compact)), *map(len, compact))
 
     def test_plane_trade_at_segment_end(self, fam231):
         # b = 3 divides t = 81, so the PPN segment starts at the v0 = 0 plane
@@ -892,7 +962,7 @@ class TestCompact:
         parts = [hilbert_shift(inst, o) for o in OrthantLabel]
         assert parts[1].runs[0].start == (0, 28, -27)
         assert (0, -28, 27) in parts[0].singles
-        assert graver_count(*parts) == len(assemble_graver(*parts))
+        assert _graver_count(*parts) == len(assemble_graver(*parts)) == count_shift(inst)[0]
 
     def test_missing_plane_trade_raises(self, inst79):
         # the count-path twin of TestAssemble's: the boundary check sees it
@@ -900,12 +970,12 @@ class TestCompact:
         assert (-79, 77, 0) in npp.singles
         npp = TradeSet(tuple(v for v in npp.singles if v != (-79, 77, 0)), npp.mode, npp.runs)
         with pytest.raises(InternalConsistencyError, match="measured 2"):
-            graver_count(pnp, ppn, npp)
+            _graver_count(pnp, ppn, npp)
 
     def test_empty_input_rejected(self, inst79):
         pnp, ppn, _ = (hilbert_shift(inst79, o) for o in OrthantLabel)
         with pytest.raises(InvalidInputError):
-            graver_count(pnp, ppn, TradeSet((), TradeSetMode.FULL))
+            _graver_count(pnp, ppn, TradeSet((), TradeSetMode.FULL))
 
     def test_orthant_table_built_once_read_only(self, fam231):
         table = _orthant_table(fam231)
@@ -974,6 +1044,46 @@ class TestSegmentIsTheLongestStepStretch:
             (5, 0, -3),
             SegmentEndpoints((1, 3, -3), (2, 1, -2), (1, -2, 1), 2),
         )
+
+
+class TestCountShift:
+    """count_shift, the count path, against the listings it stands for."""
+
+    def test_equals_listing_lengths_on_seeded_rows(self):
+        # seeded coprime a, b <= 12 and d <= 6; t within three periods of
+        # b_max (base cases, k = 0 and small k) or anywhere up to MAX_SHIFT
+        rng = random.Random(32)
+        families = [
+            ShiftedFamily(a, b, d)
+            for a in range(1, 13) for b in range(1, 13) for d in range(1, 7)
+            if math.gcd(a, b) == 1
+        ]
+        ks = set()
+        rows = 0
+        while rows < 10_000:
+            fam = rng.choice(families)
+            if rng.random() < 0.5:
+                t = rng.randint(fam.d * fam.a + 1, fam.b_max + 3 * fam.rho)
+            else:
+                t = rng.randint(fam.d * fam.a + 1, MAX_SHIFT)
+            if math.gcd(t, fam.d) != 1:
+                continue
+            inst = fam.instance(t)
+            parts = [hilbert_shift(inst, o) for o in OrthantLabel]
+            graver = len(graver_shift(inst))
+            assert count_shift(inst) == (graver, *map(len, parts)), (fam, t)
+            assert _graver_count(*parts) == graver, (fam, t)
+            ks.add(min(base_decomposition(inst)[1], 2))
+            rows += 1
+        assert ks == {0, 1, 2}
+
+    def test_reads_the_plans_once_per_base(self, fam231, fresh_plans):
+        # t = 49 and 79 carry the base 19's plans; t = 19 lists its bases
+        # afresh and reads no plan
+        for t in (19, 49, 79):
+            count_shift(fam231.instance(t))
+        info = shift._plans.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestGraverShift:
