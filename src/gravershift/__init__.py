@@ -21,7 +21,7 @@ _EXPORTS = {
     "core": (
         "InternalConsistencyError InvalidInputError NoLengthTradeError OrthantLabel "
         "OutsideScopeError SegmentEndpoints SemigroupInstance ShiftedFamily Trade TradeSet "
-        "canonical_rep from_generators in_orthant length"
+        "canonical_rep from_generators length"
     ),
     "oracle": "enumerate_trades factorizations graver_oracle hilbert_oracle",
     "shift": (

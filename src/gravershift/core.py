@@ -222,11 +222,6 @@ _NONNEG = {
 }
 
 
-def in_orthant(v: Trade, label: OrthantLabel) -> bool:
-    i, j = label.nonneg_coords
-    return v[i] >= 0 and v[j] >= 0
-
-
 class TradeSetMode(enum.Enum):
     FULL = "full"
     CANONICAL = "canonical"
@@ -401,9 +396,6 @@ class TradeSet:
         return TradeSet(
             (*map(negate, self.singles), *self.singles), TradeSetMode.FULL, (*negated, *self.runs)
         )
-
-    def as_set(self) -> frozenset[Trade]:
-        return frozenset(self)
 
     def __len__(self) -> int:
         n = len(self.singles)

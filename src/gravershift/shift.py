@@ -21,18 +21,20 @@ per period recorded), and a carry, which is arithmetic (v + k*delta per
 member, the target segment solved on its own, then the endpoint and size
 checks).  The base case is each orthant's Hirzebruch-Jung continued
 fraction at a shift at most one period above the transport threshold, so
-the route never enumerates a lattice.  An LRU cache of 341 base shifts
-holds each one's three plans, built together and only for a transport
-(k > 0); a base case itself (k = 0) is listed afresh, uncached.
-hilbert_shift, graver_shift and count_shift each decompose t once and
-read the plans at most once.  Every basis they list, orthant or Graver,
-at any shift, is a TradeSet of a few single trades and the segments'
-runs: counting reads those fields, only a listing orders them, and no
-segment member is written out here.  count_shift builds no basis at all:
-it reads the sizes and boundaries that each carry returns, with every
-check the listing makes.  Nothing here calls the brute-force oracle,
-which stays an independent check; only its scale limit is read, for the
-`auto` method's rule.
+the route never enumerates a lattice.
+
+One function, _bases, turns a shift into orthant bases: it decomposes t
+once and gives, for each orthant asked for, the basis as its single
+trades, its runs (the segment, or none) and its size.  At k = 0 that is
+the continued fraction's walk, in the walk's order and uncached, for the
+orthants asked for only; at k > 0 it is each orthant's plan carried k
+periods, from an LRU cache of 341 base shifts that holds each one's three
+plans, built together.  hilbert_shift, graver_shift and count_shift are
+each a line or two over it.  Counting reads only the sizes and the
+boundaries (singles and run ends); only a listing orders the members,
+and no segment member is written out here.  Nothing here calls the
+brute-force oracle, which stays an independent check; only its scale
+limit is read, for the `auto` method's rule.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from .core import (
     canonical_rep,
     length,
     scale,
-    sort_key,
     sub,
 )
 from .oracle import MAX_BOX
@@ -224,6 +225,13 @@ def _orthant_table(fam: ShiftedFamily) -> MappingProxyType[OrthantLabel, _Orthan
     })
 
 
+def _segment(inst: SemigroupInstance, row: _Orthant) -> SegmentEndpoints | None:
+    """The orthant's segment at inst, or None for PNP, which has none."""
+    # looked up by module-global name, so a traced run can rebind them
+    solve = positive_segment if row.extremal_sum > 0 else negative_segment
+    return solve(inst) if row.extremal_sum else None
+
+
 class _Plan(NamedTuple):
     """A base basis checked and classified for transport, for any number
     of periods.
@@ -273,11 +281,8 @@ def _plan(base: SemigroupInstance, orthant: OrthantLabel, basis: Collection[Trad
         raise InvalidInputError(
             f"{orthant.value} transport needs t > {row.threshold}, got t={base.t}"
         )
-    ends: tuple[Trade, ...] = ()
-    if row.extremal_sum:
-        # looked up by module-global name, so a traced run can rebind them
-        before = (positive_segment if row.extremal_sum > 0 else negative_segment)(base)
-        ends = (before.start, before.end)
+    before = _segment(base, row)
+    ends = (before.start, before.end) if before else ()
     n0, n1, n2 = base.generators
     i, j = orthant.nonneg_coords
     on_line = row.extremal_sum if ends else None  # the segment's coordinate sum
@@ -285,7 +290,7 @@ def _plan(base: SemigroupInstance, orthant: OrthantLabel, basis: Collection[Trad
     moves: dict[tuple[Trade, Trade], None] = {}
     for v in basis:
         v0, v1, v2 = v
-        if v[i] < 0 or v[j] < 0:  # in_orthant, inlined
+        if v[i] < 0 or v[j] < 0:
             raise InvalidInputError(f"{v} is not in the {orthant.value} orthant")
         if n0 * v0 + n1 * v1 + n2 * v2:
             raise InvalidInputError(f"{v} is not a trade at t={base.t}")
@@ -314,20 +319,24 @@ def _plan(base: SemigroupInstance, orthant: OrthantLabel, basis: Collection[Trad
     return _Plan(base, orthant, row, len(basis), tuple(moves), segment)
 
 
-def _carry(
-    plan: _Plan, periods: int, target: SemigroupInstance
-) -> tuple[set[Trade], SegmentEndpoints | None, int]:
+# an orthant basis as _bases gives it: its single trades in any order (a
+# tuple, or the set a carry builds), its runs (the segment, or none) and its
+# size
+_Basis = tuple[Collection[Trade], tuple[SegmentEndpoints, ...], int]
+
+
+def _carry(plan: _Plan, periods: int, target: SemigroupInstance) -> _Basis:
     """The planned basis `periods` periods on, at `target`, checked: the
     images off the segment by arithmetic, the target segment solved on its
     own and its ends checked against the images of the base ends, and the
     size law, periods*growth members more than the base basis.  Returns
-    the images, the segment (None for PNP) and the size."""
+    the set of images as the singles, the segment as the runs (none for
+    PNP) and the size."""
     if periods < 1:
         raise InvalidInputError(f"transport needs periods >= 1, got {periods}")
     orthant, row = plan.orthant, plan.row
-    run = None
-    if plan.segment:
-        run = (positive_segment if row.extremal_sum > 0 else negative_segment)(target)
+    run = _segment(target, row)
+    if run is not None:
         expected = [
             (v0 + periods * d0, v1 + periods * d1, v2 + periods * d2)
             for (v0, v1, v2), (d0, d1, d2) in plan.segment
@@ -342,20 +351,13 @@ def _carry(
         (v0 + periods * d0, v1 + periods * d1, v2 + periods * d2)
         for (v0, v1, v2), (d0, d1, d2) in plan.moves
     }
-    size = len(images) + (run.count if run else 0)
+    size = len(images) + (0 if run is None else run.count)
     if size != plan.size + periods * row.growth:
         raise InternalConsistencyError(
             f"{orthant.value} transport at t={plan.base.t} over {periods} periods: expected "
             f"{plan.size + periods * row.growth} elements, got {size}"
         )
-    return images, run, size
-
-
-def _apply(plan: _Plan, periods: int, target: SemigroupInstance) -> TradeSet:
-    """_carry's basis as a TradeSet: the images are its singles and the
-    segment its run."""
-    images, run, _ = _carry(plan, periods, target)
-    return TradeSet(tuple(images), TradeSetMode.FULL, (run,) if run else ())
+    return images, () if run is None else (run,), size
 
 
 def effective_base_bound(fam: ShiftedFamily) -> int:
@@ -384,7 +386,8 @@ def base_decomposition(inst: SemigroupInstance) -> tuple[SemigroupInstance, int]
 
 def _cf_hilbert(inst: SemigroupInstance, orthant: OrthantLabel) -> tuple[Trade, ...]:
     """Hilbert basis of one orthant by its Hirzebruch-Jung continued
-    fraction, as full vectors in sort_key order, with no lattice enumerated.
+    fraction, as full vectors in the walk's order (a listing orders them),
+    with no lattice enumerated.
 
     Let (i, j) be the orthant's non-negative coordinates, k the third,
     g = gcd(n_i, n_k) and m = n_k/g.  A trade v has n_j*v_j = 0 (mod g), and
@@ -414,7 +417,7 @@ def _cf_hilbert(inst: SemigroupInstance, orthant: OrthantLabel) -> tuple[Trade, 
         v = [0, 0, 0]
         v[i], v[j], v[k] = x, g * y, -(n[i] * x + n[j] * g * y) // n[k]
         out.append((v[0], v[1], v[2]))
-    return tuple(sorted(out, key=sort_key))
+    return tuple(out)
 
 
 # each base shift's three plans, kept while a scan revisits the base (verify
@@ -430,59 +433,52 @@ def _plans(base: SemigroupInstance) -> dict[OrthantLabel, _Plan]:
     return {orthant: _plan(base, orthant, _cf_hilbert(base, orthant)) for orthant in OrthantLabel}
 
 
-def hilbert_shift(inst: SemigroupInstance, orthant: OrthantLabel) -> TradeSet:
-    """Hilbert basis of one orthant, FULL mode: the continued fraction at
-    the base shift, carried k periods when k > 0 by the base's cached
-    plan, so a few singles and at most one run.  O(1) in t to build and
-    to count; ordered only when listed.  The base's three plans are built
-    together, so a base basis that fails its plan's checks in any orthant
-    fails every orthant's transport from that base."""
+def _bases(
+    inst: SemigroupInstance, orthants: Sequence[OrthantLabel] = tuple(OrthantLabel)
+) -> list[_Basis]:
+    """The Hilbert basis of each orthant in `orthants` at inst, as
+    (singles, runs, size), from one decomposition of t: at k = 0 the
+    continued fraction of just those orthants, walked afresh; at k > 0 the
+    base's cached plans, read once, each carried k periods by _carry with
+    every check (the target segment against the carried base ends, the
+    size law).  The base's three plans are built together, so a base basis
+    that fails its plan's checks in any orthant fails every orthant's
+    transport from that base."""
     base, k = base_decomposition(inst)
     if not k:
-        return TradeSet(_cf_hilbert(base, orthant), TradeSetMode.FULL)
-    return _apply(_plans(base)[orthant], k, inst)
+        walks = [_cf_hilbert(base, orthant) for orthant in orthants]
+        return [(walk, (), len(walk)) for walk in walks]
+    plans = _plans(base)
+    return [_carry(plans[orthant], k, inst) for orthant in orthants]
+
+
+def hilbert_shift(inst: SemigroupInstance, orthant: OrthantLabel) -> TradeSet:
+    """Hilbert basis of one orthant, FULL mode, from _bases: at k = 0 the
+    continued fraction's walk as singles, beyond it a few singles and at
+    most one run, so O(1) in t to build and to count; ordered only when
+    listed."""
+    [(singles, runs, _)] = _bases(inst, (orthant,))
+    return TradeSet(tuple(singles), TradeSetMode.FULL, runs)
 
 
 def count_shift(inst: SemigroupInstance) -> tuple[int, int, int, int]:
     """The canonical Graver count and the PNP, PPN and NPP Hilbert counts
-    at inst: len(graver_shift(inst)) and len(hilbert_shift(inst, o)), with
-    no basis built or ordered.  t is decomposed once; when k > 0 the base's
-    cached plans are read once and each carried k periods by _carry, with
-    every check of a listing (the target segment against the carried base
-    ends, the size law), and the overlap of 3 is measured on the
-    boundaries, as assemble_graver measures it."""
-    base, k = base_decomposition(inst)
-    if not k:
-        bases = [_cf_hilbert(base, orthant) for orthant in OrthantLabel]
-        sizes, boundaries = [*map(len, bases)], [*map(set, bases)]
-    else:
-        sizes, boundaries = [], []
-        for plan in _plans(base).values():
-            images, run, size = _carry(plan, k, inst)
-            if run:
-                images.update((run.start, run.end))
-            sizes.append(size)
-            boundaries.append(images)
-    return (_canonical_boundary(sizes, boundaries)[1], *sizes)
+    at inst: len(graver_shift(inst)) and len(hilbert_shift(inst, o)), read
+    off _bases with no basis built or ordered; the overlap of 3 is
+    measured on the boundaries, as assemble_graver measures it."""
+    bases = _bases(inst)
+    return (_canonical_boundary(bases)[1], *[size for _, _, size in bases])
 
 
-def _boundary(basis: TradeSet) -> set[Trade]:
-    """A basis's singles and its runs' ends."""
-    return {*basis.singles, *[v for run in basis.runs for v in (run.start, run.end)]}
+def _canonical_boundary(bases: Sequence[_Basis]) -> tuple[set[Trade], int]:
+    """The canonical boundary members of three orthant Hilbert bases,
+    given as (singles, runs, size), and the size of the canonical Graver
+    basis they give, read without ordering them.
 
-
-def _canonical_boundary(
-    sizes: Sequence[int], boundaries: Sequence[set[Trade]]
-) -> tuple[set[Trade], int]:
-    """The canonical boundary members of three orthant Hilbert bases, of
-    either route, given by their sizes and boundaries (_boundary), and the
-    size of the canonical Graver basis they give, read without ordering
-    them.
-
-    The size is sum(sizes) - 3, and the overlap of 3 is measured, not
-    assumed, on the boundary members only: each basis's singles and its
-    runs' two ends, canonicalized.  A basis's runs are its segment, of
-    extremal coordinate sum, or none.
+    The size is the sum of the sizes less 3, and the overlap of 3 is
+    measured, not assumed, on the boundary members only: each basis's
+    singles and its runs' two ends, canonicalized.  A basis's runs are its
+    segment, of extremal coordinate sum, or none.
 
     The bases share exactly three trades, one per coordinate plane.  A
     trade with no zero coordinate has exactly two coordinates of one sign,
@@ -502,8 +498,12 @@ def _canonical_boundary(
     their boundaries.  Any other value than 3 means a basis is wrong, so
     it raises InternalConsistencyError.
     """
+    sizes = [size for _, _, size in bases]
     if 0 in sizes:
         raise InvalidInputError("orthant Hilbert bases are never empty for a valid instance")
+    boundaries = [
+        {*singles, *[v for run in runs for v in (run.start, run.end)]} for singles, runs, _ in bases
+    ]
     union = set(map(canonical_rep, chain.from_iterable(boundaries)))
     overlap = sum(map(len, boundaries)) - len(union)
     if overlap != 3:
@@ -553,7 +553,7 @@ def assemble_graver(h_pnp: TradeSet, h_ppn: TradeSet, h_npp: TradeSet) -> TradeS
     overlap; any other size or order raises InternalConsistencyError.
     """
     parts = (h_pnp, h_ppn, h_npp)
-    boundary, expected = _canonical_boundary([len(p) for p in parts], [*map(_boundary, parts)])
+    boundary, expected = _canonical_boundary([(p.singles, p.runs, len(p)) for p in parts])
     interiors = map(_canonical_interior, (*h_npp.runs, *h_ppn.runs))
     runs = tuple(run for run in interiors if run is not None)
     merged = TradeSet(tuple(boundary), TradeSetMode.CANONICAL, runs)
@@ -567,14 +567,9 @@ def assemble_graver(h_pnp: TradeSet, h_ppn: TradeSet, h_npp: TradeSet) -> TradeS
 
 def graver_shift(inst: SemigroupInstance) -> TradeSet:
     """Graver basis of inst, canonical mode, assembled from the three
-    orthant Hilbert bases that hilbert_shift gives, from one decomposition
-    of t and at most one read of the base's plans: listed whole at or below
-    the transport threshold and within the first period above it,
-    transported beyond.
+    orthant Hilbert bases that _bases gives: listed whole at or below the
+    transport threshold and within the first period above it, transported
+    beyond.
     """
-    base, k = base_decomposition(inst)
-    if not k:
-        parts = [TradeSet(_cf_hilbert(base, orthant), TradeSetMode.FULL) for orthant in OrthantLabel]
-    else:
-        parts = [_apply(plan, k, inst) for plan in _plans(base).values()]
+    parts = [TradeSet(tuple(singles), TradeSetMode.FULL, runs) for singles, runs, _ in _bases(inst)]
     return assemble_graver(*parts)

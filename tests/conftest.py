@@ -85,6 +85,13 @@ H94159_PNP = {
 DIFF_FAMILIES = [(1, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 2), (2, 5, 3), (1, 3, 2)]
 
 
+def in_orthant(v, label):
+    """Whether v lies in the closed orthant: its two coordinates that
+    share a sign in `label` are non-negative."""
+    i, j = label.nonneg_coords
+    return v[i] >= 0 and v[j] >= 0
+
+
 @pytest.fixture(scope="session")
 def fam231():
     return ShiftedFamily(2, 3, 1)

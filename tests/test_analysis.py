@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import DIFF_FAMILIES
+from conftest import DIFF_FAMILIES, in_orthant
 from gravershift import (
     InvalidInputError,
     OrthantLabel,
@@ -23,7 +23,6 @@ from gravershift import (
     from_generators,
     graver_shift,
     hilbert_oracle,
-    in_orthant,
     length,
     verify_period_law,
 )

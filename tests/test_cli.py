@@ -65,7 +65,7 @@ EXPORTS = {
     "core": [
         "InternalConsistencyError", "InvalidInputError", "NoLengthTradeError", "OrthantLabel",
         "OutsideScopeError", "SegmentEndpoints", "SemigroupInstance", "ShiftedFamily", "Trade",
-        "TradeSet", "canonical_rep", "from_generators", "in_orthant", "length",
+        "TradeSet", "canonical_rep", "from_generators", "length",
     ],
     "oracle": ["enumerate_trades", "factorizations", "graver_oracle", "hilbert_oracle"],
     "shift": [
@@ -408,13 +408,13 @@ class TestInconsistentListingWritesNothing:
 
     def test_graver_json(self, capsys, monkeypatch):
         # graver_shift carries each orthant's basis from the base's plans
-        real = shift._apply
+        # and hands the three to assemble_graver, whose NPP input is spoiled
+        real = shift.assemble_graver
 
-        def with_inner_npp_single(plan, periods, target):
-            basis = real(plan, periods, target)
-            return _with_inner_single(basis) if plan.orthant is OrthantLabel.NPP else basis
+        def with_inner_npp_single(h_pnp, h_ppn, h_npp):
+            return real(h_pnp, h_ppn, _with_inner_single(h_npp))
 
-        monkeypatch.setattr(shift, "_apply", with_inner_npp_single)
+        monkeypatch.setattr(shift, "assemble_graver", with_inner_npp_single)
         code, out, err = run(capsys, "graver", "--gens", "77,79,82", "--method", "shift",
                              "--format", "json")
         assert (code, out) == (2, "")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import in_orthant
 from gravershift import (
     InternalConsistencyError,
     InvalidInputError,
@@ -15,7 +16,6 @@ from gravershift import (
     TradeSet,
     canonical_rep,
     from_generators,
-    in_orthant,
     length,
 )
 from gravershift.core import MAX_SHIFT, TradeSetMode, negate, sort_key

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_M19, GOLDEN_M79, H19_NPP, H19_PNP, H19_PPN
+from conftest import GOLDEN_M19, GOLDEN_M79, H19_NPP, H19_PNP, H19_PPN, in_orthant
 from gravershift import (
     InvalidInputError,
     OrthantLabel,
@@ -18,7 +18,6 @@ from gravershift import (
     from_generators,
     graver_oracle,
     hilbert_oracle,
-    in_orthant,
     length,
 )
 from gravershift import oracle
@@ -136,12 +135,12 @@ class TestGraverOracle:
         assert (0, -3, 2) in full
 
     def test_negation_closure(self, inst19):
-        full = graver_oracle(inst19).with_negations().as_set()
+        full = frozenset(graver_oracle(inst19).with_negations())
         assert full == {negate(v) for v in full}
 
     def test_members_are_minimal_trades(self, inst19):
         basis = graver_oracle(inst19).with_negations()
-        pool = enumerate_trades(inst19, 2 * inst19.generators[2]).as_set()
+        pool = frozenset(enumerate_trades(inst19, 2 * inst19.generators[2]))
         for v in basis:
             assert inst19.evaluate(v) == 0
             reducers = [u for u in pool if u not in ((0, 0, 0), v) and is_conformal(u, v)]
@@ -156,11 +155,11 @@ class TestRadius:
         inst = ShiftedFamily(a, b, d).instance(t)
         n3 = inst.generators[2]
         pool = enumerate_trades(inst, 2 * n3).trades
-        graver = graver_oracle(inst).with_negations().as_set()
+        graver = frozenset(graver_oracle(inst).with_negations())
         assert _minima_by_scan(pool) == graver
         for orthant in OrthantLabel:
             inside = [v for v in pool if in_orthant(v, orthant)]
-            assert _minima_by_scan(inside) == hilbert_oracle(inst, orthant).as_set()
+            assert _minima_by_scan(inside) == frozenset(hilbert_oracle(inst, orthant))
         assert max(abs(x) for v in graver for x in v) <= n3
 
 
@@ -176,10 +175,10 @@ class TestStaircase:
         assume(math.gcd(t, d) == 1)
         inst = ShiftedFamily(a, b, d).instance(t)
         pool = enumerate_trades(inst, inst.generators[2]).trades
-        assert graver_oracle(inst).with_negations().as_set() == _minima_by_scan(pool)
+        assert frozenset(graver_oracle(inst).with_negations()) == _minima_by_scan(pool)
         for orthant in OrthantLabel:
             inside = [v for v in pool if in_orthant(v, orthant)]
-            assert hilbert_oracle(inst, orthant).as_set() == _minima_by_scan(inside)
+            assert frozenset(hilbert_oracle(inst, orthant)) == _minima_by_scan(inside)
 
 
 def _box_staircase(pool, orthant):
@@ -200,9 +199,9 @@ def _assert_box_minima(inst):
     union = set()
     for orthant in OrthantLabel:
         staircase = _box_staircase(pool, orthant)
-        assert hilbert_oracle(inst, orthant).as_set() == staircase, (inst.generators, orthant)
+        assert frozenset(hilbert_oracle(inst, orthant)) == staircase, (inst.generators, orthant)
         union |= staircase | {negate(v) for v in staircase}
-    assert graver_oracle(inst).with_negations().as_set() == union, inst.generators
+    assert frozenset(graver_oracle(inst).with_negations()) == union, inst.generators
 
 
 class TestSweepAgainstBox:
@@ -263,7 +262,7 @@ class TestHilbertOracle:
         ],
     )
     def test_m19_tables(self, inst19, orthant, expected):
-        assert hilbert_oracle(inst19, orthant).as_set() == expected
+        assert frozenset(hilbert_oracle(inst19, orthant)) == expected
 
     def test_positive_orientation(self, inst19):
         for orthant in OrthantLabel:
@@ -276,9 +275,9 @@ class TestHilbertOracle:
         union = set()
         for orthant in OrthantLabel:
             basis = hilbert_oracle(inst, orthant)
-            union |= basis.as_set()
+            union |= frozenset(basis)
             union |= {negate(v) for v in basis}
-        assert union == graver_oracle(inst).with_negations().as_set()
+        assert union == frozenset(graver_oracle(inst).with_negations())
 
     def test_generation_by_greedy_subtraction(self, inst19):
         # every orthant lattice point in the base box is a sum of basis elements

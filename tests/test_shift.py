@@ -19,6 +19,7 @@ from conftest import (
     H94159_PNP,
     SEGMENT79_NPP,
     SEGMENT79_PPN,
+    in_orthant,
 )
 from gravershift import (
     InternalConsistencyError,
@@ -37,7 +38,6 @@ from gravershift import (
     graver_shift,
     hilbert_oracle,
     hilbert_shift,
-    in_orthant,
     length,
     negative_segment,
     period_map,
@@ -58,10 +58,9 @@ from gravershift.core import (
 )
 from gravershift.analysis import count_row
 from gravershift.shift import (
-    _apply,
-    _boundary,
     _canonical_boundary,
     _canonical_interior,
+    _carry,
     _cf_hilbert,
     _orthant_table,
     _plan,
@@ -80,14 +79,20 @@ def _valid_shift_above(fam, t):
 
 def _transport(base, orthant, basis, periods):
     """The orthant's Hilbert basis `basis` at base.t carried `periods`
-    periods on: planned, then applied."""
-    return _apply(_plan(base, orthant, basis), periods, base.shifted(periods))
+    periods on: planned, then carried, as a FULL TradeSet."""
+    singles, runs, _ = _carry(_plan(base, orthant, basis), periods, base.shifted(periods))
+    return TradeSet(tuple(singles), TradeSetMode.FULL, runs)
 
 
 def _graver_count(*parts):
     """The canonical Graver size that the boundaries of three orthant bases
     give, with the overlap of 3 measured."""
-    return _canonical_boundary([len(p) for p in parts], [_boundary(p) for p in parts])[1]
+    return _canonical_boundary([(p.singles, p.runs, len(p)) for p in parts])[1]
+
+
+def _cf_listing(inst, orthant):
+    """The continued fraction's basis as a listing, in sort_key order."""
+    return TradeSet(_cf_hilbert(inst, orthant), TradeSetMode.FULL).trades
 
 
 def _full(trades):
@@ -127,7 +132,7 @@ class TestContinuedFractionReference:
             if math.gcd(t, d) == 1:
                 inst = fam.instance(t)
                 for orthant in OrthantLabel:
-                    assert _cf_hilbert(inst, orthant) == hilbert_oracle(inst, orthant).trades
+                    assert _cf_listing(inst, orthant) == hilbert_oracle(inst, orthant).trades
 
 
 class TestPeriodMultiplier:
@@ -386,7 +391,7 @@ class TestAdvance:
         basis = _full(H19_PNP)
         step1 = _transport(inst19, OrthantLabel.PNP, basis, 1)
         step2 = _transport(fam231.instance(49), OrthantLabel.PNP, step1, 1)
-        assert step2.as_set() == H79_PNP
+        assert frozenset(step2) == H79_PNP
         assert len(step1) == len(step2) == 5
 
     def test_ppn_growth(self, fam231, inst19):
@@ -395,14 +400,14 @@ class TestAdvance:
         step2 = _transport(fam231.instance(49), OrthantLabel.PPN, step1, 1)
         assert (len(basis), len(step1), len(step2)) == (7, 9, 11)
         assert (
-            step2.as_set()
-            == hilbert_oracle(fam231.instance(79), OrthantLabel.PPN).as_set()
+            frozenset(step2)
+            == frozenset(hilbert_oracle(fam231.instance(79), OrthantLabel.PPN))
         )
 
     def test_single_point_segment_triples(self, fam231, inst19):
         # alpha = beta at t=19 seeds a 3-trade segment one period later
         step1 = _transport(inst19, OrthantLabel.PPN, _full(H19_PPN), 1)
-        assert {(2, 14, -15), (5, 9, -13), (8, 4, -11)} <= step1.as_set()
+        assert {(2, 14, -15), (5, 9, -13), (8, 4, -11)} <= frozenset(step1)
 
     def test_npp_growth(self, fam231, inst19):
         basis = _full(H19_NPP)
@@ -410,8 +415,8 @@ class TestAdvance:
         step2 = _transport(fam231.instance(49), OrthantLabel.NPP, step1, 1)
         assert (len(basis), len(step1), len(step2)) == (4, 7, 10)
         assert (
-            step2.as_set()
-            == hilbert_oracle(fam231.instance(79), OrthantLabel.NPP).as_set()
+            frozenset(step2)
+            == frozenset(hilbert_oracle(fam231.instance(79), OrthantLabel.NPP))
         )
 
     def test_below_threshold_rejected(self, fam231):
@@ -434,7 +439,7 @@ class TestAdvance:
         # (0, 5, -4) has coordinate sum d and lies in the first strip, so the
         # cardinality check alone would balance
         base = fam231.instance(7)
-        basis = hilbert_oracle(base, OrthantLabel.PPN).as_set() | {(0, 5, -4)}
+        basis = frozenset(hilbert_oracle(base, OrthantLabel.PPN)) | {(0, 5, -4)}
         with pytest.raises(InvalidInputError, match="not a trade"):
             _transport(base, OrthantLabel.PPN, _full(basis), 1)
 
@@ -526,7 +531,7 @@ class TestAdvance:
         fraction at the target, and against the oracle within its scale."""
         got = _transport(base, orthant, hilbert_oracle(base, orthant), 1).trades
         target = base.shifted()
-        assert got == _cf_hilbert(target, orthant)
+        assert got == _cf_listing(target, orthant)
         if _within_oracle_scale(target):
             assert got == hilbert_oracle(target, orthant).trades
 
@@ -628,7 +633,7 @@ class TestBaseDecomposition:
 class TestHilbertShift:
     def test_large_pnp(self, fam231):
         got = hilbert_shift(fam231.instance(94159), OrthantLabel.PNP)
-        assert got.as_set() == H94159_PNP
+        assert frozenset(got) == H94159_PNP
 
     @pytest.mark.parametrize("a,b,d", DIFF_FAMILIES)
     def test_closed_equals_iterative(self, a, b, d):
@@ -684,6 +689,29 @@ class TestHilbertShift:
         info = shift._plans.cache_info()
         assert (info.misses, info.hits) == (1, 8)
         assert list(shift._plans(fam231.instance(19))) == list(OrthantLabel)
+
+    def test_walks_only_the_orthant_asked_for(self, fam231, monkeypatch, fresh_plans):
+        # a base case (t = 19, k = 0) walks the one continued fraction it
+        # lists, never the other two, which may be far longer; a transport
+        # (t = 79, k = 2) builds its base's three plans once, on one miss
+        walked = []
+        real = shift._cf_hilbert
+
+        def spy(inst, orthant):
+            walked.append((inst.t, orthant))
+            return real(inst, orthant)
+
+        monkeypatch.setattr(shift, "_cf_hilbert", spy)
+        for orthant in OrthantLabel:
+            walked.clear()
+            hilbert_shift(fam231.instance(19), orthant)
+            assert walked == [(19, orthant)]
+        assert shift._plans.cache_info().currsize == 0
+        walked.clear()
+        for orthant in OrthantLabel:
+            hilbert_shift(fam231.instance(79), orthant)
+        assert walked == [(19, orthant) for orthant in OrthantLabel]
+        assert shift._plans.cache_info().misses == 1
 
     def test_base_cases_are_not_cached(self, fam231, fresh_plans):
         # k = 0 at and below b_max = 6 and within a period above it
@@ -1201,7 +1229,7 @@ class TestBeyondOracleScale:
         base, k = base_decomposition(inst)
         assert k >= 1 and not _within_oracle_scale(base)
         for orthant in OrthantLabel:
-            assert hilbert_shift(inst, orthant).trades == _cf_hilbert(inst, orthant)
+            assert hilbert_shift(inst, orthant).trades == _cf_listing(inst, orthant)
         row, at_base = count_row(inst, "fast"), count_row(base, "fast")
         assert row.graver == graver == at_base.graver + k * 2 * d * (a + b)
         assert (row.h_pnp, row.h_ppn, row.h_npp) == (
