@@ -25,8 +25,8 @@ _EXPORTS = {
     ),
     "oracle": "enumerate_trades factorizations graver_oracle hilbert_oracle",
     "shift": (
-        "assemble_graver base_decomposition effective_base_bound graver_shift "
-        "hilbert_shift negative_segment period_map period_map_inverse positive_segment"
+        "assemble_graver base_decomposition graver_shift hilbert_shift "
+        "negative_segment period_map period_map_inverse positive_segment"
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -27,7 +27,7 @@ from .core import (
     negate,
 )
 from .oracle import check_box, factorizations, graver_oracle, hilbert_oracle
-from .shift import auto_oracle_bound, count_shift, effective_base_bound, graver_shift
+from .shift import auto_oracle_bound, count_shift, graver_shift
 # unused here; the benchmark's tracer rebinds this name in this module
 from .shift import hilbert_shift  # noqa: F401
 
@@ -171,7 +171,7 @@ def verify_period_law(fam: ShiftedFamily, t_lo: int, t_hi: int, method: str = "o
     are method "oracle" and differential_test.
     """
     a, b, d = fam.a, fam.b, fam.d
-    bound = effective_base_bound(fam)
+    bound = fam.b_max
     shifts = valid_shifts(
         fam, max(t_lo, bound + 1), t_hi, reach=fam.rho, method=method,
         name=f"{t_lo}..{t_hi} above the transport threshold {bound}",
@@ -279,7 +279,7 @@ def differential_test(families: Sequence[ShiftedFamily], periods: int) -> Differ
     """
     windows = []
     for fam in families:
-        bound = effective_base_bound(fam)
+        bound = fam.b_max
         shifts = valid_shifts(
             fam, bound + 1, bound + periods * fam.rho, method="oracle",
             name=f"of {periods} periods above the transport threshold {bound}",

@@ -30,7 +30,6 @@ from .oracle import graver_oracle, hilbert_oracle, iter_factorizations
 from .shift import (
     auto_oracle_bound,
     base_decomposition,
-    effective_base_bound,
     graver_shift,
     hilbert_shift,
 )
@@ -120,12 +119,12 @@ def cmd_params(args: argparse.Namespace) -> int:
         f"b_plus_minus={fam.b_plus_minus}",
         f"b_minus={fam.b_minus}",
         f"b_max={fam.b_max}",
-        f"effective_base_bound={effective_base_bound(fam)}",
+        f"effective_base_bound={fam.b_max}",
         f"h={h[0]},{h[1]},{h[2]}",
         f"t0={base.t}",
         f"k={k}",
     ]
-    if inst.t <= effective_base_bound(fam):
+    if inst.t <= fam.b_max:
         lines.append("note=base case (t is at or below the transport threshold)")
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK

@@ -229,7 +229,8 @@ class TradeSetMode(enum.Enum):
 
 @dataclass(frozen=True, init=False)
 class SegmentEndpoints:
-    """An arithmetic run of trades: start, start+step, ..., end.
+    """An arithmetic run of trades: start, start+step, ..., end, where end
+    is count-1 steps on, computed once here from the other three.
 
     The step's entries must be nonzero, so each coordinate of the run is a
     range, and step[2] must be positive, so the members ascend in sort_key
@@ -244,7 +245,7 @@ class SegmentEndpoints:
     step: Trade
     count: int
 
-    def __init__(self, start: Trade, end: Trade, step: Trade, count: int) -> None:
+    def __init__(self, start: Trade, step: Trade, count: int) -> None:
         if count < 1:
             raise InternalConsistencyError(f"segment count must be >= 1, got {count}")
         h0, h1, h2 = step
@@ -253,11 +254,7 @@ class SegmentEndpoints:
                 f"segment step {step} needs nonzero entries and step[2] > 0"
             )
         n = count - 1
-        if (end[0] - start[0], end[1] - start[1], end[2] - start[2]) != (n * h0, n * h1, n * h2):
-            raise InternalConsistencyError(
-                f"segment endpoints {start}..{end} do not differ by "
-                f"{count - 1} steps of {step}"
-            )
+        end = (start[0] + n * h0, start[1] + n * h1, start[2] + n * h2)
         # frozen, so the fields go into the instance dict directly: the
         # generated __init__'s object.__setattr__ per field and __post_init__
         # call cost three times as much, and the count path builds a run per
@@ -286,12 +283,12 @@ class SegmentEndpoints:
 
     def part(self, lo: int, hi: int) -> SegmentEndpoints:
         """Members lo..hi-1, as a run; needs 0 <= lo < hi <= count."""
-        return SegmentEndpoints(self[lo], self[hi - 1], self.step, hi - lo)
+        return SegmentEndpoints(self[lo], self.step, hi - lo)
 
     def negated(self) -> SegmentEndpoints:
         """The negations of the members, in the same order as sort_key:
         -end, -end+step, ..., -start, so the step is unchanged."""
-        return SegmentEndpoints(negate(self.end), negate(self.start), self.step, self.count)
+        return SegmentEndpoints(negate(self.end), self.step, self.count)
 
 
 Piece = Trade | SegmentEndpoints
@@ -398,10 +395,7 @@ class TradeSet:
         )
 
     def __len__(self) -> int:
-        n = len(self.singles)
-        for run in self.runs:  # a loop: a call per run costs more on the count path
-            n += run.count
-        return n
+        return len(self.singles) + sum(run.count for run in self.runs)
 
     def __iter__(self) -> Iterator[Trade]:
         return chain.from_iterable(map(_members, self.pieces))

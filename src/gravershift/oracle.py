@@ -27,7 +27,6 @@ from .core import (
     Trade,
     TradeSet,
     TradeSetMode,
-    sort_key,
 )
 
 # Cap on the box's (v0, v2) square, (2C+1)^2 cells.  The sweep's work
@@ -85,9 +84,10 @@ def _staircases(inst: SemigroupInstance) -> MappingProxyType[OrthantLabel, tuple
     """Hilbert basis of each orthant: the Pareto minima of its box-n3 trades.
 
     Each orthant is one sweep of its columns, and only the staircases are
-    kept, each in sort_key order.  With (i, j) an orthant's non-negative
-    coordinates, its columns v_i = 0, 1, ... are swept in ascending order,
-    and a column's least v_j is kept when it is below every earlier one.
+    kept, each in sweep order (TradeSet.pieces orders a listing).  With
+    (i, j) an orthant's non-negative coordinates, its columns v_i = 0, 1,
+    ... are swept in ascending order, and a column's least v_j is kept
+    when it is below every earlier one.
 
     The radius n3 is exact, in two steps.
 
@@ -166,7 +166,7 @@ def _staircases(inst: SemigroupInstance) -> MappingProxyType[OrthantLabel, tuple
         # (v_i, v_j, v_k) back to coordinate order
         place = [0, 0, 0]
         place[i], place[j], place[k] = 0, 1, 2
-        staircases[orthant] = tuple(sorted(map(itemgetter(*place), minima), key=sort_key))
+        staircases[orthant] = tuple(map(itemgetter(*place), minima))
     return MappingProxyType(staircases)
 
 

@@ -152,9 +152,7 @@ def _solve_segment(inst: SemigroupInstance, orthant: OrthantLabel) -> SegmentEnd
     n0, n1, n2 = inst.generators
     if n0 * v0 + n1 * v1 + n2 * v2:  # inst.evaluate(start), inlined
         raise InternalConsistencyError(f"segment endpoint {start} invalid at t={inst.t}")
-    steps, h = v[y] // cx, inst.family.homogeneous_trade
-    end = (v0 + steps * h[0], v1 + steps * h[1], v2 + steps * h[2])
-    return SegmentEndpoints(start, end, h, steps + 1)
+    return SegmentEndpoints(start, inst.family.homogeneous_trade, v[y] // cx + 1)
 
 
 @dataclass(frozen=True)
@@ -360,23 +358,18 @@ def _carry(plan: _Plan, periods: int, target: SemigroupInstance) -> _Basis:
     return images, () if run is None else (run,), size
 
 
-def effective_base_bound(fam: ShiftedFamily) -> int:
-    """Largest shift that is its own base case rather than a transport target."""
-    return fam.b_max
-
-
 def auto_oracle_bound(fam: ShiftedFamily) -> int:
     """Largest shift the `auto` method sends to the oracle: one at or below
     the transport threshold whose box, of radius n3 = t + d*b, the oracle
     walks rather than refuses.  Every other shift takes the shift route."""
-    return min(effective_base_bound(fam), MAX_BOX - fam.d * fam.b)
+    return min(fam.b_max, MAX_BOX - fam.d * fam.b)
 
 
 def base_decomposition(inst: SemigroupInstance) -> tuple[SemigroupInstance, int]:
     """Write t = t0 + k*rho with k maximal such that t0 = t - k*rho stays above
     the transport threshold, so t0 lies in (bound, bound + rho]; at or below
     the threshold t0 = t and k = 0.  Returns (base instance, k)."""
-    bound = effective_base_bound(inst.family)
+    bound = inst.family.b_max
     if inst.t <= bound:
         return inst, 0
     k = (inst.t - bound - 1) // inst.family.rho

@@ -36,7 +36,7 @@ from gravershift import (
     verify_period_law,
 )
 from gravershift.analysis import objective_value, valid_shifts
-from gravershift.shift import base_decomposition, effective_base_bound
+from gravershift.shift import base_decomposition
 
 
 @pytest.fixture
@@ -188,7 +188,7 @@ def test_criterion_9_leading_coefficient(criterion):
     with criterion(9, "count increment over period is exactly 2/(a*b)", 300.0):
         for a, b, d in DIFF_FAMILIES:
             fam = ShiftedFamily(a, b, d)
-            bound = effective_base_bound(fam)
+            bound = fam.b_max
             for t in valid_shifts(fam, bound + 1, bound + fam.rho):
                 now = 2 * len(graver_shift(fam.instance(t)))
                 later = 2 * len(graver_shift(fam.instance(t + fam.rho)))

@@ -69,9 +69,8 @@ EXPORTS = {
     ],
     "oracle": ["enumerate_trades", "factorizations", "graver_oracle", "hilbert_oracle"],
     "shift": [
-        "assemble_graver", "base_decomposition", "effective_base_bound",
-        "graver_shift", "hilbert_shift", "negative_segment", "period_map", "period_map_inverse",
-        "positive_segment",
+        "assemble_graver", "base_decomposition", "graver_shift", "hilbert_shift",
+        "negative_segment", "period_map", "period_map_inverse", "positive_segment",
     ],
 }
 
@@ -363,7 +362,7 @@ class TestCountPathChecks:
             seg = real(inst)
             if inst.t == 19:
                 return seg
-            return SegmentEndpoints(seg.start, seg[seg.count - 2], seg.step, seg.count - 1)
+            return SegmentEndpoints(seg.start, seg.step, seg.count - 1)
 
         monkeypatch.setattr(shift, "positive_segment", shortened_after_base)
         code, out, err = self._count_at_79(capsys)

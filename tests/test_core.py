@@ -259,7 +259,7 @@ class TestTradeSet:
         assert list(ts) == [(1, 0, 0)]
 
     # (-8, 6, 1), (-5, 1, 3), (-2, -4, 5) as a run of step h = (3, -5, 2)
-    RUN = SegmentEndpoints((-8, 6, 1), (-2, -4, 5), (3, -5, 2), 3)
+    RUN = SegmentEndpoints((-8, 6, 1), (3, -5, 2), 3)
     LISTED = ((11, -11, 1), (-8, 6, 1), (-5, 1, 3), (-2, -4, 5), (0, -22, 19))
 
     def test_runs_count_and_compare_member_wise(self):
@@ -298,7 +298,7 @@ class TestTradeSet:
         both = ts.with_negations()
         assert both.pieces == (
             (0, 22, -19),
-            SegmentEndpoints((2, 4, -5), (8, -6, -1), (3, -5, 2), 3),
+            SegmentEndpoints((2, 4, -5), (3, -5, 2), 3),
             (-11, 11, -1),
             *ts.pieces,
         )

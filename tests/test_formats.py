@@ -252,7 +252,7 @@ class TestRunText:
         # singles' v2 lies below and above the run's, so they sort around it
         members = _members(start, step, count)
         end = members[-1]
-        run = SegmentEndpoints(start, end, step, count)
+        run = SegmentEndpoints(start, step, count)
         before = [(-7, k, start[2] - 1) for k in range(singles)]
         after = [(k, 5, end[2] + 1) for k in range(singles)]
         ts = TradeSet((*before, *after), TradeSetMode.FULL, (run,))
@@ -292,9 +292,9 @@ class TestJsonListing:
     @pytest.mark.parametrize("singles,runs", [
         ((), ()),
         (((3, -5, 2),), ()),
-        ((), (SegmentEndpoints((-8, 6, 1), (-8, 6, 1), (3, -5, 2), 1),)),
-        ((), (SegmentEndpoints((-8, 6, 1), (-5, 1, 3), (3, -5, 2), 2),)),
-        (((11, -11, 1),), (SegmentEndpoints((-8, 6, 1), (-2, -4, 5), (3, -5, 2), 3),)),
+        ((), (SegmentEndpoints((-8, 6, 1), (3, -5, 2), 1),)),
+        ((), (SegmentEndpoints((-8, 6, 1), (3, -5, 2), 2),)),
+        (((11, -11, 1),), (SegmentEndpoints((-8, 6, 1), (3, -5, 2), 3),)),
     ], ids=["empty", "one-trade", "one-member-run", "two-member-run", "ending-in-a-run"])
     def test_short_listings(self, inst19, singles, runs):
         # the last member closes the array, so it is split off its run
@@ -303,7 +303,7 @@ class TestJsonListing:
 
     def test_inconsistent_listing_writes_nothing(self, inst19):
         # a single that is also a member of the run fails the order check
-        run = SegmentEndpoints((-8, 6, 1), (-2, -4, 5), (3, -5, 2), 3)
+        run = SegmentEndpoints((-8, 6, 1), (3, -5, 2), 3)
         broken = TradeSet(((-5, 1, 3),), TradeSetMode.FULL, (run,))
         out = io.StringIO()
         with pytest.raises(InternalConsistencyError, match="strictly between"):

@@ -31,7 +31,6 @@ from gravershift import (
     TradeSet,
     assemble_graver,
     base_decomposition,
-    effective_base_bound,
     enumerate_trades,
     from_generators,
     graver_oracle,
@@ -262,23 +261,19 @@ class TestPositiveSegment:
 
 
 class TestSegmentEndpoints:
-    # h = (3, -5, 2) for (2,3,1); _solve_segment relies on these two checks
+    # h = (3, -5, 2) for (2,3,1); a run is its start, step and count, and
+    # its end is computed from them, so these two checks are all it makes
 
     @pytest.mark.parametrize(
-        "start,end,count",
-        [((2, 4, -5), (2, 4, -5), 0), ((8, -6, -1), (2, 4, -5), -1)],  # empty; reversed
+        "start,count", [((2, 4, -5), 0), ((8, -6, -1), -1)], ids=["empty", "negative"]
     )
-    def test_count_below_one_rejected(self, start, end, count):
+    def test_count_below_one_rejected(self, start, count):
         with pytest.raises(InternalConsistencyError, match="count"):
-            SegmentEndpoints(start, end, (3, -5, 2), count)
+            SegmentEndpoints(start, (3, -5, 2), count)
 
-    @pytest.mark.parametrize(
-        "end,count",
-        [((5, -1, -3), 3), ((5, 0, -5), 2)],  # one step, not two; no multiple of h
-    )
-    def test_ends_not_whole_steps_apart_rejected(self, end, count):
-        with pytest.raises(InternalConsistencyError, match="steps"):
-            SegmentEndpoints((2, 4, -5), end, (3, -5, 2), count)
+    def test_end_is_count_minus_one_steps_on(self):
+        assert SegmentEndpoints((2, 4, -5), (3, -5, 2), 1).end == (2, 4, -5)
+        assert SegmentEndpoints((2, 4, -5), (3, -5, 2), 3).end == (8, -6, -1)
 
     @pytest.mark.parametrize(
         "step", [(0, -5, 2), (3, 0, 2), (3, -5, 0), (3, -5, -2), (-3, 5, -2)]
@@ -286,10 +281,9 @@ class TestSegmentEndpoints:
     @pytest.mark.parametrize("count", [1, 2])
     def test_step_with_a_zero_entry_or_nonpositive_last_entry_rejected(self, step, count):
         # a zero entry makes a coordinate no range, and step[2] <= 0 breaks
-        # the ascending order; the ends are whole steps apart
-        end = tuple(s + (count - 1) * h for s, h in zip((2, 4, -5), step))
+        # the ascending order
         with pytest.raises(InternalConsistencyError, match=r"step \("):
-            SegmentEndpoints((2, 4, -5), end, step, count)
+            SegmentEndpoints((2, 4, -5), step, count)
 
     def test_members_by_index_part_and_negation(self, inst79):
         seg = negative_segment(inst79)
@@ -450,7 +444,7 @@ class TestAdvance:
             seg = real(inst)
             if inst == inst19:
                 return seg
-            return SegmentEndpoints(add(seg.start, seg.step), seg.end, seg.step, seg.count - 1)
+            return SegmentEndpoints(add(seg.start, seg.step), seg.step, seg.count - 1)
 
         monkeypatch.setattr(shift, "positive_segment", shortened_later)
         with pytest.raises(InternalConsistencyError):
@@ -465,7 +459,7 @@ class TestAdvance:
 
         def without_first(inst):
             seg = real(inst)
-            return SegmentEndpoints(add(seg.start, seg.step), seg.end, seg.step, seg.count - 1)
+            return SegmentEndpoints(add(seg.start, seg.step), seg.step, seg.count - 1)
 
         base = fam231.instance(49)
         basis = hilbert_oracle(base, OrthantLabel.PPN)
@@ -513,7 +507,7 @@ class TestAdvance:
         assume(math.gcd(a, b) == 1)
         fam = ShiftedFamily(a, b, d)
         lo = max(_orthant_table(fam)[orthant].threshold, d * a) + 1
-        hi = effective_base_bound(fam) + fam.rho
+        hi = fam.b_max + fam.rho
         t = data.draw(st.sampled_from(range(lo, hi + 1)), label="t")
         assume(math.gcd(t, d) == 1)
         self._check_one_period(fam.instance(t), orthant)
@@ -554,7 +548,7 @@ class TestAdvance:
             got = _transport(base, orthant, hilbert_oracle(base, orthant), periods)
             assert got == _full(set(got.trades))
             assert _strictly_increasing(got)
-        base = _valid_shift_above(fam, effective_base_bound(fam) + offset)
+        base = _valid_shift_above(fam, fam.b_max + offset)
         parts = [_transport(base, o, hilbert_oracle(base, o), periods) for o in OrthantLabel]
         assert assemble_graver(*parts) == TradeSet.canonical(chain.from_iterable(parts))
 
@@ -594,10 +588,10 @@ class TestBaseDecomposition:
 
     def test_bounds(self):
         fam = ShiftedFamily(2, 3, 1)
-        assert effective_base_bound(fam) == 6
+        assert fam.b_max == 6
         # the a(d-1) term of b_minus only matters for d >= 2
         assert ShiftedFamily(5, 1, 2).b_minus == 29
-        assert effective_base_bound(ShiftedFamily(5, 1, 2)) == 29
+        assert ShiftedFamily(5, 1, 2).b_max == 29
 
     @pytest.mark.parametrize(
         "a,b,d,bound",
@@ -627,7 +621,7 @@ class TestBaseDecomposition:
                     continue
                 base, k = base_decomposition(fam.instance(t))
                 assert base.t + k * fam.rho == t
-                assert base.t <= effective_base_bound(fam) + fam.rho
+                assert base.t <= fam.b_max + fam.rho
 
 
 class TestHilbertShift:
@@ -639,7 +633,7 @@ class TestHilbertShift:
     def test_closed_equals_iterative(self, a, b, d):
         # one jump of k periods equals k single-period steps
         fam = ShiftedFamily(a, b, d)
-        bound = effective_base_bound(fam)
+        bound = fam.b_max
         for t in range(bound + 1, bound + fam.rho + 1):
             if t <= fam.d * fam.a or math.gcd(t, fam.d) != 1:
                 continue
@@ -664,7 +658,7 @@ class TestHilbertShift:
         # result that depends on the order of calls, differs somewhere
         assume(math.gcd(a, b) == 1)
         fam = ShiftedFamily(a, b, d)
-        t0 = effective_base_bound(fam) + data.draw(st.integers(1, fam.rho), label="offset")
+        t0 = fam.b_max + data.draw(st.integers(1, fam.rho), label="offset")
         assume(math.gcd(t0, d) == 1)
         base = fam.instance(t0)
         ks = data.draw(st.lists(st.integers(1, 300), min_size=2, max_size=4, unique=True), label="ks")
@@ -934,8 +928,8 @@ class TestAssembleFromRuns:
         # runs laid end to end whole when every member lies before them, and
         # after the last member when every member lies past them
         h = (3, -5, 2)
-        low = SegmentEndpoints((-8, 6, 1), (-2, -4, 5), h, 3)
-        high = SegmentEndpoints((1, -9, 7), (7, -19, 11), h, 3)
+        low = SegmentEndpoints((-8, 6, 1), h, 3)
+        high = SegmentEndpoints((1, -9, 7), h, 3)
         first, last = (11, -11, 1), (0, -22, 19)
         assert _ordered_pieces((low, high), [first]) == (first, low, high)
         assert _ordered_pieces((low, high), [last]) == (low, high, last)
@@ -1068,10 +1062,55 @@ class TestSegmentIsTheLongestStepStretch:
         basis = hilbert_shift(inst, OrthantLabel.PPN)
         assert list(positive_segment(inst)) == [(0, 5, -4), (1, 3, -3), (2, 1, -2)]
         assert basis.pieces == (
-            SegmentEndpoints((0, 5, -4), (0, 5, -4), (1, -2, 1), 1),
+            SegmentEndpoints((0, 5, -4), (1, -2, 1), 1),
             (5, 0, -3),
-            SegmentEndpoints((1, 3, -3), (2, 1, -2), (1, -2, 1), 2),
+            SegmentEndpoints((1, 3, -3), (1, -2, 1), 2),
         )
+
+
+# (route, generators, orthant or None for the Graver basis): the oracle's
+# staircases in sweep order, the shift route's continued-fraction walks at
+# k = 0 and its carried image sets at k > 0, and its Graver boundary sets
+_LISTINGS = [
+    *[("oracle", gens, o) for gens in ((17, 19, 22), (117, 119, 122)) for o in OrthantLabel],
+    *[("shift", gens, o) for gens in ((17, 19, 22), (77, 79, 82)) for o in OrthantLabel],
+    ("shift", (89701, 90001, 90002), OrthantLabel.PPN),
+    *[("shift", gens, None) for gens in ((17, 19, 22), (77, 79, 82), (117, 119, 122))],
+]
+
+
+def _listing(route, gens, orthant):
+    inst = from_generators(*gens)
+    if orthant is None:
+        return graver_shift(inst)
+    return (hilbert_oracle if route == "oracle" else hilbert_shift)(inst, orthant)
+
+
+class TestListingOrder:
+    """Only TradeSet.pieces orders a listing: neither route sorts the
+    singles it gives, so the listing must not depend on their order."""
+
+    def test_routes_give_singles_out_of_order(self):
+        # the oracle's sweep order differs from sort_key's in every orthant
+        # of (17,19,22), and so does the shift route's walk in PPN (k = 0)
+        inst = from_generators(17, 19, 22)
+        assert base_decomposition(inst)[1] == 0
+        for orthant in OrthantLabel:
+            assert not _strictly_increasing(hilbert_oracle(inst, orthant).singles)
+        assert not _strictly_increasing(hilbert_shift(inst, OrthantLabel.PPN).singles)
+
+    @pytest.mark.parametrize("route,gens,orthant", _LISTINGS, ids=[
+        f"{route}-{'-'.join(map(str, gens))}-{orthant.value if orthant else 'graver'}"
+        for route, gens, orthant in _LISTINGS
+    ])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_pieces_do_not_depend_on_the_order_of_the_singles(self, route, gens, orthant, data):
+        listing = _listing(route, gens, orthant)
+        shuffled = data.draw(st.permutations(listing.singles), label="singles")
+        again = TradeSet(tuple(shuffled), listing.mode, listing.runs)
+        assert again.pieces == listing.pieces
+        assert _strictly_increasing(again)
 
 
 class TestCountShift:
@@ -1124,7 +1163,7 @@ class TestGraverShift:
     def test_assembles_below_threshold(self, a, b, d):
         # base cases are assembled from three listed bases, no segment
         fam = ShiftedFamily(a, b, d)
-        for t in range(d * a + 1, effective_base_bound(fam) + 1):
+        for t in range(d * a + 1, fam.b_max + 1):
             if math.gcd(t, d) == 1:
                 inst = fam.instance(t)
                 assert graver_shift(inst).trades == graver_oracle(inst).trades, t
@@ -1176,7 +1215,7 @@ class TestGraverShift:
     def test_matches_oracle_three_periods(self, a, b, d):
         # the heavier families get two-period coverage in the acceptance suite
         fam = ShiftedFamily(a, b, d)
-        bound = effective_base_bound(fam)
+        bound = fam.b_max
         for t in range(bound + 1, bound + 3 * fam.rho + 1):
             if t <= fam.d * fam.a or math.gcd(t, fam.d) != 1:
                 continue
@@ -1192,7 +1231,7 @@ class TestShiftRouteWalksNoBox:
 
         monkeypatch.setattr(oracle, "_staircases", refuse)
         fam = ShiftedFamily(a, b, d)
-        bound = effective_base_bound(fam)
+        bound = fam.b_max
         # the last base case (none for (1,1,1), where b_max = d*a), a shift
         # within the first period above it, and one near 10^6
         base_cases = [t for t in range(d * a + 1, bound + 1) if math.gcd(t, d) == 1]
